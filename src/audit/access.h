@@ -4,7 +4,7 @@
  * state. The auditors use it to *inspect* internals without widening
  * any public API, and tests/test_audit.cc uses its corrupt_* helpers
  * to *inject* the exact metadata drift the auditors must detect.
- * Nothing outside src/audit/ and the audit tests should include this.
+ * Nothing outside src/audit/ and the tests should include this.
  */
 #ifndef MOKASIM_AUDIT_ACCESS_H
 #define MOKASIM_AUDIT_ACCESS_H
@@ -461,6 +461,9 @@ struct AuditAccess
     // ----------------------------------------------------------------
     // Machine plumbing (end-to-end corruption tests)
     // ----------------------------------------------------------------
+
+    //! CoreComplex's private interval window (record-field tests)
+    using CoreWindow = CoreComplex::Window;
 
     static Cache &core_l1d(CoreComplex &core) { return *core.l1d_; }
     static Tlb &core_dtlb(CoreComplex &core) { return *core.dtlb_; }

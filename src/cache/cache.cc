@@ -271,11 +271,7 @@ Cache::save_state(SnapshotWriter &w) const
     put_vec(w, inflight_);
     w.put_u64(next_port_free_);
     repl_->save_state(w);
-    put_stats(w, stats_.demand);
-    put_stats(w, stats_.walk);
-    w.put_u64(stats_.writebacks);
-    w.put_u64(stats_.prefetch_lookups);
-    put_stats(w, stats_.pf);
+    put_fields(w, stats_);
 }
 
 void
@@ -306,11 +302,7 @@ Cache::restore_state(SnapshotReader &r)
     get_vec(r, inflight_, /*fixed_size=*/false);
     next_port_free_ = r.get_u64();
     repl_->restore_state(r);
-    get_stats(r, stats_.demand);
-    get_stats(r, stats_.walk);
-    stats_.writebacks = r.get_u64();
-    stats_.prefetch_lookups = r.get_u64();
-    get_stats(r, stats_.pf);
+    get_fields(r, stats_);
 }
 
 }  // namespace moka

@@ -36,6 +36,18 @@ struct CacheConfig
     std::uint32_t mshr_entries = 8;
     bool track_pgc = false;       //!< maintain PCB bits (L1D only)
     ReplacementKind replacement = ReplacementKind::kLru;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("name", s.name...);
+        v("sets", s.sets...);
+        v("ways", s.ways...);
+        v("latency", s.latency...);
+        v("mshr_entries", s.mshr_entries...);
+        v("track_pgc", s.track_pgc...);
+        v("replacement", s.replacement...);
+    }
 };
 
 /**
@@ -73,12 +85,20 @@ struct CacheStats
     std::uint64_t prefetch_lookups = 0;  //!< prefetch requests observed
     PrefetchStats pf;            //!< prefetch effectiveness
 
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("demand", s.demand...);
+        v("walk", s.walk...);
+        v("writebacks", s.writebacks...);
+        v("prefetch_lookups", s.prefetch_lookups...);
+        v("pf", s.pf...);
+    }
+
     /** Memberwise delta for measured-region snapshots. */
     CacheStats operator-(const CacheStats &o) const
     {
-        return {demand - o.demand, walk - o.walk,
-                writebacks - o.writebacks,
-                prefetch_lookups - o.prefetch_lookups, pf - o.pf};
+        return field_diff(*this, o);
     }
 };
 

@@ -26,6 +26,15 @@ struct BranchPredConfig
     unsigned entries = 256;     //!< entries per table
     unsigned weight_bits = 6;
     int train_threshold = 16;   //!< retrain below this |sum| margin
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("tables", s.tables...);
+        v("entries", s.entries...);
+        v("weight_bits", s.weight_bits...);
+        v("train_threshold", s.train_threshold...);
+    }
 };
 
 /** See file comment. */

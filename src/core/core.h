@@ -27,6 +27,14 @@ struct CoreConfig
     unsigned rob_entries = 352;
     unsigned width = 6;                //!< issue/retire width
     Cycle mispredict_penalty = 12;     //!< frontend refill bubble
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("rob_entries", s.rob_entries...);
+        v("width", s.width...);
+        v("mispredict_penalty", s.mispredict_penalty...);
+    }
 };
 
 /** See file comment. */

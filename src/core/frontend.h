@@ -27,6 +27,14 @@ struct FrontendConfig
     unsigned fetch_width = 6;
     unsigned l1i_prefetch_degree = 2;  //!< next-line degree (fnl-lite)
     Cycle mispredict_penalty = 12;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("fetch_width", s.fetch_width...);
+        v("l1i_prefetch_degree", s.l1i_prefetch_degree...);
+        v("mispredict_penalty", s.mispredict_penalty...);
+    }
 };
 
 /** See file comment. */

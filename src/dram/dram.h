@@ -31,6 +31,18 @@ struct DramConfig
     Cycle row_hit_latency = 90;   //!< CAS-only access
     Cycle row_miss_latency = 180; //!< precharge+activate+CAS
     Cycle burst_cycles = 3;     //!< data-bus occupancy per 64B transfer
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("channels", s.channels...);
+        v("banks", s.banks...);
+        v("rows_bits", s.rows_bits...);
+        v("column_bits", s.column_bits...);
+        v("row_hit_latency", s.row_hit_latency...);
+        v("row_miss_latency", s.row_miss_latency...);
+        v("burst_cycles", s.burst_cycles...);
+    }
 };
 
 /** Open-row DRAM with per-bank and per-channel availability. */

@@ -127,17 +127,8 @@ void AdaptiveThreshold::save_state(SnapshotWriter &w) const
     w.put_i64(ta_);
     w.put_bool(pgc_disabled_);
     w.put_bool(have_prev_);
-    w.put_f64(prev_.pgc_accuracy);
-    w.put_bool(prev_.accuracy_valid);
-    w.put_f64(prev_.ipc);
-    w.put_u64(tel_.rob_clamps);
-    w.put_u64(tel_.acc_clamps);
-    w.put_u64(tel_.l1i_clamps);
-    w.put_u64(tel_.disable_intervals);
-    w.put_u64(tel_.epoch_acc_clamps);
-    w.put_u64(tel_.nudges_up);
-    w.put_u64(tel_.nudges_down);
-    w.put_u64(tel_.ipc_drop_clamps);
+    put_fields(w, prev_);
+    put_fields(w, tel_);
 }
 
 void AdaptiveThreshold::restore_state(SnapshotReader &r)
@@ -146,17 +137,8 @@ void AdaptiveThreshold::restore_state(SnapshotReader &r)
     ta_ = static_cast<int>(r.get_i64());
     pgc_disabled_ = r.get_bool();
     have_prev_ = r.get_bool();
-    prev_.pgc_accuracy = r.get_f64();
-    prev_.accuracy_valid = r.get_bool();
-    prev_.ipc = r.get_f64();
-    tel_.rob_clamps = r.get_u64();
-    tel_.acc_clamps = r.get_u64();
-    tel_.l1i_clamps = r.get_u64();
-    tel_.disable_intervals = r.get_u64();
-    tel_.epoch_acc_clamps = r.get_u64();
-    tel_.nudges_up = r.get_u64();
-    tel_.nudges_down = r.get_u64();
-    tel_.ipc_drop_clamps = r.get_u64();
+    get_fields(r, prev_);
+    get_fields(r, tel_);
 }
 
 }  // namespace moka

@@ -46,6 +46,14 @@ struct EpochInfo
     double pgc_accuracy = 0.0;  //!< useful/(useful+useless) this epoch
     bool accuracy_valid = false; //!< enough resolved PGC prefetches
     double ipc = 0.0;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("pgc_accuracy", s.pgc_accuracy...);
+        v("accuracy_valid", s.accuracy_valid...);
+        v("ipc", s.ipc...);
+    }
 };
 
 /**
@@ -64,6 +72,19 @@ struct ThresholdTelemetry
     std::uint64_t nudges_up = 0;       //!< epoch trend: T_a tightened
     std::uint64_t nudges_down = 0;     //!< epoch trend: T_a relaxed
     std::uint64_t ipc_drop_clamps = 0; //!< epoch IPC-drop forcing t_mid
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("rob_clamps", s.rob_clamps...);
+        v("acc_clamps", s.acc_clamps...);
+        v("l1i_clamps", s.l1i_clamps...);
+        v("disable_intervals", s.disable_intervals...);
+        v("epoch_acc_clamps", s.epoch_acc_clamps...);
+        v("nudges_up", s.nudges_up...);
+        v("nudges_down", s.nudges_down...);
+        v("ipc_drop_clamps", s.ipc_drop_clamps...);
+    }
 };
 
 /** See file comment. */

@@ -275,32 +275,6 @@ get_record(SnapshotReader &r, VirtDecisionRecord &rec)
     rec.system_mask = r.get_u8();
 }
 
-void
-put_threshold_tel(SnapshotWriter &w, const ThresholdTelemetry &t)
-{
-    w.put_u64(t.rob_clamps);
-    w.put_u64(t.acc_clamps);
-    w.put_u64(t.l1i_clamps);
-    w.put_u64(t.disable_intervals);
-    w.put_u64(t.epoch_acc_clamps);
-    w.put_u64(t.nudges_up);
-    w.put_u64(t.nudges_down);
-    w.put_u64(t.ipc_drop_clamps);
-}
-
-void
-get_threshold_tel(SnapshotReader &r, ThresholdTelemetry &t)
-{
-    t.rob_clamps = r.get_u64();
-    t.acc_clamps = r.get_u64();
-    t.l1i_clamps = r.get_u64();
-    t.disable_intervals = r.get_u64();
-    t.epoch_acc_clamps = r.get_u64();
-    t.nudges_up = r.get_u64();
-    t.nudges_down = r.get_u64();
-    t.ipc_drop_clamps = r.get_u64();
-}
-
 }  // namespace
 
 void
@@ -337,7 +311,7 @@ MokaFilter::save_state(SnapshotWriter &w) const
     for (std::uint64_t v : tel_.feature_abs) {
         w.put_u64(v);
     }
-    put_threshold_tel(w, tel_.threshold);
+    put_fields(w, tel_.threshold);
     thresholds_.save_state(w);
 }
 
@@ -378,7 +352,7 @@ MokaFilter::restore_state(SnapshotReader &r)
     for (std::uint64_t &v : tel_.feature_abs) {
         v = r.get_u64();
     }
-    get_threshold_tel(r, tel_.threshold);
+    get_fields(r, tel_.threshold);
     thresholds_.restore_state(r);
 }
 

@@ -33,6 +33,16 @@ struct SchemeConfig
                                  //!< blocks residing in 2MB pages
     //! Per-core filter factory (kFilter only).
     std::function<FilterPtr()> make_filter;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("name", s.name...);
+        v("policy", s.policy...);
+        v("iso_storage", s.iso_storage...);
+        v("filter_at_2mb", s.filter_at_2mb...);
+        v("make_filter", s.make_filter...);
+    }
 };
 
 /** Always-issue scheme (paper's Permit PGC). */

@@ -36,6 +36,23 @@ struct SystemSnapshot
     unsigned inflight_l1d_misses = 0;   //!< outstanding L1D misses
     double pgc_accuracy = 1.0;          //!< running PGC accuracy
     bool pgc_accuracy_valid = false;    //!< enough resolved samples
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("l1d_mpki", s.l1d_mpki...);
+        v("l1d_miss_rate", s.l1d_miss_rate...);
+        v("llc_mpki", s.llc_mpki...);
+        v("llc_miss_rate", s.llc_miss_rate...);
+        v("stlb_mpki", s.stlb_mpki...);
+        v("stlb_miss_rate", s.stlb_miss_rate...);
+        v("l1i_mpki", s.l1i_mpki...);
+        v("ipc", s.ipc...);
+        v("rob_occupancy", s.rob_occupancy...);
+        v("inflight_l1d_misses", s.inflight_l1d_misses...);
+        v("pgc_accuracy", s.pgc_accuracy...);
+        v("pgc_accuracy_valid", s.pgc_accuracy_valid...);
+    }
 };
 
 /** The six system features of Table I. */

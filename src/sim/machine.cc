@@ -1,7 +1,9 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
+#include <string>
+#include <type_traits>
 
 #include "audit/audit.h"
 #include "common/check.h"
@@ -9,37 +11,6 @@
 #include "snapshot/snapshot.h"
 
 namespace moka {
-
-RunMetrics
-RunMetrics::operator-(const RunMetrics &o) const
-{
-    RunMetrics r = *this;
-    r.instructions -= o.instructions;
-    r.cycles -= o.cycles;
-    r.l1i = l1i - o.l1i;
-    r.l1d = l1d - o.l1d;
-    r.l2 = l2 - o.l2;
-    r.llc = llc - o.llc;
-    r.dtlb = dtlb - o.dtlb;
-    r.stlb = stlb - o.stlb;
-    r.l2_walk = l2_walk - o.l2_walk;
-    r.l1d_writebacks -= o.l1d_writebacks;
-    r.l1d_pf_lookups -= o.l1d_pf_lookups;
-    r.pf_issued -= o.pf_issued;
-    r.pf_useful -= o.pf_useful;
-    r.pf_useless -= o.pf_useless;
-    r.pgc_candidates -= o.pgc_candidates;
-    r.pgc_issued -= o.pgc_issued;
-    r.pgc_useful -= o.pgc_useful;
-    r.pgc_useless -= o.pgc_useless;
-    r.pgc_dropped -= o.pgc_dropped;
-    r.demand_walks -= o.demand_walks;
-    r.spec_walks -= o.spec_walks;
-    r.walk_refs -= o.walk_refs;
-    r.dram_accesses -= o.dram_accesses;
-    r.branch_mispredicts -= o.branch_mispredicts;
-    return r;
-}
 
 MachineConfig
 default_config(unsigned cores)
@@ -591,198 +562,26 @@ Machine::audit(AuditReport &report) const
 // Snapshotting
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/** Fingerprint helpers: order-sensitive field mixing. */
-void
-fp(std::uint64_t &h, std::uint64_t v)
-{
-    h = hash_combine(h, v);
-}
-
-void
-fp_f64(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fp(h, bits);
-}
-
-void
-fp_str(std::uint64_t &h, const std::string &s)
-{
-    fp(h, s.size());
-    h = hash_combine(h, fnv1a_64(s.data(), s.size()));
-}
-
-void
-fp_cache(std::uint64_t &h, const CacheConfig &c)
-{
-    fp_str(h, c.name);
-    fp(h, c.sets);
-    fp(h, c.ways);
-    fp(h, c.latency);
-    fp(h, c.mshr_entries);
-    fp(h, c.track_pgc ? 1 : 0);
-    fp(h, static_cast<std::uint64_t>(c.replacement));
-}
-
-void
-fp_tlb(std::uint64_t &h, const TlbConfig &c)
-{
-    fp_str(h, c.name);
-    fp(h, c.sets);
-    fp(h, c.ways);
-    fp(h, c.large_sets);
-    fp(h, c.large_ways);
-    fp(h, c.latency);
-}
-
-void
-put_metrics(SnapshotWriter &w, const RunMetrics &m)
-{
-    w.put_u64(m.instructions);
-    w.put_u64(m.cycles);
-    put_stats(w, m.l1i);
-    put_stats(w, m.l1d);
-    put_stats(w, m.l2);
-    put_stats(w, m.llc);
-    put_stats(w, m.dtlb);
-    put_stats(w, m.stlb);
-    put_stats(w, m.l2_walk);
-    w.put_u64(m.l1d_writebacks);
-    w.put_u64(m.l1d_pf_lookups);
-    w.put_u64(m.pf_issued);
-    w.put_u64(m.pf_useful);
-    w.put_u64(m.pf_useless);
-    w.put_u64(m.pgc_candidates);
-    w.put_u64(m.pgc_issued);
-    w.put_u64(m.pgc_useful);
-    w.put_u64(m.pgc_useless);
-    w.put_u64(m.pgc_dropped);
-    w.put_u64(m.demand_walks);
-    w.put_u64(m.spec_walks);
-    w.put_u64(m.walk_refs);
-    w.put_u64(m.dram_accesses);
-    w.put_u64(m.branch_mispredicts);
-}
-
-void
-get_metrics(SnapshotReader &r, RunMetrics &m)
-{
-    m.instructions = r.get_u64();
-    m.cycles = r.get_u64();
-    get_stats(r, m.l1i);
-    get_stats(r, m.l1d);
-    get_stats(r, m.l2);
-    get_stats(r, m.llc);
-    get_stats(r, m.dtlb);
-    get_stats(r, m.stlb);
-    get_stats(r, m.l2_walk);
-    m.l1d_writebacks = r.get_u64();
-    m.l1d_pf_lookups = r.get_u64();
-    m.pf_issued = r.get_u64();
-    m.pf_useful = r.get_u64();
-    m.pf_useless = r.get_u64();
-    m.pgc_candidates = r.get_u64();
-    m.pgc_issued = r.get_u64();
-    m.pgc_useful = r.get_u64();
-    m.pgc_useless = r.get_u64();
-    m.pgc_dropped = r.get_u64();
-    m.demand_walks = r.get_u64();
-    m.spec_walks = r.get_u64();
-    m.walk_refs = r.get_u64();
-    m.dram_accesses = r.get_u64();
-    m.branch_mispredicts = r.get_u64();
-}
-
-void
-put_system_snapshot(SnapshotWriter &w, const SystemSnapshot &s)
-{
-    w.put_f64(s.l1d_mpki);
-    w.put_f64(s.l1d_miss_rate);
-    w.put_f64(s.llc_mpki);
-    w.put_f64(s.llc_miss_rate);
-    w.put_f64(s.stlb_mpki);
-    w.put_f64(s.stlb_miss_rate);
-    w.put_f64(s.l1i_mpki);
-    w.put_f64(s.ipc);
-    w.put_f64(s.rob_occupancy);
-    w.put_u32(s.inflight_l1d_misses);
-    w.put_f64(s.pgc_accuracy);
-    w.put_bool(s.pgc_accuracy_valid);
-}
-
-void
-get_system_snapshot(SnapshotReader &r, SystemSnapshot &s)
-{
-    s.l1d_mpki = r.get_f64();
-    s.l1d_miss_rate = r.get_f64();
-    s.llc_mpki = r.get_f64();
-    s.llc_miss_rate = r.get_f64();
-    s.stlb_mpki = r.get_f64();
-    s.stlb_miss_rate = r.get_f64();
-    s.l1i_mpki = r.get_f64();
-    s.ipc = r.get_f64();
-    s.rob_occupancy = r.get_f64();
-    s.inflight_l1d_misses = r.get_u32();
-    s.pgc_accuracy = r.get_f64();
-    s.pgc_accuracy_valid = r.get_bool();
-}
-
-}  // namespace
-
 std::uint64_t
 config_fingerprint(const MachineConfig &cfg, std::size_t cores)
 {
-    std::uint64_t h = kFnv1aOffset;
-    fp(h, cores);
-    fp(h, cfg.core.rob_entries);
-    fp(h, cfg.core.width);
-    fp(h, cfg.core.mispredict_penalty);
-    fp(h, cfg.frontend.fetch_width);
-    fp(h, cfg.frontend.l1i_prefetch_degree);
-    fp(h, cfg.frontend.mispredict_penalty);
-    fp(h, cfg.branch.tables);
-    fp(h, cfg.branch.entries);
-    fp(h, cfg.branch.weight_bits);
-    fp(h, static_cast<std::uint64_t>(cfg.branch.train_threshold));
-    fp_cache(h, cfg.l1i);
-    fp_cache(h, cfg.l1d);
-    fp_cache(h, cfg.l2);
-    fp_cache(h, cfg.llc);
-    fp_tlb(h, cfg.itlb);
-    fp_tlb(h, cfg.dtlb);
-    fp_tlb(h, cfg.stlb);
-    fp(h, cfg.walker.psc_pml5_entries);
-    fp(h, cfg.walker.psc_pml4_entries);
-    fp(h, cfg.walker.psc_pdpte_entries);
-    fp(h, cfg.walker.psc_pde_entries);
-    fp(h, cfg.walker.psc_latency);
-    fp(h, cfg.walker.concurrent_walks);
-    fp(h, cfg.vmem.phys_bytes);
-    fp_f64(h, cfg.vmem.large_page_fraction);
-    fp(h, cfg.vmem.seed);
-    fp(h, cfg.vmem.reserve_pages);
-    fp(h, cfg.dram.channels);
-    fp(h, cfg.dram.banks);
-    fp(h, cfg.dram.rows_bits);
-    fp(h, cfg.dram.column_bits);
-    fp(h, cfg.dram.row_hit_latency);
-    fp(h, cfg.dram.row_miss_latency);
-    fp(h, cfg.dram.burst_cycles);
-    fp(h, static_cast<std::uint64_t>(cfg.l1d_prefetcher));
-    fp(h, static_cast<std::uint64_t>(cfg.l2_prefetcher));
-    // The scheme's filter factory is a closure; the name + policy +
-    // flags identify the configuration it builds (scheme construction
-    // is deterministic per name in policies.cc).
-    fp_str(h, cfg.scheme.name);
-    fp(h, static_cast<std::uint64_t>(cfg.scheme.policy));
-    fp(h, cfg.scheme.iso_storage ? 1 : 0);
-    fp(h, cfg.scheme.filter_at_2mb ? 1 : 0);
-    fp(h, cfg.interval_insts);
-    fp(h, cfg.epoch_insts);
-    fp(h, cfg.audit_interval_insts);
+    std::uint64_t h = hash_combine(kFnv1aOffset, cores);
+    for_each_leaf(
+        [&h](const char *, const auto &f) {
+            using F = std::remove_cvref_t<decltype(f)>;
+            if constexpr (std::is_same_v<
+                              F, decltype(SchemeConfig::make_filter)>) {
+                // The filter closure cannot be hashed (see machine.h).
+            } else if constexpr (std::is_same_v<F, std::string>) {
+                h = hash_combine(h, f.size());
+                h = hash_combine(h, fnv1a_64(f.data(), f.size()));
+            } else if constexpr (std::is_floating_point_v<F>) {
+                h = hash_combine(h, std::bit_cast<std::uint64_t>(f));
+            } else {
+                h = hash_combine(h, static_cast<std::uint64_t>(f));
+            }
+        },
+        cfg);
     return h;
 }
 
@@ -821,15 +620,10 @@ CoreComplex::save_state(SnapshotWriter &w) const
     w.put_u64(next_interval_);
     w.put_u64(next_epoch_);
     w.put_u64(next_audit_);
-    put_stats(w, window_start_.l1d);
-    put_stats(w, window_start_.llc);
-    put_stats(w, window_start_.stlb);
-    put_stats(w, window_start_.l1i);
-    w.put_u64(window_start_.insts);
-    w.put_u64(window_start_.cycle);
+    put_fields(w, window_start_);
     w.put_u64(epoch_start_cycle_);
     w.put_u64(epoch_start_insts_);
-    put_system_snapshot(w, last_snapshot_);
+    put_fields(w, last_snapshot_);
 }
 
 void
@@ -864,15 +658,10 @@ CoreComplex::restore_state(SnapshotReader &r)
     next_interval_ = r.get_u64();
     next_epoch_ = r.get_u64();
     next_audit_ = r.get_u64();
-    get_stats(r, window_start_.l1d);
-    get_stats(r, window_start_.llc);
-    get_stats(r, window_start_.stlb);
-    get_stats(r, window_start_.l1i);
-    window_start_.insts = r.get_u64();
-    window_start_.cycle = r.get_u64();
+    get_fields(r, window_start_);
     epoch_start_cycle_ = r.get_u64();
     epoch_start_insts_ = r.get_u64();
-    get_system_snapshot(r, last_snapshot_);
+    get_fields(r, last_snapshot_);
     // Fast-forward the fresh workload to the snapshot position:
     // step() consumes exactly one workload instruction per
     // retirement, so the retired count IS the replay position.
@@ -887,10 +676,10 @@ Machine::save_snapshot() const
     w.begin_section("machine");
     w.put_u64(steps_);
     for (const RunMetrics &m : measure_start_) {
-        put_metrics(w, m);
+        put_fields(w, m);
     }
     for (const RunMetrics &m : at_budget_) {
-        put_metrics(w, m);
+        put_fields(w, m);
     }
     w.begin_section("dram");
     dram_->save_state(w);
@@ -915,10 +704,10 @@ Machine::restore_snapshot(const std::string &bytes)
     r.begin_section("machine");
     steps_ = r.get_u64();
     for (RunMetrics &m : measure_start_) {
-        get_metrics(r, m);
+        get_fields(r, m);
     }
     for (RunMetrics &m : at_budget_) {
-        get_metrics(r, m);
+        get_fields(r, m);
     }
     r.begin_section("dram");
     dram_->restore_state(r);

@@ -57,6 +57,30 @@ struct MachineConfig
     //! invariant-audit cadence in audit-enabled builds (see
     //! common/check.h); 0 disables the periodic sweep
     std::uint64_t audit_interval_insts = 262144;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("core", s.core...);
+        v("frontend", s.frontend...);
+        v("branch", s.branch...);
+        v("l1i", s.l1i...);
+        v("l1d", s.l1d...);
+        v("l2", s.l2...);
+        v("llc", s.llc...);
+        v("itlb", s.itlb...);
+        v("dtlb", s.dtlb...);
+        v("stlb", s.stlb...);
+        v("walker", s.walker...);
+        v("vmem", s.vmem...);
+        v("dram", s.dram...);
+        v("l1d_prefetcher", s.l1d_prefetcher...);
+        v("l2_prefetcher", s.l2_prefetcher...);
+        v("scheme", s.scheme...);
+        v("interval_insts", s.interval_insts...);
+        v("epoch_insts", s.epoch_insts...);
+        v("audit_interval_insts", s.audit_interval_insts...);
+    }
 };
 
 /**
@@ -86,6 +110,35 @@ struct RunMetrics
     std::uint64_t walk_refs = 0;      //!< PTE memory references
     std::uint64_t dram_accesses = 0;  //!< machine-wide DRAM transfers
     std::uint64_t branch_mispredicts = 0;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("instructions", s.instructions...);
+        v("cycles", s.cycles...);
+        v("l1i", s.l1i...);
+        v("l1d", s.l1d...);
+        v("l2", s.l2...);
+        v("llc", s.llc...);
+        v("dtlb", s.dtlb...);
+        v("stlb", s.stlb...);
+        v("l2_walk", s.l2_walk...);
+        v("l1d_writebacks", s.l1d_writebacks...);
+        v("l1d_pf_lookups", s.l1d_pf_lookups...);
+        v("pf_issued", s.pf_issued...);
+        v("pf_useful", s.pf_useful...);
+        v("pf_useless", s.pf_useless...);
+        v("pgc_candidates", s.pgc_candidates...);
+        v("pgc_issued", s.pgc_issued...);
+        v("pgc_useful", s.pgc_useful...);
+        v("pgc_useless", s.pgc_useless...);
+        v("pgc_dropped", s.pgc_dropped...);
+        v("demand_walks", s.demand_walks...);
+        v("spec_walks", s.spec_walks...);
+        v("walk_refs", s.walk_refs...);
+        v("dram_accesses", s.dram_accesses...);
+        v("branch_mispredicts", s.branch_mispredicts...);
+    }
 
     /** Instructions per cycle over the region. */
     double ipc() const
@@ -117,7 +170,10 @@ struct RunMetrics
         return r == 0 ? 0.0 : double(pgc_useful) / double(r);
     }
 
-    RunMetrics operator-(const RunMetrics &o) const;
+    RunMetrics operator-(const RunMetrics &o) const
+    {
+        return field_diff(*this, o);
+    }
 };
 
 /** One core with its private memory-side structures. */
@@ -246,6 +302,17 @@ class CoreComplex : public CacheListener
         AccessStats l1d, llc, stlb, l1i;
         InstCount insts = 0;
         Cycle cycle = 0;
+
+        template <class V, class... S>
+        static constexpr void visit_fields(V &&v, S &...s)
+        {
+            v("l1d", s.l1d...);
+            v("llc", s.llc...);
+            v("stlb", s.stlb...);
+            v("l1i", s.l1i...);
+            v("insts", s.insts...);
+            v("cycle", s.cycle...);
+        }
     } window_start_;
     Cycle epoch_start_cycle_ = 0;
     InstCount epoch_start_insts_ = 0;
@@ -399,10 +466,13 @@ class Machine
 MachineConfig default_config(unsigned cores = 1);
 
 /**
- * Order-sensitive FNV/mix hash over every field of @p cfg (and the
- * core count). Two configurations with equal fingerprints build
- * machines whose snapshots are interchangeable; the scheme's filter
- * factory is covered by the scheme name, policy and flags.
+ * Order-sensitive FNV/mix hash over the core count and every field
+ * MachineConfig::visit_fields reaches, except the scheme's
+ * `make_filter` closure, which cannot be hashed: the scheme's name,
+ * policy and flags stand in for the filter it builds, so two schemes
+ * with one name but different filter configurations collide. Apart
+ * from that gap, configurations with equal fingerprints build
+ * machines whose snapshots are interchangeable.
  */
 std::uint64_t config_fingerprint(const MachineConfig &cfg,
                                  std::size_t cores);

@@ -28,10 +28,10 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/fields.h"
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/sat_counter.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "snapshot/format.h"
 
@@ -188,42 +188,46 @@ get_addr(SnapshotReader &r, StrongPageNum<Tag> &p)
     p = StrongPageNum<Tag>{r.get_u64()};
 }
 
+/**
+ * Save every field of record @p rec (common/fields.h) in list order:
+ * bools as put_bool, doubles bit-exact, integers and enums at their
+ * own width.
+ */
+template <Record T>
 inline void
-put_stats(SnapshotWriter &w, const AccessStats &s)
+put_fields(SnapshotWriter &w, const T &rec)
 {
-    w.put_u64(s.accesses);
-    w.put_u64(s.misses);
+    for_each_leaf(
+        [&w](const char *, const auto &f) {
+            using F = std::remove_cvref_t<decltype(f)>;
+            if constexpr (std::is_same_v<F, bool>) {
+                w.put_bool(f);
+            } else if constexpr (std::is_floating_point_v<F>) {
+                w.put_f64(f);
+            } else {
+                put_int(w, f);
+            }
+        },
+        rec);
 }
 
+/** Inverse of put_fields. */
+template <Record T>
 inline void
-get_stats(SnapshotReader &r, AccessStats &s)
+get_fields(SnapshotReader &r, T &rec)
 {
-    s.accesses = r.get_u64();
-    s.misses = r.get_u64();
-}
-
-inline void
-put_stats(SnapshotWriter &w, const PrefetchStats &s)
-{
-    w.put_u64(s.issued);
-    w.put_u64(s.useful);
-    w.put_u64(s.useless);
-    w.put_u64(s.pgc_issued);
-    w.put_u64(s.pgc_useful);
-    w.put_u64(s.pgc_useless);
-    w.put_u64(s.pgc_dropped);
-}
-
-inline void
-get_stats(SnapshotReader &r, PrefetchStats &s)
-{
-    s.issued = r.get_u64();
-    s.useful = r.get_u64();
-    s.useless = r.get_u64();
-    s.pgc_issued = r.get_u64();
-    s.pgc_useful = r.get_u64();
-    s.pgc_useless = r.get_u64();
-    s.pgc_dropped = r.get_u64();
+    for_each_leaf(
+        [&r](const char *, auto &f) {
+            using F = std::remove_cvref_t<decltype(f)>;
+            if constexpr (std::is_same_v<F, bool>) {
+                f = r.get_bool();
+            } else if constexpr (std::is_floating_point_v<F>) {
+                f = r.get_f64();
+            } else {
+                get_int(r, f);
+            }
+        },
+        rec);
 }
 
 /**

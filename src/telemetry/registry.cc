@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/stats.h"
 
 namespace moka {
 
@@ -159,54 +158,6 @@ MetricRegistry::size() const
 {
     SimMutexLock lock(&mu_);
     return entries_.size();
-}
-
-// Adapters declared in common/stats.h: expose existing stat structs
-// through read-on-snapshot probes without touching their hot paths.
-
-void
-register_access_stats(MetricRegistry &registry, const std::string &prefix,
-                      const AccessStats *stats)
-{
-    registry.probe(prefix + ".accesses", [stats] {
-        return static_cast<double>(stats->accesses);
-    });
-    registry.probe(prefix + ".misses", [stats] {
-        return static_cast<double>(stats->misses);
-    });
-    registry.probe(prefix + ".miss_rate",
-                   [stats] { return stats->miss_rate(); });
-}
-
-void
-register_prefetch_stats(MetricRegistry &registry, const std::string &prefix,
-                        const PrefetchStats *stats)
-{
-    registry.probe(prefix + ".issued", [stats] {
-        return static_cast<double>(stats->issued);
-    });
-    registry.probe(prefix + ".useful", [stats] {
-        return static_cast<double>(stats->useful);
-    });
-    registry.probe(prefix + ".useless", [stats] {
-        return static_cast<double>(stats->useless);
-    });
-    registry.probe(prefix + ".pgc_issued", [stats] {
-        return static_cast<double>(stats->pgc_issued);
-    });
-    registry.probe(prefix + ".pgc_useful", [stats] {
-        return static_cast<double>(stats->pgc_useful);
-    });
-    registry.probe(prefix + ".pgc_useless", [stats] {
-        return static_cast<double>(stats->pgc_useless);
-    });
-    registry.probe(prefix + ".pgc_dropped", [stats] {
-        return static_cast<double>(stats->pgc_dropped);
-    });
-    registry.probe(prefix + ".accuracy",
-                   [stats] { return stats->accuracy(); });
-    registry.probe(prefix + ".pgc_accuracy",
-                   [stats] { return stats->pgc_accuracy(); });
 }
 
 }  // namespace moka

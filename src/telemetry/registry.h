@@ -8,8 +8,7 @@
  *  - MetricHistogram: fixed-bucket distribution (bounds set at
  *                     registration; atomic per-bucket counts)
  *  - probe:           read-on-snapshot callback for values that live
- *                     in existing structs (see the AccessStats
- *                     adapters in common/stats.h)
+ *                     in existing structs
  *
  * Registration takes a mutex; updates touch only relaxed atomics, so
  * concurrent job-engine workers can share one registry. snapshot()

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "common/fields.h"
 
 namespace moka {
 
@@ -209,27 +210,14 @@ MachineSampler::sample(std::uint64_t steps)
                                                 : double(abs_d) /
                                                       double(decisions));
             }
-            const ThresholdTelemetry &th = ft.threshold;
-            const ThresholdTelemetry &pth = prev.threshold;
-            row.emplace_back(prefix + "th_rob_clamps",
-                             double(th.rob_clamps - pth.rob_clamps));
-            row.emplace_back(prefix + "th_acc_clamps",
-                             double(th.acc_clamps - pth.acc_clamps));
-            row.emplace_back(prefix + "th_l1i_clamps",
-                             double(th.l1i_clamps - pth.l1i_clamps));
-            row.emplace_back(
-                prefix + "th_disable_intervals",
-                double(th.disable_intervals - pth.disable_intervals));
-            row.emplace_back(
-                prefix + "th_epoch_acc_clamps",
-                double(th.epoch_acc_clamps - pth.epoch_acc_clamps));
-            row.emplace_back(prefix + "th_nudges_up",
-                             double(th.nudges_up - pth.nudges_up));
-            row.emplace_back(prefix + "th_nudges_down",
-                             double(th.nudges_down - pth.nudges_down));
-            row.emplace_back(
-                prefix + "th_ipc_drop_clamps",
-                double(th.ipc_drop_clamps - pth.ipc_drop_clamps));
+            for_each_leaf(
+                [&](const char *name, std::uint64_t now_v,
+                    std::uint64_t prev_v) {
+                    char col[32];
+                    std::snprintf(col, sizeof(col), "th_%s", name);
+                    row.emplace_back(prefix + col, double(now_v - prev_v));
+                },
+                ft.threshold, prev.threshold);
             last_filter_[i] = ft;
 
             if (tracer_ != nullptr) {

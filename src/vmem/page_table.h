@@ -37,6 +37,15 @@ struct VmemConfig
      * alloc-trace build asserts measured regions stay inside it.
      */
     std::size_t reserve_pages = std::size_t{1} << 16;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("phys_bytes", s.phys_bytes...);
+        v("large_page_fraction", s.large_page_fraction...);
+        v("seed", s.seed...);
+        v("reserve_pages", s.reserve_pages...);
+    }
 };
 
 /** Result of an address translation. */

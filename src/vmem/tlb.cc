@@ -120,8 +120,8 @@ Tlb::save_state(SnapshotWriter &w) const
     put_arr(small_);
     put_arr(large_);
     w.put_u64(lru_stamp_);
-    put_stats(w, demand_);
-    put_stats(w, probe_);
+    put_fields(w, demand_);
+    put_fields(w, probe_);
     w.put_u64(prefetch_fills_);
 }
 
@@ -139,8 +139,8 @@ Tlb::restore_state(SnapshotReader &r)
     get_arr(small_);
     get_arr(large_);
     lru_stamp_ = r.get_u64();
-    get_stats(r, demand_);
-    get_stats(r, probe_);
+    get_fields(r, demand_);
+    get_fields(r, probe_);
     prefetch_fills_ = r.get_u64();
 }
 

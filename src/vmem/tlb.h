@@ -31,6 +31,17 @@ struct TlbConfig
     std::uint32_t large_sets = 4;   //!< large-page array sets (pow2)
     std::uint32_t large_ways = 4;
     Cycle latency = 1;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("name", s.name...);
+        v("sets", s.sets...);
+        v("ways", s.ways...);
+        v("large_sets", s.large_sets...);
+        v("large_ways", s.large_ways...);
+        v("latency", s.latency...);
+    }
 };
 
 /** One TLB level (dTLB, iTLB or sTLB). */

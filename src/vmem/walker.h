@@ -32,6 +32,17 @@ struct WalkerConfig
     unsigned psc_pde_entries = 32;
     Cycle psc_latency = 1;
     unsigned concurrent_walks = 4;  //!< walker MSHR-equivalents
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("psc_pml5_entries", s.psc_pml5_entries...);
+        v("psc_pml4_entries", s.psc_pml4_entries...);
+        v("psc_pdpte_entries", s.psc_pdpte_entries...);
+        v("psc_pde_entries", s.psc_pde_entries...);
+        v("psc_latency", s.psc_latency...);
+        v("concurrent_walks", s.concurrent_walks...);
+    }
 };
 
 /** A small fully-associative LRU cache over VA prefixes (one PSC). */

@@ -441,6 +441,34 @@ TEST(RunTelemetry, WritesEpochFilesAndTrace)
     EXPECT_NE(buf.str().find("\"pid\":3"), std::string::npos);
 }
 
+TEST(MachineSampler, DripperColumnsArePinned)
+{
+    // The th_* columns come from ThresholdTelemetry::visit_fields; the
+    // pin keeps that list from renaming or reordering them.
+    std::vector<WorkloadPtr> wl;
+    wl.push_back(make_workload(seen_workloads().front()));
+    Machine m(make_config(L1dPrefetcherKind::kBerti,
+                          scheme_dripper(L1dPrefetcherKind::kBerti)),
+              std::move(wl));
+    Timeseries ts;
+    MachineSampler sampler(&m, &ts);
+    sampler.sample_now();
+    const std::vector<std::string> want = {
+        "epoch", "steps", "c0.insts", "c0.ipc", "c0.l1d_mpki",
+        "c0.llc_mpki", "c0.stlb_mpki", "c0.walk_mpki", "c0.l1d_writebacks",
+        "c0.l1d_pf_lookups", "c0.pgc_candidates", "c0.pgc_issued",
+        "c0.pgc_useful", "c0.pgc_useless", "c0.pgc_dropped",
+        "c0.pgc_accuracy", "c0.t_a", "c0.ta_level", "c0.pgc_disabled",
+        "c0.decisions", "c0.permits", "c0.vub_rewards", "c0.pub_rewards",
+        "c0.pub_punishes", "c0.sum_mean", "c0.sum_le_-12", "c0.sum_le_-8",
+        "c0.sum_le_-4", "c0.sum_le_0", "c0.sum_le_4", "c0.sum_le_8",
+        "c0.sum_le_12", "c0.sum_le_inf", "c0.f0_mean_abs_w",
+        "c0.th_rob_clamps", "c0.th_acc_clamps", "c0.th_l1i_clamps",
+        "c0.th_disable_intervals", "c0.th_epoch_acc_clamps",
+        "c0.th_nudges_up", "c0.th_nudges_down", "c0.th_ipc_drop_clamps"};
+    EXPECT_EQ(ts.columns(), want);
+}
+
 TEST(RunTelemetry, LabelSanitizerKeepsFileNamesSafe)
 {
     EXPECT_EQ(TelemetrySession::sanitize_label("mix0/dis card:*?"),

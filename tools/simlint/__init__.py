@@ -12,10 +12,19 @@ them as a rule-plugin package:
   L6  no raw console output in library code
   L7  determinism: no wall clocks / rand / unordered iteration or
       pointer-keyed ordering on result paths
-  L8  stats completeness: every *Stats counter must be read by a
-      report path and covered by a reset/delta path
   L9  concurrency: no bare std::mutex; SimMutex members must guard
       something (see common/thread_annotations.h)
+  L10-L14, L19  hot-path cost: no per-access heap allocation, hash
+      or tree maps, undevirtualizable dispatch, large by-value
+      structs, formatting/I/O, vector<bool> or runtime-divisor modulo
+  L15 jobs I/O: fwrite/fflush/fclose/rename results are checked
+  L16 snapshot completeness: save_state covers every data member
+  L17 page geometry only through the typed helpers
+  L18 address-type .raw() escapes only at blessed seams
+
+There is no L8: record structs derive their delta, snapshot and
+fingerprint code from one visit_fields list (common/fields.h), whose
+completeness the compiler checks.
 
 Run from the repository root:
 

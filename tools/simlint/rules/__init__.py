@@ -7,7 +7,6 @@ from tools.simlint.rules import (  # noqa: F401
     l5_catch,
     l6_console,
     l7_determinism,
-    l8_stats,
     l9_locks,
     l10_hot_alloc,
     l11_hot_maps,

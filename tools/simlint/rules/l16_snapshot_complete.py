@@ -16,8 +16,7 @@ SAVE_DECL_RE = re.compile(r"\bsave_state\s*\(\s*(?:moka\s*::\s*)?SnapshotWriter\
 # Lines that declare something other than a data member. Tested on
 # the *stripped* line, separately from the member match, so regex
 # backtracking through leading whitespace cannot skip the keyword
-# check (the bug that made L8-style lookaheads leak friend/static
-# declarations through).
+# check and let friend/static declarations through.
 NON_MEMBER_RE = re.compile(
     r"(?:using|typedef|friend|static|enum|struct|class"
     r"|public|private|protected|template|return|case)\b"
