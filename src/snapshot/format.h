@@ -39,8 +39,9 @@
 namespace moka {
 
 //! bump when the container layout or any component's section layout
-//! changes; readers reject other versions outright
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+//! changes; readers reject other versions outright (2: caches no
+//! longer carry PrefetchStats::pgc_dropped)
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 //! container magic, first 8 bytes of every snapshot
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'K', 'A',
