@@ -257,17 +257,9 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
 void
 Cache::save_state(SnapshotWriter &w) const
 {
-    // Byte format is unchanged from the array-of-structs layout: the
-    // embedded valid bit decomposes back into the (tag, valid) pair.
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        w.put_u64(tags_[i] & ~kValidTagBit);
-        w.put_bool((tags_[i] & kValidTagBit) != 0);
-        w.put_bool((flags_[i] & kFlagDirty) != 0);
-        w.put_bool((flags_[i] & kFlagPrefetched) != 0);
-        w.put_bool((flags_[i] & kFlagPgc) != 0);
-        w.put_bool((flags_[i] & kFlagUsed) != 0);
-        w.put_u64(fill_done_[i]);
-    }
+    put_vec(w, tags_);
+    put_vec(w, flags_);
+    put_vec(w, fill_done_);
     put_vec(w, inflight_);
     w.put_u64(next_port_free_);
     repl_->save_state(w);
@@ -277,26 +269,17 @@ Cache::save_state(SnapshotWriter &w) const
 void
 Cache::restore_state(SnapshotReader &r)
 {
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        const Addr tag = r.get_u64();
-        const bool valid = r.get_bool();
-        tags_[i] = valid ? (tag | kValidTagBit) : tag;
-        std::uint8_t f = 0;
-        if (r.get_bool()) {
-            f |= kFlagDirty;
-        }
-        if (r.get_bool()) {
-            f |= kFlagPrefetched;
-        }
-        if (r.get_bool()) {
-            f |= kFlagPgc;
-        }
-        if (r.get_bool()) {
-            f |= kFlagUsed;
-        }
-        flags_[i] = f;
-        fill_done_[i] = r.get_u64();
+    get_vec(r, tags_);
+    get_vec(r, flags_);
+    std::uint8_t any = 0;
+    for (const std::uint8_t f : flags_) {
+        any |= f;
     }
+    if ((any & ~kFlagMask) != 0) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            "cache block flags outside kFlag*");
+    }
+    get_vec(r, fill_done_);
     // The MSHR list length is runtime state (outstanding fills at
     // snapshot time), not configuration — accept the saved length.
     get_vec(r, inflight_, /*fixed_size=*/false);

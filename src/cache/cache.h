@@ -155,6 +155,8 @@ class Cache final : public MemoryLevel
     static constexpr std::uint8_t kFlagPrefetched = 1u << 1;
     static constexpr std::uint8_t kFlagPgc = 1u << 2;  //!< paper's PCB
     static constexpr std::uint8_t kFlagUsed = 1u << 3; //!< >=1 demand use
+    static constexpr std::uint8_t kFlagMask =
+        kFlagDirty | kFlagPrefetched | kFlagPgc | kFlagUsed;
     static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
 
     /** One set resolved to its row base; computed once per access. */

@@ -183,9 +183,9 @@ class FlatAddrMap
         }
     }
 
-    //! snapshot save/restore copies the slot arrays verbatim: probe
-    //! placement depends on insertion order, so rebuilding from pairs
-    //! would not reproduce the saved layout byte-for-byte
+    //! snapshot save/restore puts each entry back in its saved slot:
+    //! probe placement depends on insertion order, so re-inserting the
+    //! pairs would not reproduce the saved layout
     friend struct SnapshotAccess;
 
     std::vector<Addr> keys_;
@@ -227,8 +227,8 @@ class FrameBitmap
 
     // One byte per frame, not vector<bool>: membership is probed per
     // allocation and the bit-proxy indirection is not worth 8x less
-    // footprint on a bounded partition (rule L19).  Snapshot-format
-    // compatible: put_bool and put_int<u8> both write one 0/1 byte.
+    // footprint on a bounded partition (rule L19).  Snapshots store
+    // one bit per frame.
     std::vector<std::uint8_t> bits_;
     std::size_t count_ = 0;
 };

@@ -619,7 +619,6 @@ CoreComplex::save_state(SnapshotWriter &w) const
     w.put_u64(epoch_pgc_useless_);
     w.put_u64(next_interval_);
     w.put_u64(next_epoch_);
-    w.put_u64(next_audit_);
     put_fields(w, window_start_);
     w.put_u64(epoch_start_cycle_);
     w.put_u64(epoch_start_insts_);
@@ -657,7 +656,6 @@ CoreComplex::restore_state(SnapshotReader &r)
     epoch_pgc_useless_ = r.get_u64();
     next_interval_ = r.get_u64();
     next_epoch_ = r.get_u64();
-    next_audit_ = r.get_u64();
     get_fields(r, window_start_);
     epoch_start_cycle_ = r.get_u64();
     epoch_start_insts_ = r.get_u64();
@@ -667,6 +665,10 @@ CoreComplex::restore_state(SnapshotReader &r)
     // retirement, so the retired count IS the replay position.
     // Seekable workloads (trace files) re-position in O(1).
     workload_->skip(core_.retired());
+    // The audit cadence is derived, not saved, so that audit-enabled
+    // and audit-off builds write the same snapshot bytes.
+    const InstCount every = cfg_.audit_interval_insts;
+    next_audit_ = every == 0 ? 0 : (core_.retired() / every + 1) * every;
 }
 
 std::string
@@ -694,7 +696,13 @@ Machine::save_snapshot() const
 void
 Machine::restore_snapshot(const std::string &bytes)
 {
-    SnapshotReader r(bytes);
+    restore_snapshot(SnapshotImage(bytes));
+}
+
+void
+Machine::restore_snapshot(const SnapshotImage &image)
+{
+    SnapshotReader r(image);
     const std::uint64_t want = config_fingerprint(cfg_, cores_.size());
     if (r.fingerprint() != want) {
         throw SnapshotError(SnapshotErrorKind::kConfigMismatch,

@@ -30,6 +30,7 @@ namespace moka {
 
 struct AuditAccess;
 class AuditReport;
+class SnapshotImage;
 class SnapshotReader;
 class SnapshotWriter;
 
@@ -296,6 +297,7 @@ class CoreComplex : public CacheListener
     // Interval/epoch state.
     InstCount next_interval_ = 0;
     InstCount next_epoch_ = 0;
+    // LINT_SNAPSHOT_OK: derived from the retired count on restore
     InstCount next_audit_ = 0;  //!< audit-enabled builds only
     struct Window
     {
@@ -437,13 +439,17 @@ class Machine
     SIM_COLD std::string save_snapshot() const;
 
     /**
-     * Restore a snapshot produced by save_snapshot() on an identical
-     * configuration. The machine must be freshly built (workloads
-     * unconsumed); they are fast-forwarded to the snapshot position.
+     * Restore a validated snapshot image produced by save_snapshot()
+     * on an identical configuration. The machine must be freshly built
+     * (workloads unconsumed); they are fast-forwarded to the snapshot
+     * position.
      *
      * @throws SnapshotError kConfigMismatch when the fingerprint
-     *         differs, or the corruption taxonomy of SnapshotReader.
+     *         differs, kMalformed when a section does not decode.
      */
+    SIM_COLD void restore_snapshot(const SnapshotImage &image);
+
+    /** Validate @p bytes as a SnapshotImage, then restore it. */
     SIM_COLD void restore_snapshot(const std::string &bytes);
 
   private:

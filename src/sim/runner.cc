@@ -123,9 +123,11 @@ run_single_workload_snapshot(const MachineConfig &cfg,
                         [&] { machine.restore_snapshot(*blob); });
             restored = true;
         } catch (const SnapshotError &) {
-            // Key collision or torn blob that survived the cache's
-            // structural probe: classified (kSnapshotInvalid family),
-            // counted, and the run falls back to a cold warmup below.
+            // The cache already checked structure and checksums; what
+            // is left is a key collision (config mismatch) or a section
+            // that does not decode. Classified (kSnapshotInvalid
+            // family), counted, and the run falls back to a cold
+            // warmup below.
             count_snapshot(telemetry, "snapshot.invalid");
         }
         if (restored) {

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "snapshot/format.h"
 
 namespace moka {
 namespace {
@@ -33,21 +32,22 @@ hex_key(std::uint64_t key)
     return os.str();
 }
 
-/** Whole-file read; false when absent/unreadable. */
+/** Whole-file read into one pre-sized buffer; false when unreadable. */
 bool
 read_file(const std::string &path, std::string &out)
 {
-    std::ifstream is(path, std::ios::binary);
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is) {
         return false;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (!is.good() && !is.eof()) {
+    const std::streamoff size = is.tellg();
+    if (size < 0) {
         return false;
     }
-    out = buf.str();
-    return true;
+    out.resize(static_cast<std::size_t>(size));
+    is.seekg(0);
+    is.read(out.data(), size);
+    return is.gcount() == size;
 }
 
 }  // namespace
@@ -90,8 +90,7 @@ SnapshotCache::try_load(std::uint64_t key)
         // Full structural validation: magic, version, bounds and
         // every section checksum. The config fingerprint is checked
         // later by Machine::restore_snapshot.
-        SnapshotReader probe(bytes);
-        (void)probe;
+        return std::make_shared<const SnapshotImage>(std::move(bytes));
     } catch (const SnapshotError &) {
         // Corrupt published file (torn copy, disk fault): drop it and
         // fall back to a cold warmup. Never crash, never restore.
@@ -99,7 +98,6 @@ SnapshotCache::try_load(std::uint64_t key)
         std::remove(path.c_str());
         return nullptr;
     }
-    return std::make_shared<const std::string>(std::move(bytes));
 }
 
 SnapshotBlob
@@ -133,25 +131,25 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
             }
         }
         misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::make_shared<const std::string>(produce());
+        return std::make_shared<const SnapshotImage>(produce());
     }
     ::close(fd);
 
     misses_.fetch_add(1, std::memory_order_relaxed);
     try {
-        auto blob = std::make_shared<const std::string>(produce());
+        auto blob = std::make_shared<const SnapshotImage>(produce());
         // Write-temp + rename: readers only ever see complete files.
+        // close() flushes; a failed flush must not publish a torn file.
         const std::string tmp =
             path_for(key) + ".tmp." + std::to_string(::getpid());
-        {
-            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-            os.write(blob->data(),
-                     static_cast<std::streamsize>(blob->size()));
-            if (!os.good()) {
-                std::remove(tmp.c_str());
-                std::remove(claim.c_str());
-                return blob;  // reuse in-process even if unpublished
-            }
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        os.write(blob->bytes().data(),
+                 static_cast<std::streamsize>(blob->size()));
+        os.close();
+        if (os.fail()) {
+            std::remove(tmp.c_str());
+            std::remove(claim.c_str());
+            return blob;  // reuse in-process even if unpublished
         }
         if (std::rename(tmp.c_str(), path_for(key).c_str()) == 0) {
             saves_.fetch_add(1, std::memory_order_relaxed);

@@ -21,11 +21,12 @@
 
 #include "common/hot_path.h"
 #include "common/thread_annotations.h"
+#include "snapshot/format.h"
 
 namespace moka {
 
-/** Shared snapshot bytes (immutable once published). */
-using SnapshotBlob = std::shared_ptr<const std::string>;
+/** Shared, validated snapshot (immutable once it enters the cache). */
+using SnapshotBlob = std::shared_ptr<const SnapshotImage>;
 
 /** See file comment. */
 class SnapshotCache
@@ -64,11 +65,14 @@ class SnapshotCache
 
     /**
      * Return the snapshot for @p key, producing and publishing it on
-     * a miss. Concurrent in-process callers with the same key share
+     * a miss. Bytes are validated once, as they enter the cache (from
+     * disk or from @p produce); restoring the blob does not re-check
+     * them. Concurrent in-process callers with the same key share
      * one production. A corrupt cached file is classified, counted,
      * removed and treated as a miss — never restored and never fatal.
      *
-     * @throws whatever @p produce throws (a failed warmup propagates).
+     * @throws whatever @p produce throws (a failed warmup propagates),
+     *         or SnapshotError when its bytes are not a valid snapshot.
      */
     SIM_COLD SnapshotBlob fetch(std::uint64_t key,
                                 const Producer &produce,

@@ -30,6 +30,9 @@ read_le(const char *data, unsigned n)
     return v;
 }
 
+/** Offset of the u32 section count: after magic, version, fingerprint. */
+constexpr std::size_t kCountOffset = sizeof(kSnapshotMagic) + 4 + 8;
+
 }  // namespace
 
 const char *
@@ -55,94 +58,48 @@ SnapshotError::SnapshotError(SnapshotErrorKind kind,
 }
 
 SnapshotWriter::SnapshotWriter(std::uint64_t fingerprint)
-    : fingerprint_(fingerprint)
+    : out_(kSnapshotMagic, sizeof(kSnapshotMagic))
 {
+    append_le(out_, kSnapshotVersion, 4);
+    append_le(out_, fingerprint, 8);
+    append_le(out_, 0, 4);  // section count, filled in by finish()
 }
 
 void
-SnapshotWriter::begin_section(const std::string &name)
+SnapshotWriter::close_section()
+{
+    if (!open_) {
+        return;
+    }
+    const std::uint64_t size = out_.size() - payload_at_;
+    const std::uint64_t sum = fnv1a_64(out_.data() + payload_at_, size);
+    std::memcpy(out_.data() + payload_at_ - 16, &size, 8);
+    std::memcpy(out_.data() + payload_at_ - 8, &sum, 8);
+    open_ = false;
+}
+
+void
+SnapshotWriter::begin_section(std::string_view name)
 {
     SIM_REQUIRE(!name.empty(), "snapshot sections need a name");
-    sections_.push_back(Section{name, {}});
+    close_section();
+    append_le(out_, name.size(), 4);
+    out_ += name;
+    out_.append(16, '\0');  // payload length and sum, filled in on close
+    payload_at_ = out_.size();
+    ++sections_;
     open_ = true;
-}
-
-void
-SnapshotWriter::raw(const void *data, std::size_t n)
-{
-    SIM_REQUIRE(open_, "snapshot write outside a section");
-    sections_.back().payload.append(static_cast<const char *>(data), n);
-}
-
-void
-SnapshotWriter::put_u8(std::uint8_t v)
-{
-    raw(&v, 1);
-}
-
-void
-SnapshotWriter::put_u16(std::uint16_t v)
-{
-    SIM_REQUIRE(open_, "snapshot write outside a section");
-    append_le(sections_.back().payload, v, 2);
-}
-
-void
-SnapshotWriter::put_u32(std::uint32_t v)
-{
-    SIM_REQUIRE(open_, "snapshot write outside a section");
-    append_le(sections_.back().payload, v, 4);
-}
-
-void
-SnapshotWriter::put_u64(std::uint64_t v)
-{
-    SIM_REQUIRE(open_, "snapshot write outside a section");
-    append_le(sections_.back().payload, v, 8);
-}
-
-void
-SnapshotWriter::put_i64(std::int64_t v)
-{
-    put_u64(static_cast<std::uint64_t>(v));
-}
-
-void
-SnapshotWriter::put_bool(bool v)
-{
-    put_u8(v ? 1 : 0);
-}
-
-void
-SnapshotWriter::put_f64(double v)
-{
-    // Bit-exact: the round trip must reproduce the value even for
-    // NaN payloads and signed zeros.
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(bits);
 }
 
 std::string
 SnapshotWriter::finish()
 {
-    std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
-    append_le(out, kSnapshotVersion, 4);
-    append_le(out, fingerprint_, 8);
-    append_le(out, sections_.size(), 4);
-    for (const Section &s : sections_) {
-        append_le(out, s.name.size(), 4);
-        out += s.name;
-        append_le(out, s.payload.size(), 8);
-        append_le(out, fnv1a_64(s.payload.data(), s.payload.size()), 8);
-        out += s.payload;
-    }
-    open_ = false;
-    return out;
+    close_section();
+    std::memcpy(out_.data() + kCountOffset, &sections_, 4);
+    return std::move(out_);
 }
 
-SnapshotReader::SnapshotReader(std::string bytes)
-    : bytes_(std::move(bytes))
+SnapshotImage::SnapshotImage(std::string bytes) : bytes_(std::move(bytes))
 {
     std::size_t at = 0;
     const auto take = [&](unsigned n) {
@@ -170,7 +127,6 @@ SnapshotReader::SnapshotReader(std::string bytes)
     }
     fingerprint_ = take(8);
     const std::uint64_t count = take(4);
-    sections_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         Section s;
         const std::uint64_t name_len = take(4);
@@ -202,111 +158,47 @@ SnapshotReader::SnapshotReader(std::string bytes)
 }
 
 void
-SnapshotReader::begin_section(const std::string &name)
+SnapshotReader::begin_section(std::string_view name)
 {
-    if (section_ > 0) {
-        const Section &prev = sections_[section_ - 1];
-        if (cursor_ != prev.size) {
-            throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "section '" + prev.name +
-                                    "' left partially consumed");
-        }
+    const std::vector<SnapshotImage::Section> &sections = image_->sections_;
+    if (section_ > 0 && cur_ != end_) {
+        throw SnapshotError(SnapshotErrorKind::kMalformed,
+                            "section '" + sections[section_ - 1].name +
+                                "' left partially consumed");
     }
-    if (section_ >= sections_.size() ||
-        sections_[section_].name != name) {
+    if (section_ >= sections.size() || sections[section_].name != name) {
         throw SnapshotError(
             SnapshotErrorKind::kMalformed,
-            "expected section '" + name + "', found '" +
-                (section_ < sections_.size() ? sections_[section_].name
-                                             : std::string("<end>")) +
+            "expected section '" + std::string(name) + "', found '" +
+                (section_ < sections.size() ? sections[section_].name
+                                            : std::string("<end>")) +
                 "'");
     }
-    ++section_;
-    cursor_ = 0;
+    const SnapshotImage::Section &s = sections[section_++];
+    cur_ = image_->bytes_.data() + s.begin;
+    end_ = cur_ + s.size;
 }
 
 void
-SnapshotReader::need(std::size_t n) const
+SnapshotReader::over_consumed() const
 {
     if (section_ == 0) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "read outside any section");
     }
-    if (sections_[section_ - 1].size - cursor_ < n) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "section '" + sections_[section_ - 1].name +
-                                "' over-consumed");
-    }
-}
-
-std::uint8_t
-SnapshotReader::get_u8()
-{
-    need(1);
-    const Section &s = sections_[section_ - 1];
-    return static_cast<std::uint8_t>(
-        static_cast<unsigned char>(bytes_[s.begin + cursor_++]));
-}
-
-std::uint16_t
-SnapshotReader::get_u16()
-{
-    need(2);
-    const Section &s = sections_[section_ - 1];
-    const std::uint64_t v = read_le(bytes_.data() + s.begin + cursor_, 2);
-    cursor_ += 2;
-    return static_cast<std::uint16_t>(v);
-}
-
-std::uint32_t
-SnapshotReader::get_u32()
-{
-    need(4);
-    const Section &s = sections_[section_ - 1];
-    const std::uint64_t v = read_le(bytes_.data() + s.begin + cursor_, 4);
-    cursor_ += 4;
-    return static_cast<std::uint32_t>(v);
-}
-
-std::uint64_t
-SnapshotReader::get_u64()
-{
-    need(8);
-    const Section &s = sections_[section_ - 1];
-    const std::uint64_t v = read_le(bytes_.data() + s.begin + cursor_, 8);
-    cursor_ += 8;
-    return v;
-}
-
-std::int64_t
-SnapshotReader::get_i64()
-{
-    return static_cast<std::int64_t>(get_u64());
-}
-
-bool
-SnapshotReader::get_bool()
-{
-    return get_u8() != 0;
-}
-
-double
-SnapshotReader::get_f64()
-{
-    const std::uint64_t bits = get_u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+    throw SnapshotError(SnapshotErrorKind::kMalformed,
+                        "section '" + image_->sections_[section_ - 1].name +
+                            "' over-consumed");
 }
 
 void
 SnapshotReader::finish() const
 {
-    if (section_ != sections_.size()) {
+    if (section_ != image_->sections_.size()) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "unconsumed sections remain");
     }
-    if (section_ > 0 && cursor_ != sections_[section_ - 1].size) {
+    if (cur_ != end_) {
         throw SnapshotError(SnapshotErrorKind::kMalformed,
                             "last section left partially consumed");
     }

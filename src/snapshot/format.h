@@ -31,17 +31,28 @@
 #ifndef MOKASIM_SNAPSHOT_FORMAT_H
 #define MOKASIM_SNAPSHOT_FORMAT_H
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/check.h"
 
 namespace moka {
 
 //! bump when the container layout or any component's section layout
 //! changes; readers reject other versions outright (2: caches no
-//! longer carry PrefetchStats::pgc_dropped)
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+//! longer carry PrefetchStats::pgc_dropped; 3: flat maps store only
+//! occupied slots, frame bitmaps one bit per frame, caches and TLBs
+//! their arrays whole, and the core no longer stores its audit cadence)
+inline constexpr std::uint32_t kSnapshotVersion = 3;
+
+// Primitives and arrays are copied in host byte order.
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot format is little-endian");
 
 //! container magic, first 8 bytes of every snapshot
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'K', 'A',
@@ -79,7 +90,9 @@ class SnapshotError : public std::runtime_error
 /**
  * Serializes primitives into named sections and assembles the final
  * container. Usage: begin_section(), put_* the component's state,
- * repeat, then finish() exactly once.
+ * repeat, then finish() exactly once. The container is built in one
+ * buffer; each section's length and checksum are filled in when the
+ * next section opens or the writer finishes.
  */
 class SnapshotWriter
 {
@@ -88,67 +101,67 @@ class SnapshotWriter
     explicit SnapshotWriter(std::uint64_t fingerprint);
 
     /** Close the current section (if any) and open a new one. */
-    void begin_section(const std::string &name);
+    void begin_section(std::string_view name);
 
-    void put_u8(std::uint8_t v);
-    void put_u16(std::uint16_t v);
-    void put_u32(std::uint32_t v);
-    void put_u64(std::uint64_t v);
-    void put_i64(std::int64_t v);
-    void put_bool(bool v);
-    void put_f64(double v);
+    void put_u8(std::uint8_t v) { put(v); }
+    void put_u16(std::uint16_t v) { put(v); }
+    void put_u32(std::uint32_t v) { put(v); }
+    void put_u64(std::uint64_t v) { put(v); }
+    void put_i64(std::int64_t v) { put(v); }
+    void put_bool(bool v) { put_u8(v ? 1 : 0); }
+    //! bit-exact: NaN payloads and signed zeros survive the round trip
+    void put_f64(double v) { put(v); }
 
-    /** Assemble header + checksummed sections into the final bytes. */
+    /** Append @p n raw bytes (array elements in little-endian order). */
+    void put_bytes(const void *data, std::size_t n)
+    {
+        SIM_REQUIRE(open_, "snapshot write outside a section");
+        out_.append(static_cast<const char *>(data), n);
+    }
+
+    /** Seal the last section and hand over the container bytes. */
     std::string finish();
 
   private:
-    struct Section
+    template <typename T>
+    void put(T v)
     {
-        std::string name;
-        std::string payload;
-    };
+        put_bytes(&v, sizeof(v));
+    }
 
-    void raw(const void *data, std::size_t n);
+    /** Fill in the open section's payload length and checksum. */
+    void close_section();
 
-    std::uint64_t fingerprint_;
-    std::vector<Section> sections_;
+    std::string out_;             //!< the container being assembled
+    std::size_t payload_at_ = 0;  //!< open section's payload offset
+    std::uint32_t sections_ = 0;
     bool open_ = false;
 };
 
 /**
- * Validates and deserializes a container produced by SnapshotWriter.
- * The constructor checks magic, version, structural completeness and
- * every section checksum up front, so a reader that constructs at all
- * is structurally sound; begin_section / get_* then enforce exact
- * consumption.
+ * A snapshot container whose structure has been verified: magic,
+ * version, bounds and every section checksum are checked once, when
+ * the image is built. An image is immutable; any number of
+ * SnapshotReaders may read it without re-validating.
  */
-class SnapshotReader
+class SnapshotImage
 {
   public:
     /** @throws SnapshotError on any structural or checksum defect */
-    explicit SnapshotReader(std::string bytes);
+    explicit SnapshotImage(std::string bytes);
 
     /** Config fingerprint recorded by the saving machine. */
     std::uint64_t fingerprint() const { return fingerprint_; }
 
-    /**
-     * Enter the next section, which must be named @p name and must
-     * follow a fully-consumed predecessor.
-     */
-    void begin_section(const std::string &name);
+    /** Container size in bytes. */
+    std::size_t size() const { return bytes_.size(); }
 
-    std::uint8_t get_u8();
-    std::uint16_t get_u16();
-    std::uint32_t get_u32();
-    std::uint64_t get_u64();
-    std::int64_t get_i64();
-    bool get_bool();
-    double get_f64();
-
-    /** Verify every section was consumed to its last byte. */
-    void finish() const;
+    /** The validated container bytes. */
+    const std::string &bytes() const { return bytes_; }
 
   private:
+    friend class SnapshotReader;
+
     struct Section
     {
         std::string name;
@@ -156,13 +169,76 @@ class SnapshotReader
         std::size_t size = 0;
     };
 
-    void need(std::size_t n) const;
-
     std::string bytes_;
     std::uint64_t fingerprint_ = 0;
     std::vector<Section> sections_;
-    std::size_t section_ = 0;  //!< 1-based index of the open section
-    std::size_t cursor_ = 0;   //!< read offset into the open payload
+};
+
+/**
+ * Cursor over a validated SnapshotImage: no copy, no checksum pass.
+ * begin_section / get_* enforce positional section order and exact
+ * consumption; every read is bounds-checked against the open section.
+ */
+class SnapshotReader
+{
+  public:
+    /** @param image must outlive the reader */
+    explicit SnapshotReader(const SnapshotImage &image) : image_(&image) {}
+    SnapshotReader(SnapshotImage &&) = delete;  // would dangle
+
+    /** Config fingerprint recorded by the saving machine. */
+    std::uint64_t fingerprint() const { return image_->fingerprint(); }
+
+    /**
+     * Enter the next section, which must be named @p name and must
+     * follow a fully-consumed predecessor.
+     */
+    void begin_section(std::string_view name);
+
+    std::uint8_t get_u8() { return get<std::uint8_t>(); }
+    std::uint16_t get_u16() { return get<std::uint16_t>(); }
+    std::uint32_t get_u32() { return get<std::uint32_t>(); }
+    std::uint64_t get_u64() { return get<std::uint64_t>(); }
+    std::int64_t get_i64() { return get<std::int64_t>(); }
+    bool get_bool() { return get_u8() != 0; }
+    double get_f64() { return get<double>(); }
+
+    /** Unread bytes left in the open section (0 outside any). */
+    std::size_t remaining() const
+    {
+        return static_cast<std::size_t>(end_ - cur_);
+    }
+
+    /** Copy the next @p n bytes of the open section to @p out. */
+    void get_bytes(void *out, std::size_t n)
+    {
+        if (remaining() < n) {
+            over_consumed();
+        }
+        if (n != 0) {
+            std::memcpy(out, cur_, n);
+            cur_ += n;
+        }
+    }
+
+    /** Verify every section was consumed to its last byte. */
+    void finish() const;
+
+  private:
+    template <typename T>
+    T get()
+    {
+        T v;
+        get_bytes(&v, sizeof(v));
+        return v;
+    }
+
+    [[noreturn]] void over_consumed() const;
+
+    const SnapshotImage *image_;
+    std::size_t section_ = 0;    //!< 1-based index of the open section
+    const char *cur_ = nullptr;  //!< read position in the open payload
+    const char *end_ = nullptr;  //!< end of the open payload
 };
 
 }  // namespace moka

@@ -107,18 +107,11 @@ Tlb::fill(VirtAddr vaddr, PhysAddr page_base, bool large,
 void
 Tlb::save_state(SnapshotWriter &w) const
 {
-    // Byte format is unchanged from the array-of-structs layout: the
-    // embedded valid bit decomposes back into the (vpn, valid) pair.
-    const auto put_arr = [&w](const EntryArray &arr) {
-        for (std::size_t i = 0; i < arr.vpn.size(); ++i) {
-            w.put_u64(arr.vpn[i] & ~kValidVpnBit);
-            w.put_u64(arr.page_base[i]);
-            w.put_bool((arr.vpn[i] & kValidVpnBit) != 0);
-            w.put_u64(arr.lru[i]);
-        }
-    };
-    put_arr(small_);
-    put_arr(large_);
+    for (const EntryArray *arr : {&small_, &large_}) {
+        put_vec(w, arr->vpn);
+        put_vec(w, arr->page_base);
+        put_vec(w, arr->lru);
+    }
     w.put_u64(lru_stamp_);
     put_fields(w, demand_);
     put_fields(w, probe_);
@@ -128,16 +121,11 @@ Tlb::save_state(SnapshotWriter &w) const
 void
 Tlb::restore_state(SnapshotReader &r)
 {
-    const auto get_arr = [&r](EntryArray &arr) {
-        for (std::size_t i = 0; i < arr.vpn.size(); ++i) {
-            const Addr vpn = r.get_u64();
-            arr.page_base[i] = r.get_u64();
-            arr.vpn[i] = r.get_bool() ? (vpn | kValidVpnBit) : vpn;
-            arr.lru[i] = r.get_u64();
-        }
-    };
-    get_arr(small_);
-    get_arr(large_);
+    for (EntryArray *arr : {&small_, &large_}) {
+        get_vec(r, arr->vpn);
+        get_vec(r, arr->page_base);
+        get_vec(r, arr->lru);
+    }
     lru_stamp_ = r.get_u64();
     get_fields(r, demand_);
     get_fields(r, probe_);

@@ -77,7 +77,8 @@ TYPED_TEST(RecordFields, ListRoundTripsAndDiffs)
         SnapshotWriter w(0);
         w.begin_section("record");
         put_fields(w, x);
-        SnapshotReader r(w.finish());
+        const SnapshotImage image(w.finish());
+        SnapshotReader r(image);
         r.begin_section("record");
         T y{};
         get_fields(r, y);
