@@ -11,9 +11,10 @@
  * PPF by 2.4%/1.4%/1.6% on Berti/BOP/IPCP.
  *
  * Runs the full (workload, scheme, prefetcher) matrix through the job
- * engine; accepts --jobs/--journal/--resume/--fail-fast and the
- * sharded-sweep flags --shard-dir/--shard-name/--lease-ttl/--merge.
- * Failed jobs are dropped from the aggregates and reported on stderr.
+ * engine; accepts --jobs/--fail-fast and --shard-dir/--lease-ttl: a
+ * rerun over the same --shard-dir resumes, and processes sharing one
+ * split the matrix, each printing the whole figure. Failed jobs are
+ * dropped from the aggregates and reported on stderr.
  */
 #include <cmath>
 #include <cstdio>

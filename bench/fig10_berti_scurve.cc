@@ -9,10 +9,10 @@
  * shows the largest suite gains; a short negative tail exists for
  * QMM workloads.
  *
- * Runs through the job engine (--jobs/--journal/--resume, plus the
- * sharded-sweep flags --shard-dir/--shard-name/--lease-ttl/--merge);
- * workloads whose jobs failed are dropped from the curves and
- * reported on stderr.
+ * Runs through the job engine (--jobs, plus --shard-dir/--lease-ttl:
+ * a rerun over the same --shard-dir resumes, and processes sharing
+ * one split the matrix); workloads whose jobs failed are dropped from
+ * the curves and reported on stderr.
  */
 #include <algorithm>
 #include <cmath>

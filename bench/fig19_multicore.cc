@@ -10,7 +10,9 @@
  *
  * Default runs 24 mixes; --full runs the paper's 300. One engine job
  * per mix (--jobs N parallelizes across mixes); the isolation-IPC
- * cache is shared across workers. Failed mixes are dropped from the
+ * cache is shared across workers. With --shard-dir, a 300-mix sweep
+ * resumes after a crash and splits across processes or hosts, each
+ * printing the whole distribution. Failed mixes are dropped from the
  * distribution and reported on stderr.
  */
 #include <algorithm>
@@ -52,6 +54,9 @@ main(int argc, char **argv)
         spec.id = i;
         spec.workload.name = "mix" + std::to_string(i);
         spec.workload.suite = "mix";
+        // mix<i> is drawn by --seed, so the seed names its content in
+        // the result-store key.
+        spec.workload.seed = args.seed;
         spec.scheme = "permit+dripper";
         spec.prefetcher = "berti";
         spec.run.warmup_insts = mc.warmup_insts;
@@ -69,8 +74,8 @@ main(int argc, char **argv)
 
     const std::unique_ptr<TelemetrySession> telemetry =
         make_telemetry(args);
-    // run_engine so --shard-dir/--merge work here too: a 300-mix
-    // --full sweep is the natural candidate for a multi-host farm.
+    // run_engine so --shard-dir works here too: a 300-mix --full sweep
+    // is the natural candidate for a multi-host farm.
     const EngineReport report = run_engine(
         jobs, args,
         [&](const JobSpec &spec, JobContext &ctx) {

@@ -20,9 +20,14 @@
 #ifndef MOKASIM_COMMON_FIELDS_H
 #define MOKASIM_COMMON_FIELDS_H
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <type_traits>
 #include <utility>
+
+#include "common/hashing.h"
 
 namespace moka {
 
@@ -110,6 +115,26 @@ field_diff(const T &a, const T &b)
                      const auto &y) { o = x - y; },
                   d, a, b);
     return d;
+}
+
+/**
+ * Fold one record leaf into the running hash @p h: strings by length
+ * and bytes, floating-point values by bit pattern, integers, bools and
+ * enums by value. The config fingerprint and the job key both hash
+ * their records' leaves through it.
+ */
+template <class F>
+std::uint64_t
+hash_leaf(std::uint64_t h, const F &f)
+{
+    if constexpr (std::is_same_v<F, std::string>) {
+        h = hash_combine(h, f.size());
+        return hash_combine(h, fnv1a_64(f.data(), f.size()));
+    } else if constexpr (std::is_floating_point_v<F>) {
+        return hash_combine(h, std::bit_cast<std::uint64_t>(f));
+    } else {
+        return hash_combine(h, static_cast<std::uint64_t>(f));
+    }
 }
 
 }  // namespace moka

@@ -14,8 +14,8 @@
 
 namespace moka {
 
-//! FNV-1a 64-bit offset basis / prime (shared by the journal record
-//! checksums and the snapshot section checksums).
+//! FNV-1a 64-bit offset basis / prime (shared by the snapshot section
+//! checksums and the store keys).
 inline constexpr std::uint64_t kFnv1aOffset = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnv1aPrime = 1099511628211ull;
 

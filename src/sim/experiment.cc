@@ -1,5 +1,7 @@
 #include "sim/experiment.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -10,7 +12,7 @@
 #include "common/hashing.h"
 #include "common/stats.h"
 #include "filter/policies.h"
-#include "sim/jobs/shard.h"
+#include "sim/jobs/store.h"
 #include "snapshot/cache.h"
 #include "telemetry/telemetry.h"
 #include "trace/trace_io.h"
@@ -101,10 +103,6 @@ parse_bench_args(int argc, char **argv)
             args.jobs = next_u64();
         } else if (a == "--fail-fast") {
             args.fail_fast = true;
-        } else if (a == "--journal") {
-            args.journal = require_value(a, i, argc, argv);
-        } else if (a == "--resume") {
-            args.resume = require_value(a, i, argc, argv);
         } else if (a == "--inject-faults") {
             args.fault_rate =
                 require_double(a, require_value(a, i, argc, argv));
@@ -112,12 +110,8 @@ parse_bench_args(int argc, char **argv)
             args.fault_seed = next_u64();
         } else if (a == "--shard-dir") {
             args.shard_dir = require_value(a, i, argc, argv);
-        } else if (a == "--shard-name") {
-            args.shard_name = require_value(a, i, argc, argv);
         } else if (a == "--lease-ttl") {
             args.lease_ttl_ms = next_u64();
-        } else if (a == "--merge") {
-            args.merge = true;
         } else if (a == "--inject-kill") {
             args.kill_rate =
                 require_double(a, require_value(a, i, argc, argv));
@@ -143,8 +137,6 @@ engine_config(const BenchArgs &args)
     EngineConfig cfg;
     cfg.workers = std::max<std::size_t>(1, args.jobs);
     cfg.fail_fast = args.fail_fast;
-    cfg.journal_path = args.journal;
-    cfg.resume_path = args.resume;
     if (args.fault_rate > 0.0) {
         cfg.faults.enabled = true;
         cfg.faults.seed = args.fault_seed;
@@ -154,6 +146,16 @@ engine_config(const BenchArgs &args)
         // Stalled workers must trip the wall deadline; generous slack
         // over the stall keeps legitimate jobs clear of it.
         cfg.watchdog_wall_ms = 60'000;
+    }
+    if (!args.shard_dir.empty()) {
+        // Processes sharing a store decorrelate their retry backoff
+        // (timing only, never a result value).
+        cfg.jitter_salt = static_cast<std::uint64_t>(::getpid());
+        if (args.kill_rate > 0.0) {
+            cfg.proc_faults.enabled = true;
+            cfg.proc_faults.seed = args.fault_seed;
+            cfg.proc_faults.kill_rate = args.kill_rate;
+        }
     }
     return cfg;
 }
@@ -335,9 +337,6 @@ run_sim_job(const JobSpec &spec, JobContext &ctx)
     if (!audit_findings.empty()) {
         throw JobError(JobErrorCode::kAuditFailure, audit_findings);
     }
-    out.aux = {out.row.metrics.ipc(),
-               static_cast<double>(out.row.metrics.l1d.misses),
-               static_cast<double>(out.row.metrics.l1d.accesses)};
     return out;
 }
 
@@ -345,34 +344,24 @@ EngineReport
 run_engine(const std::vector<JobSpec> &jobs, const BenchArgs &args,
            const JobFn &fn, TelemetrySession *telemetry)
 {
-    if (args.merge) {
-        if (args.shard_dir.empty()) {
-            std::fprintf(stderr,  // LINT_LOG_OK: usage error
-                         "usage: --merge requires --shard-dir\n");
-            std::exit(2);
-        }
-        const MergeReport merge =
-            merge_shard_dir(args.shard_dir, jobs.size());
-        std::fputs(merge.summary().c_str(), stderr);  // LINT_LOG_OK: report
-        if (!merge.ok()) {
-            std::exit(2);
-        }
-        return report_from_merge(merge, jobs);
-    }
     EngineConfig cfg = engine_config(args);
     cfg.telemetry = telemetry;
-    // Warmup-snapshot reuse: one cache shared by every worker (and,
-    // through the claim/publish protocol, by concurrent shards using
-    // the same directory). It must outlive the engine run below.
+    // Both stores are shared by every worker (and, through their
+    // leases, by other processes on the same directories); they must
+    // outlive the engine run below.
     std::unique_ptr<SnapshotCache> snapshots;
     if (!args.snapshot_dir.empty() && !args.no_snapshot_reuse) {
         snapshots = std::make_unique<SnapshotCache>(args.snapshot_dir);
         cfg.snapshot = snapshots.get();
     }
-    auto report_snapshots = [&snapshots]() {
-        if (snapshots == nullptr) {
-            return;
-        }
+    std::unique_ptr<ResultStore> store;
+    if (!args.shard_dir.empty()) {
+        store = std::make_unique<ResultStore>(
+            args.shard_dir, std::max<std::uint64_t>(1, args.lease_ttl_ms));
+        cfg.store = store.get();
+    }
+    EngineReport report = JobEngine(std::move(cfg)).run(jobs, fn);
+    if (snapshots != nullptr) {
         const SnapshotCache::Stats s = snapshots->stats();
         std::fprintf(stderr,  // LINT_LOG_OK: report
                      "snapshot cache: %llu hits, %llu misses, "
@@ -381,28 +370,16 @@ run_engine(const std::vector<JobSpec> &jobs, const BenchArgs &args,
                      static_cast<unsigned long long>(s.misses),
                      static_cast<unsigned long long>(s.saves),
                      static_cast<unsigned long long>(s.invalid));
-    };
-    if (!args.shard_dir.empty()) {
-        ShardConfig shard;
-        shard.dir = args.shard_dir;
-        shard.name = args.shard_name;
-        shard.lease_ttl_ms = std::max<std::uint64_t>(1, args.lease_ttl_ms);
-        if (args.kill_rate > 0.0) {
-            shard.proc_faults.enabled = true;
-            shard.proc_faults.seed = args.fault_seed;
-            shard.proc_faults.kill_rate = args.kill_rate;
-        }
-        // The shard layer owns journaling inside shard_dir; the
-        // --journal/--resume flags stay meaningful only in plain mode.
-        shard.engine = std::move(cfg);
-        ShardReport report = ShardEngine(std::move(shard)).run(jobs, fn);
-        std::fputs(report.summary().c_str(), stderr);  // LINT_LOG_OK: report
-        report_snapshots();
-        return std::move(report.engine);
     }
-    JobEngine engine(std::move(cfg));
-    EngineReport report = engine.run(jobs, fn);
-    report_snapshots();
+    if (store != nullptr) {
+        const ResultStore::Stats s = store->stats();
+        std::fprintf(stderr,  // LINT_LOG_OK: report
+                     "result store: %llu found, %llu published, "
+                     "%llu invalid\n",
+                     static_cast<unsigned long long>(s.found),
+                     static_cast<unsigned long long>(s.published),
+                     static_cast<unsigned long long>(s.invalid));
+    }
     return report;
 }
 
@@ -420,10 +397,10 @@ matrix_ipc(const EngineReport &report, std::size_t schemes,
 {
     const std::size_t id = (p * schemes + s) * roster + w;
     const JobResult &res = report.results[id];
-    if (res.status != JobStatus::kCompleted || res.output.aux.empty()) {
+    if (res.status != JobStatus::kCompleted) {
         return std::nan("");
     }
-    return res.output.aux[0];
+    return res.output.row.metrics.ipc();
 }
 
 void

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
+#include <deque>
 #include <sstream>
 #include <thread>
 
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/rng.h"
-#include "sim/jobs/journal.h"
+#include "common/thread_annotations.h"
+#include "sim/jobs/store.h"
 #include "telemetry/telemetry.h"
 
 namespace moka {
@@ -52,6 +53,115 @@ class FaultHook final : public RunTickHook
     FaultInjector::Decision decision_;
     std::uint64_t stall_ms_;
     bool fired_ = false;
+};
+
+/**
+ * Lease heartbeat threaded first into a claimed job's tick-hook
+ * chain: while the body runs, touch the lease every TTL/4 so peers
+ * see a live owner. The wall clock is read on a coarse step cadence
+ * (like the Watchdog) so the hot path stays one modulo. Losing the
+ * lease aborts the run with kLeaseLost: a peer owns the job now, and
+ * this run must not publish.
+ */
+class LeaseHeartbeat final : public RunTickHook
+{
+  public:
+    //! wall-clock checks happen every this many machine steps
+    static constexpr std::uint64_t kCheckSteps = 1024;
+
+    LeaseHeartbeat(const LeaseDir &leases, std::uint64_t key)
+        : leases_(leases), key_(key),
+          interval_(std::chrono::milliseconds(
+              std::max<std::uint64_t>(1, leases.ttl_ms() / 4))),
+          // LINT_NONDET_OK: heartbeat cadence is wall time by design;
+          // it gates only which process publishes, never a result.
+          next_(std::chrono::steady_clock::now() + interval_)
+    {
+    }
+
+    void on_tick(std::uint64_t steps) override
+    {
+        if (steps % kCheckSteps != 0) {
+            return;
+        }
+        // LINT_NONDET_OK: heartbeat check, as above.
+        const auto now = std::chrono::steady_clock::now();
+        if (now < next_) {
+            return;
+        }
+        next_ = now + interval_;
+        if (!leases_.refresh(key_)) {
+            // LINT_HOT_OK: lease-lost exit; fires at most once per
+            // run, then the attempt unwinds (rule L14).
+            throw JobError(JobErrorCode::kLeaseLost,
+                           "job lease lost to a peer; abandoning this run");
+        }
+    }
+
+  private:
+    const LeaseDir &leases_;
+    std::uint64_t key_;
+    std::chrono::steady_clock::duration interval_;
+    std::chrono::steady_clock::time_point next_;
+};
+
+/**
+ * The jobs still to settle, in dispatch order. A job whose lease a
+ * peer holds goes to the back; a worker sleeps only once it has
+ * deferred every pending job in a row, i.e. when nothing else can run.
+ */
+class Dispatch
+{
+  public:
+    //! sleep while every pending job is held by a peer
+    static constexpr std::uint64_t kPollMs = 50;
+
+    explicit Dispatch(const std::vector<std::size_t> &order)
+        : pending_(order.begin(), order.end())
+    {
+    }
+
+    /** Pop the next job into @p i; false once none is left. */
+    bool next(std::size_t &i) SIM_EXCLUDES(mu_)
+    {
+        SimMutexLock lock(&mu_);
+        if (pending_.empty()) {
+            return false;
+        }
+        i = pending_.front();
+        pending_.pop_front();
+        return true;
+    }
+
+    /** Requeue @p i, a job a peer is running. */
+    void defer(std::size_t i) SIM_EXCLUDES(mu_)
+    {
+        bool idle = false;
+        {
+            SimMutexLock lock(&mu_);
+            pending_.push_back(i);
+            idle = ++deferred_ >= pending_.size();
+            if (idle) {
+                deferred_ = 0;
+            }
+        }
+        if (idle) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+        }
+    }
+
+    /** A job settled: the deferral streak is broken. */
+    void settled() SIM_EXCLUDES(mu_)
+    {
+        SimMutexLock lock(&mu_);
+        deferred_ = 0;
+    }
+
+  private:
+    SimMutex mu_;
+    std::deque<std::size_t> pending_ SIM_GUARDED_BY(mu_);
+    //! consecutive deferrals since a job last settled
+    std::size_t deferred_ SIM_GUARDED_BY(mu_) = 0;
 };
 
 /** The engine's tracer, or null when tracing is not armed. */
@@ -124,7 +234,7 @@ backoff_delay_ms(const EngineConfig &cfg, std::size_t id, int attempt)
     if (!cfg.backoff_jitter || delay_ms == 0) {
         return delay_ms;
     }
-    // Decorrelate across shards: a seeded-uniform draw in
+    // Decorrelate across processes: a seeded-uniform draw in
     // [delay/2, delay] keyed on (salt, job, attempt) — pure timing,
     // no effect on any result value.
     Rng rng(hash_combine(hash_combine(cfg.jitter_salt,
@@ -161,7 +271,7 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
             injector.decide(spec.id, attempt);
         FaultHook fault(decision, injector.plan().stall_ms);
         Watchdog watchdog(spec.watchdog_steps, cfg_.watchdog_wall_ms);
-        // Extra (shard heartbeat) first, then fault, then watchdog: a
+        // Extra (lease heartbeat) first, then fault, then watchdog: a
         // lease refresh must happen even on the tick a fault fires,
         // and a stall is observed by the deadline check behind it.
         TickHookChain chain;
@@ -179,7 +289,6 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
             kJobPidBase + static_cast<std::uint32_t>(spec.id);
         try {
             res.output = fn(spec, ctx);
-            res.csv = to_csv(res.output.row);
             res.status = JobStatus::kCompleted;
             return res;
         } catch (const JobError &e) {
@@ -197,7 +306,7 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
         }
         res.status = JobStatus::kFailed;
         if (res.error == JobErrorCode::kLeaseLost) {
-            break;  // the shard lost this job to a peer; never retry
+            break;  // a peer owns this job now; never retry
         }
         if (!is_transient(res.error) || attempt == cfg_.max_attempts) {
             break;
@@ -217,54 +326,17 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
 EngineReport
 JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
 {
+    ResultStore *const store = cfg_.store;
     EngineReport report;
     report.results.resize(jobs.size());
+    std::vector<std::uint64_t> keys(store != nullptr ? jobs.size() : 0);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SIM_REQUIRE(jobs[i].id == i,
                     "job ids must be dense and in order");
         report.results[i].id = i;
         report.results[i].label = job_label(jobs[i]);
-    }
-
-    // Resume: pre-fill every journaled terminal result; those jobs
-    // are never re-run and their CSV rows are replayed verbatim.
-    if (!cfg_.resume_path.empty()) {
-        for (const JournalRecord &rec : Journal::load(cfg_.resume_path)) {
-            if (rec.job_id >= jobs.size()) {
-                continue;  // journal from a different matrix
-            }
-            JobResult &res = report.results[rec.job_id];
-            res.status = rec.status;
-            res.attempts = rec.attempts;
-            res.error = rec.error;
-            res.error_message = rec.error_message;
-            res.csv = rec.csv;
-            res.output.aux = rec.aux;
-            res.from_journal = true;
-        }
-    }
-
-    // Fresh sweeps overwrite a stale journal instead of extending it.
-    std::unique_ptr<Journal> journal;
-    if (!cfg_.journal_path.empty()) {
-        if (cfg_.resume_path != cfg_.journal_path) {
-            std::remove(cfg_.journal_path.c_str());
-        }
-        journal = std::make_unique<Journal>(cfg_.journal_path);
-        // Re-journal replayed results so the new journal is itself a
-        // complete resume point, not just the post-crash remainder.
-        for (const JobResult &res : report.results) {
-            if (res.from_journal && !journal->contains(res.id)) {
-                JournalRecord rec;
-                rec.job_id = res.id;
-                rec.status = res.status;
-                rec.attempts = res.attempts;
-                rec.error = res.error;
-                rec.error_message = res.error_message;
-                rec.csv = res.csv;
-                rec.aux = res.output.aux;
-                journal->append(rec);
-            }
+        if (store != nullptr) {
+            keys[i] = job_key(jobs[i]);
         }
     }
 
@@ -297,24 +369,37 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
     }
 
     const FaultInjector injector(cfg_.faults);
-    std::atomic<std::size_t> next{0};
+    ProcessFaultInjector proc(cfg_.proc_faults);
+    Dispatch dispatch(order);
     std::atomic<bool> abort_rest{false};
     auto worker = [&](std::uint32_t wid) {
-        while (true) {
-            const std::size_t slot =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= order.size()) {
-                return;
-            }
-            const std::size_t i = order[slot];
+        std::size_t i = 0;
+        while (dispatch.next(i)) {
             JobResult &res = report.results[i];
-            if (res.from_journal) {
+            if (store != nullptr && store->load(keys[i], res)) {
+                dispatch.settled();
                 continue;
             }
             if (abort_rest.load(std::memory_order_relaxed)) {
                 res.status = JobStatus::kSkipped;
                 res.error_message = "skipped by --fail-fast";
                 continue;
+            }
+            if (store != nullptr) {
+                if (store->leases().try_claim(keys[i]) ==
+                    ClaimOutcome::kBusy) {
+                    dispatch.defer(i);  // a peer runs it; look later
+                    continue;
+                }
+                // A peer may have published between our look and
+                // our claim (it publishes before it releases).
+                if (store->load(keys[i], res)) {
+                    store->leases().release(keys[i]);
+                    dispatch.settled();
+                    continue;
+                }
+                proc.maybe_kill(ShardFaultPoint::kClaim, i);
+                proc.maybe_kill(ShardFaultPoint::kRun, i);
             }
             std::uint64_t begin_us = 0;
             if (tracer != nullptr) {
@@ -327,7 +412,12 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
                     kJobPidBase + static_cast<std::uint32_t>(i),
                     "job " + std::to_string(i) + ": " + res.label);
             }
-            res = execute_one(jobs[i], fn, injector, wid);
+            if (store == nullptr) {
+                res = execute_one(jobs[i], fn, injector, wid);
+            } else {
+                LeaseHeartbeat heartbeat(store->leases(), keys[i]);
+                res = execute_one(jobs[i], fn, injector, wid, &heartbeat);
+            }
             if (tracer != nullptr) {
                 std::ostringstream os;
                 os << "{\"job\":" << i << ",\"status\":\""
@@ -337,37 +427,33 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
                                  "job " + std::to_string(i), begin_us,
                                  tracer->now_us() - begin_us, os.str());
             }
+            if (store != nullptr) {
+                if (res.status == JobStatus::kFailed &&
+                    res.error == JobErrorCode::kLeaseLost) {
+                    dispatch.defer(i);  // the thief publishes it
+                    continue;
+                }
+                if (res.status == JobStatus::kCompleted) {
+                    proc.maybe_kill(ShardFaultPoint::kCommit, i);
+                    if (!store->publish(keys[i], res)) {
+                        // The result is in the report; only its reuse
+                        // by later runs is lost.
+                        std::fprintf(stderr, /* LINT_LOG_OK */
+                                     "engine: could not store the result "
+                                     "of job %zu\n",
+                                     i);
+                    } else if (tracer != nullptr) {
+                        tracer->instant(kEnginePid, wid, "publish",
+                                        tracer->now_us(),
+                                        "{\"job\":" + std::to_string(i) +
+                                            "}");
+                    }
+                }
+                store->leases().release(keys[i]);
+            }
+            dispatch.settled();
             if (res.status == JobStatus::kFailed && cfg_.fail_fast) {
                 abort_rest.store(true, std::memory_order_relaxed);
-            }
-            if (journal != nullptr) {
-                JournalRecord rec;
-                rec.job_id = res.id;
-                rec.status = res.status;
-                rec.attempts = res.attempts;
-                rec.error = res.error;
-                rec.error_message = res.error_message;
-                rec.csv = res.csv;
-                rec.aux = res.output.aux;
-                try {
-                    journal->append(rec);
-                } catch (const JobError &e) {
-                    // A failed append (real or injected ENOSPC) must
-                    // not kill the sweep: the result is already in
-                    // report.results, only resumability of this one
-                    // job degrades, and the journal self-repairs its
-                    // torn tail on the next append.
-                    std::fprintf(stderr, /* LINT_LOG_OK */
-                                 "engine: journal append failed for "
-                                 "job %zu: %s\n",
-                                 res.id, e.what());
-                }
-                if (tracer != nullptr) {
-                    tracer->instant(kEnginePid, wid, "journal",
-                                    tracer->now_us(),
-                                    "{\"job\":" + std::to_string(i) +
-                                        "}");
-                }
             }
         }
     };
@@ -391,8 +477,8 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
           case JobStatus::kFailed: ++report.failed; break;
           case JobStatus::kSkipped: ++report.skipped; break;
         }
-        if (res.from_journal) {
-            ++report.resumed;
+        if (res.stored) {
+            ++report.stored;
         }
     }
     return report;
@@ -404,11 +490,8 @@ EngineReport::summary() const
     std::ostringstream os;
     os << "jobs: " << results.size() << " total, " << completed
        << " completed, " << failed << " failed, " << skipped
-       << " skipped";
-    if (resumed > 0) {
-        os << " (" << resumed << " from journal)";
-    }
-    os << '\n';
+       << " skipped; " << ran() << " run, " << stored
+       << " from the store\n";
     for (const JobResult &res : results) {
         if (res.status == JobStatus::kFailed) {
             os << "  job " << res.id << " [" << res.label

@@ -12,9 +12,10 @@
  *  - retry: transient failures (timeout, OOM) retry with capped
  *    exponential backoff before the engine degrades gracefully to a
  *    partial-results report;
- *  - resume: finished jobs are journaled through atomic write-rename;
- *    a resumed sweep replays journaled results and only runs the
- *    remainder, producing a byte-identical CSV;
+ *  - store: with a result store (store.h), results found there are
+ *    reported without running, the rest are claimed under a lease,
+ *    run and published, so one loop covers a fresh sweep, a resumed
+ *    one and one process of a multi-process farm;
  *  - determinism: results are emitted in ascending job id, and every
  *    per-job decision (including injected faults) is a pure function
  *    of the job id, so an N-worker run is byte-identical to a serial
@@ -36,6 +37,7 @@ namespace moka {
 
 class TelemetrySession;
 class SnapshotCache;
+class ResultStore;
 
 /** Engine-wide policy knobs. */
 struct EngineConfig
@@ -47,11 +49,12 @@ struct EngineConfig
     /**
      * Decorrelate retry backoff: sleep a seeded-uniform duration in
      * [delay/2, delay] instead of exactly the exponential delay, so N
-     * shard processes retrying the same transiently-failing trace
+     * processes retrying the same transiently-failing trace
      * spread their filesystem hits instead of thundering in lockstep.
      * The draw is a pure function of (jitter_salt, job id, attempt) —
      * timing only, never results — and jitter_salt should differ per
-     * shard (the shard layer salts it with the shard identity).
+     * process sharing a result store (engine_config salts it with the
+     * process id).
      */
     bool backoff_jitter = true;
     std::uint64_t jitter_salt = 0;
@@ -59,12 +62,18 @@ struct EngineConfig
     //! wall-clock watchdog deadline per attempt; 0 disables it (the
     //! per-job step budget in JobSpec::watchdog_steps still applies)
     std::uint64_t watchdog_wall_ms = 0;
-    std::string journal_path;        //!< "" = don't journal
-    std::string resume_path;         //!< journal to resume from ("" = fresh)
     FaultPlan faults;                //!< injected-fault plan (tests/CI)
+    //! seeded self-SIGKILL at a job's claim/run/publish boundaries
+    //! (chaos drills; crossed only with a result store)
+    ProcessFaultPlan proc_faults;
+    /**
+     * Result store (non-owning, may be null): stored results are
+     * reported, the rest claimed, run and published (see store.h).
+     */
+    ResultStore *store = nullptr;
     /**
      * Telemetry session (non-owning, may be null): the engine emits
-     * schedule/run/retry/journal trace spans per worker thread onto
+     * schedule/run/retry/publish trace spans per worker thread onto
      * its tracer and threads the session into every JobContext so job
      * bodies can arm per-run epoch sampling.
      */
@@ -128,7 +137,12 @@ struct JobContext
 inline constexpr std::uint32_t kEnginePid = 1;
 inline constexpr std::uint32_t kJobPidBase = 2;
 
-/** A job body: turns one JobSpec into a JobOutput, or throws. */
+/**
+ * A job body: turns one JobSpec into a JobOutput, or throws. Contract:
+ * the output is a function of the spec and the build alone (never of
+ * the id, the attempt, the wall clock or what ran before), because a
+ * result store serves it to every later run with an equal job_key.
+ */
 using JobFn = std::function<JobOutput(const JobSpec &, JobContext &)>;
 
 /** Human-readable report label for @p spec ("trace scheme=... ..."). */
@@ -141,13 +155,17 @@ struct EngineReport
     std::size_t completed = 0;
     std::size_t failed = 0;
     std::size_t skipped = 0;
-    std::size_t resumed = 0;  //!< completed/failed satisfied by --resume
+    std::size_t stored = 0;  //!< completed jobs read from the store
 
     bool all_completed() const { return failed == 0 && skipped == 0; }
 
+    /** Jobs this run executed: every completed or failed one not read. */
+    std::size_t ran() const { return completed + failed - stored; }
+
     /**
-     * Deterministic human-readable report: one summary line plus one
-     * line per failed/skipped job in ascending id order.
+     * Deterministic human-readable report: one summary line (with the
+     * jobs run and found stored) plus one line per failed/skipped job
+     * in ascending id order.
      */
     std::string summary() const;
 };
@@ -156,8 +174,7 @@ struct EngineReport
  * Backoff before retry @p attempt (1-based) of job @p id: capped
  * exponential (base * 2^(attempt-1), clamped to the cap), then — when
  * cfg.backoff_jitter — decorrelated into [delay/2, delay] by a draw
- * seeded with (cfg.jitter_salt, id, attempt). Exposed for tests and
- * for the shard layer's own retry loops.
+ * seeded with (cfg.jitter_salt, id, attempt). Exposed for tests.
  */
 std::uint64_t backoff_delay_ms(const EngineConfig &cfg, std::size_t id,
                                int attempt);
@@ -170,18 +187,20 @@ class JobEngine
 
     /**
      * Execute @p jobs (dense ids: jobs[i].id must equal i) through
-     * @p fn. Blocks until every job completed, failed permanently, or
-     * was skipped; never throws for job-level failures.
+     * @p fn, in descending estimated cost. Blocks until every job
+     * completed (here, or by a peer sharing the store), failed
+     * permanently, or was skipped; never throws for job-level
+     * failures.
      */
     EngineReport run(const std::vector<JobSpec> &jobs, const JobFn &fn);
 
     /**
      * Execute one spec through the full per-attempt machinery
      * (isolation, classification, watchdog, fault injection, retry
-     * with jittered backoff) without touching any journal. @p extra,
+     * with jittered backoff) without touching the store. @p extra,
      * when non-null, is prepended to the per-attempt tick-hook chain —
-     * the shard layer threads its lease heartbeat through here so a
-     * lease refresh rides the same cadence as the watchdog.
+     * run() threads the lease heartbeat through here so a lease
+     * refresh rides the same cadence as the watchdog.
      */
     JobResult execute_one(const JobSpec &spec, const JobFn &fn,
                           const FaultInjector &injector,

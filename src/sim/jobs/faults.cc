@@ -39,21 +39,10 @@ void
 ProcessFaultInjector::maybe_kill(ShardFaultPoint point, std::size_t job)
 {
     if (should_kill(point, job)) {
-        // The honest crash: SIGKILL cannot be caught, so no journal
-        // flush, no lease release — exactly what a dead peer leaves.
+        // The honest crash: SIGKILL cannot be caught, so no publish,
+        // no lease release — exactly what a dead peer leaves.
         std::raise(SIGKILL);
     }
-}
-
-bool
-ProcessFaultInjector::should_fail_write(std::uint64_t nth) const
-{
-    if (!plan_.enabled || plan_.write_fail_rate <= 0.0) {
-        return false;
-    }
-    Rng rng(hash_combine(hash_combine(plan_.seed, nth),
-                         0x57726974ull /* "Writ" */));
-    return rng.chance(plan_.write_fail_rate);
 }
 
 FaultInjector::Decision

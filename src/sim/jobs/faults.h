@@ -9,16 +9,14 @@
  *  - trace faults: byte-level damage to trace files (bit-flipped
  *    magic, truncated header/records, flipped body bytes) exercising
  *    the classified trace_io error paths;
- *  - process faults (ProcessFaultPlan): whole-process damage for the
- *    sharded execution layer (sim/jobs/shard.h) — seeded self-SIGKILL
- *    at the claim/run/commit boundaries of a shard's job loop, and
- *    journal write failures (simulated ENOSPC/short write) delivered
- *    through the injectable write seam in journal.cc.
+ *  - process faults (ProcessFaultPlan): seeded self-SIGKILL at the
+ *    claim/run/commit boundaries of a job run against a result store
+ *    (sim/jobs/store.h), as one process of a multi-process farm.
  *
  * Every recovery path of the engine (isolation, retry, watchdog,
- * partial-results reporting, resume) and of the shard layer (lease
- * expiry, steal, merge) is exercised in tests and CI by running real
- * sweeps under a FaultPlan / ProcessFaultPlan.
+ * partial-results reporting, resume from the store, lease expiry and
+ * steal) is exercised in tests and CI by running real sweeps under a
+ * FaultPlan / ProcessFaultPlan.
  */
 #ifndef MOKASIM_SIM_JOBS_FAULTS_H
 #define MOKASIM_SIM_JOBS_FAULTS_H
@@ -70,26 +68,24 @@ class FaultInjector
 };
 
 /**
- * Where in a shard's job loop a process fault can fire: right after a
- * lease is acquired, right before the job body runs, or right before
- * the finished result is committed (journal append + done marker).
+ * Where in the engine's store loop a process fault can fire: right
+ * after a job's lease is acquired, right before the job body runs, or
+ * right before the finished result is published.
  */
 enum class ShardFaultPoint : std::uint8_t { kClaim, kRun, kCommit };
 
 /** Stable trace/report name of @p point ("claim", "run", "commit"). */
 const char *to_string(ShardFaultPoint point);
 
-/** Process-level fault configuration for sharded sweeps. */
+/** Process-level fault configuration for multi-process sweeps. */
 struct ProcessFaultPlan
 {
     bool enabled = false;
     std::uint64_t seed = 1;
     //! P(self-SIGKILL) per boundary crossing — evaluated at every
-    //! claim/run/commit boundary the shard passes, so any nonzero
+    //! claim/run/commit boundary the process passes, so any nonzero
     //! rate kills the process eventually (chaos drills rely on this)
     double kill_rate = 0.0;
-    //! P(journal write fails as ENOSPC/short write) per write
-    double write_fail_rate = 0.0;
 };
 
 /**
@@ -115,9 +111,6 @@ class ProcessFaultInjector
 
     /** raise(SIGKILL) when should_kill says so; otherwise a no-op. */
     void maybe_kill(ShardFaultPoint point, std::size_t job);
-
-    /** Does the @p nth journal write fail (ENOSPC)? */
-    bool should_fail_write(std::uint64_t nth) const;
 
     const ProcessFaultPlan &plan() const { return plan_; }
 

@@ -41,7 +41,7 @@ is_transient(JobErrorCode code)
     // Timeouts are stragglers/stalls and OOM is memory pressure from
     // neighbouring jobs: both may succeed on a quieter retry. Corrupt
     // input, bad configuration and audit findings are deterministic.
-    // A lost lease is permanent *for this shard*: the peer that stole
+    // A lost lease is permanent *for this process*: the peer that stole
     // the job owns it now, so retrying locally would double-execute.
     // A rejected snapshot is handled inline (cold-warmup fallback), so
     // a job that still fails with it would fail again on retry.

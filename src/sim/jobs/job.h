@@ -3,8 +3,8 @@
  * Job model for the fault-tolerant experiment engine: one job is one
  * cell of the (workload, scheme, prefetcher) matrix, executed in
  * isolation by the engine (src/sim/jobs/engine.h). Failures are
- * classified into a stable taxonomy (JobErrorCode) that the journal,
- * the failure report, and the retry policy all key on.
+ * classified into a stable taxonomy (JobErrorCode) that the failure
+ * report and the retry policy key on.
  */
 #ifndef MOKASIM_SIM_JOBS_JOB_H
 #define MOKASIM_SIM_JOBS_JOB_H
@@ -21,8 +21,8 @@
 namespace moka {
 
 /**
- * Why a job failed. The taxonomy is stable: codes are journaled by
- * name and drive the retry policy, so renaming one is a format break.
+ * Why a job failed. The taxonomy is stable: codes are reported by
+ * name and drive the retry policy.
  */
 enum class JobErrorCode : std::uint8_t {
     kTraceCorrupt,   //!< workload/trace failed to load or parse
@@ -30,12 +30,12 @@ enum class JobErrorCode : std::uint8_t {
     kAuditFailure,   //!< invariant auditor flagged the finished run
     kTimeout,        //!< watchdog cancelled a hung or stalled run
     kOom,            //!< allocation failure while building/running
-    kLeaseLost,      //!< sharded run lost its job lease to a peer
+    kLeaseLost,      //!< lost the job's lease to a peer process
     kSnapshotInvalid,  //!< warmup snapshot rejected (corrupt/mismatched)
     kUnknown,        //!< unclassified exception escaping the job body
 };
 
-/** Stable journal/report name of @p code (e.g. "trace_corrupt"). */
+/** Stable report name of @p code (e.g. "trace_corrupt"). */
 const char *to_string(JobErrorCode code);
 
 /** Inverse of to_string; kUnknown for unrecognized names. */
@@ -71,19 +71,21 @@ enum class JobStatus : std::uint8_t {
     kSkipped,    //!< never ran (--fail-fast after an earlier failure)
 };
 
-/** Stable journal name of @p status. */
+/** Stable report name of @p status. */
 const char *to_string(JobStatus status);
 
 /**
  * One cell of the experiment matrix. `id` is the dense job index and
  * the only ordering the engine honours: results, CSV rows and the
  * failure report are always emitted in ascending id so an N-worker
- * run is byte-identical to a serial one.
+ * run is byte-identical to a serial one. Every field but `id`,
+ * `watchdog_steps` and `estimated_cost` names what the job computes,
+ * and job_key (sim/jobs/store.h) hashes exactly those.
  */
 struct JobSpec
 {
     std::size_t id = 0;
-    WorkloadSpec workload;       //!< roster entry (ignored with trace_path)
+    WorkloadSpec workload{};     //!< roster entry (ignored with trace_path)
     std::string trace_path;      //!< non-empty: replay this trace file
     std::string scheme;          //!< scheme name, parsed by the job body
     std::string prefetcher;      //!< prefetcher name, parsed by the body
@@ -100,12 +102,26 @@ struct JobSpec
      * cost (including the default 0) run in id order.
      */
     double estimated_cost = 0.0;
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("id", s.id...);
+        v("workload", s.workload...);
+        v("trace_path", s.trace_path...);
+        v("scheme", s.scheme...);
+        v("prefetcher", s.prefetcher...);
+        v("run", s.run...);
+        v("large_page_fraction", s.large_page_fraction...);
+        v("watchdog_steps", s.watchdog_steps...);
+        v("estimated_cost", s.estimated_cost...);
+    }
 };
 
 /**
  * What a completed job hands back: a canonical labelled result row
- * plus harness-specific scalars (e.g. fig19's weighted IPCs) that
- * ride through the journal untouched.
+ * plus harness-specific scalars (e.g. fig19's weighted IPCs). The
+ * result store keeps both, so a stored output equals a fresh one.
  */
 struct JobOutput
 {
@@ -122,15 +138,8 @@ struct JobResult
     int attempts = 0;
     JobErrorCode error = JobErrorCode::kUnknown;  //!< valid when failed
     std::string error_message;
-    /**
-     * Final CSV row of a completed job. Journaled verbatim and reused
-     * on resume, which is what makes a resumed sweep's CSV
-     * byte-identical to an uninterrupted one. Empty for failed jobs.
-     */
-    std::string csv;
-    JobOutput output;            //!< row valid only for fresh runs;
-                                 //!< aux survives resume
-    bool from_journal = false;   //!< satisfied by --resume, not re-run
+    JobOutput output;            //!< valid when completed
+    bool stored = false;         //!< read from the result store, not run
 };
 
 }  // namespace moka

@@ -1,7 +1,6 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 #include <type_traits>
 
@@ -569,16 +568,10 @@ config_fingerprint(const MachineConfig &cfg, std::size_t cores)
     for_each_leaf(
         [&h](const char *, const auto &f) {
             using F = std::remove_cvref_t<decltype(f)>;
-            if constexpr (std::is_same_v<
+            // The filter closure cannot be hashed (see machine.h).
+            if constexpr (!std::is_same_v<
                               F, decltype(SchemeConfig::make_filter)>) {
-                // The filter closure cannot be hashed (see machine.h).
-            } else if constexpr (std::is_same_v<F, std::string>) {
-                h = hash_combine(h, f.size());
-                h = hash_combine(h, fnv1a_64(f.data(), f.size()));
-            } else if constexpr (std::is_floating_point_v<F>) {
-                h = hash_combine(h, std::bit_cast<std::uint64_t>(f));
-            } else {
-                h = hash_combine(h, static_cast<std::uint64_t>(f));
+                h = hash_leaf(h, f);
             }
         },
         cfg);

@@ -483,6 +483,15 @@ MachineConfig default_config(unsigned cores = 1);
 std::uint64_t config_fingerprint(const MachineConfig &cfg,
                                  std::size_t cores);
 
+/**
+ * Version of the simulated behaviour. Bump it with any change that
+ * moves a simulated number: the warmup-snapshot and job-result keys
+ * fold it in, so a store never serves what an older model computed.
+ * tests/test_layout_equivalence.cc ties it to the metrics goldens, so
+ * re-pinning a golden without a bump fails.
+ */
+inline constexpr std::uint32_t kModelVersion = 1;
+
 }  // namespace moka
 
 #endif  // MOKASIM_SIM_MACHINE_H

@@ -82,10 +82,12 @@ run_single_workload_snapshot(const MachineConfig &cfg,
     // The full machine configuration is part of the key: snapshots
     // are never shared across schemes/prefetchers, because the filter
     // and prefetcher state warmed under one scheme is not the state a
-    // straight-through run of another scheme would reach.
+    // straight-through run of another scheme would reach. The model
+    // version keeps an older model's warmups from being restored.
     std::uint64_t key = config_fingerprint(cfg, 1);
     key = hash_combine(key, warmup_key);
     key = hash_combine(key, run.warmup_insts);
+    key = hash_combine(key, kModelVersion);
 
     SnapshotCache::FetchOutcome outcome;
     // A throwing producer (watchdog timeout, injected fault) escapes

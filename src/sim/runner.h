@@ -28,6 +28,13 @@ struct RunConfig
     InstCount warmup_insts = kDefaultWarmupInsts;
     InstCount measure_insts = 800'000;
 
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("warmup_insts", s.warmup_insts...);
+        v("measure_insts", s.measure_insts...);
+    }
+
     /** Scale both budgets by @p factor (for --full sweeps). */
     RunConfig scaled(double factor) const
     {
@@ -78,13 +85,14 @@ using WorkloadFactory = std::function<WorkloadPtr()>;
 /**
  * Snapshot-reusing variant of run_single_workload: the warmup phase
  * is resolved through @p cache under @p warmup_key (callers fold the
- * workload identity in; the machine config fingerprint and warmup
- * budget are folded in here). On a cache hit the run restores the
- * warmed architectural state (traced as a "snapshot:restore" span)
- * instead of re-simulating the warmup; on a miss it warms up once,
- * publishes the snapshot, and still goes through restore so hit and
- * miss runs follow the identical code path — the measured region is
- * byte-identical to a straight-through run either way.
+ * workload identity in; the machine config fingerprint, warmup
+ * budget and kModelVersion are folded in here). On a cache hit the
+ * run restores the warmed architectural state (traced as a
+ * "snapshot:restore" span) instead of re-simulating the warmup; on a
+ * miss it warms up once, publishes the snapshot, and still goes
+ * through restore so hit and miss runs follow the identical code
+ * path — the measured region is byte-identical to a straight-through
+ * run either way.
  *
  * A snapshot the cache produced but the machine rejects (corrupt or
  * config-mismatched bytes) is counted under the "snapshot.invalid"

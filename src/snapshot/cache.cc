@@ -1,13 +1,8 @@
 #include "snapshot/cache.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "common/check.h"
@@ -15,50 +10,19 @@
 namespace moka {
 namespace {
 
-namespace fs = std::filesystem;
-
-/** Bounded wait for a concurrent shard's publish before duplicating. */
-constexpr int kClaimPollMs = 100;
-constexpr int kClaimPollRounds = 300;  // 30s, far above any warmup
-
-std::string
-hex_key(std::uint64_t key)
-{
-    std::ostringstream os;
-    os << std::hex;
-    os.width(16);
-    os.fill('0');
-    os << key;
-    return os.str();
-}
-
-/** Whole-file read into one pre-sized buffer; false when unreadable. */
-bool
-read_file(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is) {
-        return false;
-    }
-    const std::streamoff size = is.tellg();
-    if (size < 0) {
-        return false;
-    }
-    out.resize(static_cast<std::size_t>(size));
-    is.seekg(0);
-    is.read(out.data(), size);
-    return is.gcount() == size;
-}
+//! how often a waiter looks for a live producer's publish
+constexpr int kPollMs = 100;
 
 }  // namespace
 
-SnapshotCache::SnapshotCache(std::string dir) : dir_(std::move(dir))
+SnapshotCache::SnapshotCache(std::string dir)
+    : dir_(std::move(dir)), leases_(dir_, "snap", kClaimTtlMs)
 {
     SIM_REQUIRE(!dir_.empty(), "snapshot cache needs a directory");
-    // Best effort: a failure here surfaces as cold warmups (claim
-    // files and publishes fail individually), never as a crash.
+    // Best effort: a failure here surfaces as cold warmups (claims
+    // and publishes fail individually), never as a crash.
     std::error_code ec;
-    fs::create_directories(dir_, ec);
+    std::filesystem::create_directories(dir_, ec);
 }
 
 std::string
@@ -104,65 +68,44 @@ SnapshotBlob
 SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
                                FetchOutcome &outcome)
 {
-    if (SnapshotBlob found = try_load(key)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        outcome.hit = true;
-        return found;
-    }
-
-    // Lease-style claim so concurrent shards warming the same key
-    // don't all do the work: the claimant produces and publishes,
-    // everyone else polls for the published file (bounded), then
-    // falls back to a local produce — a duplicate warmup is benign.
-    const std::string claim = path_for(key) + ".claim";
-    const int fd = ::open(claim.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) {
-        for (int round = 0; round < kClaimPollRounds; ++round) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(kClaimPollMs));
-            if (SnapshotBlob found = try_load(key)) {
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                outcome.hit = true;
-                return found;
+    // Look, then claim, then look again: the previous owner may have
+    // published between our first look and our claim. While another
+    // process holds a live claim, poll for its publish.
+    bool claimed = false;
+    while (true) {
+        if (SnapshotBlob found = try_load(key)) {
+            if (claimed) {
+                leases_.release(key);
             }
-            std::error_code ec;
-            if (!fs::exists(claim, ec)) {
-                break;  // claimant gone without publishing: produce
-            }
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            outcome.hit = true;
+            return found;
         }
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::make_shared<const SnapshotImage>(produce());
+        if (claimed) {
+            break;
+        }
+        claimed = leases_.try_claim(key) != ClaimOutcome::kBusy;
+        if (!claimed) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+        }
     }
-    ::close(fd);
 
     misses_.fetch_add(1, std::memory_order_relaxed);
+    SnapshotBlob blob;
     try {
-        auto blob = std::make_shared<const SnapshotImage>(produce());
-        // Write-temp + rename: readers only ever see complete files.
-        // close() flushes; a failed flush must not publish a torn file.
-        const std::string tmp =
-            path_for(key) + ".tmp." + std::to_string(::getpid());
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        os.write(blob->bytes().data(),
-                 static_cast<std::streamsize>(blob->size()));
-        os.close();
-        if (os.fail()) {
-            std::remove(tmp.c_str());
-            std::remove(claim.c_str());
-            return blob;  // reuse in-process even if unpublished
-        }
-        if (std::rename(tmp.c_str(), path_for(key).c_str()) == 0) {
-            saves_.fetch_add(1, std::memory_order_relaxed);
-            outcome.saved = true;
-        } else {
-            std::remove(tmp.c_str());
-        }
-        std::remove(claim.c_str());
-        return blob;
+        blob = std::make_shared<const SnapshotImage>(produce());
     } catch (...) {  // LINT_CATCH_OK: claim cleanup only; rethrown
-        std::remove(claim.c_str());
+        leases_.release(key);
         throw;
     }
+    // A failed publish keeps the file private; the blob is still
+    // reused in-process.
+    if (publish_file(path_for(key), blob->bytes())) {
+        saves_.fetch_add(1, std::memory_order_relaxed);
+        outcome.saved = true;
+    }
+    leases_.release(key);
+    return blob;
 }
 
 SnapshotBlob

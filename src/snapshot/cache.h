@@ -2,11 +2,12 @@
  * @file
  * Warmup-snapshot cache: content-addressed snapshot files shared by
  * every job that warms up the same (workload, machine config,
- * warmup_insts) triple. In-process callers share one production via a
- * memoized future; across processes (sharded sweeps) the publish is
- * write-temp+rename with a lease-style claim file, so concurrent
- * shards either reuse the published snapshot or, after a bounded
- * wait, produce their own copy (a benign duplicate warmup).
+ * warmup_insts, model version) key. In-process callers share one
+ * production via a memoized future. Across processes, a key is
+ * produced under a lease and published by write-temp + rename
+ * (snapshot/store_file.h): waiters poll for the published file while
+ * the lease is live, and steal a lease older than kClaimTtlMs, so a
+ * producer that died mid-warmup delays them by at most the TTL.
  */
 #ifndef MOKASIM_SNAPSHOT_CACHE_H
 #define MOKASIM_SNAPSHOT_CACHE_H
@@ -22,6 +23,7 @@
 #include "common/hot_path.h"
 #include "common/thread_annotations.h"
 #include "snapshot/format.h"
+#include "snapshot/store_file.h"
 
 namespace moka {
 
@@ -88,6 +90,14 @@ class SnapshotCache
     /** Published snapshot path for @p key (tests/diagnostics). */
     SIM_COLD std::string path_for(std::uint64_t key) const;
 
+    /**
+     * Age at which another process's claim on a key counts as dead
+     * and is stolen. Claims are not heartbeated, so it sits far above
+     * any warmup; a live producer that outlasts it costs a duplicate
+     * warmup, never a wrong one.
+     */
+    static constexpr std::uint64_t kClaimTtlMs = 30'000;
+
   private:
     SIM_COLD SnapshotBlob load_or_produce(std::uint64_t key,
                                           const Producer &produce,
@@ -96,6 +106,7 @@ class SnapshotCache
     SIM_COLD SnapshotBlob try_load(std::uint64_t key);
 
     std::string dir_;
+    LeaseDir leases_;
     SimMutex mu_;
     std::map<std::uint64_t, std::shared_future<SnapshotBlob>> inflight_
         SIM_GUARDED_BY(mu_);

@@ -7,7 +7,7 @@
  *
  *  - complete ("X"): a span with begin timestamp + duration, bound to
  *    a (pid, tid) track — job-engine jobs, per-core sim phases
- *  - instant ("i"):  a point event — retries, journal writes
+ *  - instant ("i"):  a point event — retries, result publishes
  *  - counter ("C"):  a numeric track sampled over time — T_a, PGC
  *    accuracy per epoch
  *  - metadata ("M"): process_name / thread_name labels for the tracks

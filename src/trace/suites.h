@@ -41,6 +41,17 @@ struct WorkloadSpec
     std::uint32_t variant;       //!< family-local variant index
     std::uint64_t seed;          //!< generator seed
     bool memory_intensive;       //!< paper's LLC-MPKI >= 1 proxy
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("name", s.name...);
+        v("suite", s.suite...);
+        v("family", s.family...);
+        v("variant", s.variant...);
+        v("seed", s.seed...);
+        v("memory_intensive", s.memory_intensive...);
+    }
 };
 
 /** The 218 seen memory-intensive workloads. */

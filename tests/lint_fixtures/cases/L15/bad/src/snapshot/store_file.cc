@@ -1,4 +1,4 @@
-// L15 bad fixture: journal-path I/O with results dropped.
+// L15 bad fixture: store-file I/O with results dropped.
 #include <cstdio>
 
 void
@@ -11,7 +11,7 @@ publish(const char *tmp, const char *path, const void *buf, unsigned n)
     std::fwrite(buf, 1, n, f);          // dropped: short write lost
     std::fflush(f);                      // dropped: ENOSPC lost
     fclose(f);                           // dropped: buffered tail lost
-    std::rename(tmp, path);              // dropped: marker may not exist
+    std::rename(tmp, path);              // dropped: entry may not exist
 }
 
 void

@@ -1,16 +1,16 @@
 /**
  * @file
  * Tests for the fault-tolerant job engine: failure isolation and
- * classification, retry with backoff, watchdog cancellation,
- * journal/resume equivalence, fail-fast, and the determinism
- * guarantee that any worker count produces byte-identical output.
+ * classification, retry with backoff, watchdog cancellation, resume
+ * from the result store, fail-fast, and the determinism guarantee
+ * that any worker count produces byte-identical output.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,17 +18,19 @@
 #include "sim/experiment.h"
 #include "sim/jobs/engine.h"
 #include "sim/jobs/faults.h"
-#include "sim/jobs/journal.h"
+#include "sim/jobs/store.h"
 #include "trace/suites.h"
 
 namespace moka {
 namespace {
 
 std::string
-temp_path(const char *tag)
+temp_dir(const char *tag)
 {
-    return std::string(::testing::TempDir()) + "moka_jobs_" + tag +
-           ".jsonl";
+    const std::string dir =
+        std::string(::testing::TempDir()) + "moka_jobs_" + tag;
+    std::filesystem::remove_all(dir);
+    return dir;
 }
 
 /** N trivial jobs with dense ids. */
@@ -43,7 +45,7 @@ trivial_jobs(std::size_t n)
     return jobs;
 }
 
-/** A cheap deterministic body: csv identifies the job. */
+/** A cheap deterministic body: the row identifies the job. */
 JobOutput
 echo_body(const JobSpec &spec, JobContext &)
 {
@@ -61,7 +63,9 @@ all_csv(const EngineReport &report)
 {
     std::string out;
     for (const JobResult &res : report.results) {
-        out += res.csv;
+        if (res.status == JobStatus::kCompleted) {
+            out += to_csv(res.output.row);
+        }
         out += '\n';
     }
     return out;
@@ -92,7 +96,7 @@ TEST(JobEngine, ThrowingJobIsIsolated)
     EXPECT_FALSE(report.all_completed());
     // The other four kept their results.
     EXPECT_EQ(report.results[3].status, JobStatus::kCompleted);
-    EXPECT_FALSE(report.results[3].csv.empty());
+    EXPECT_EQ(report.results[3].output.row.workload, "job3");
 }
 
 TEST(JobEngine, ForeignExceptionsAreClassified)
@@ -163,9 +167,9 @@ TEST(JobErrors, TransiencyTaxonomy)
     EXPECT_FALSE(is_transient(JobErrorCode::kAuditFailure));
     EXPECT_FALSE(is_transient(JobErrorCode::kUnknown));
     // A lost lease must not be retried locally: the peer that stole
-    // the job owns it now (see shard.h).
+    // the job owns it now (see engine.cc).
     EXPECT_FALSE(is_transient(JobErrorCode::kLeaseLost));
-    // Names round-trip through the journal format.
+    // Names round-trip through their report strings.
     for (const JobErrorCode code :
          {JobErrorCode::kTraceCorrupt, JobErrorCode::kConfigInvalid,
           JobErrorCode::kAuditFailure, JobErrorCode::kTimeout,
@@ -376,395 +380,60 @@ TEST(FaultInjector, DecisionsAreDeterministic)
 }
 
 // ---------------------------------------------------------------------------
-// Journal + resume
+// Resume from the result store
 // ---------------------------------------------------------------------------
-
-TEST(Journal, RecordRoundTripsThroughJsonl)
-{
-    JournalRecord rec;
-    rec.job_id = 42;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 2;
-    rec.csv = "w1,\"suite\",s,p,1,2,0.5\nsecond\tline\\with\\escapes";
-    rec.aux = {1.0 / 3.0, -2.5e-17, 123456789.123456789};
-
-    JournalRecord back;
-    std::string error;
-    ASSERT_TRUE(from_jsonl(to_jsonl(rec), back, &error)) << error;
-    EXPECT_EQ(back.job_id, rec.job_id);
-    EXPECT_EQ(back.status, rec.status);
-    EXPECT_EQ(back.attempts, rec.attempts);
-    EXPECT_EQ(back.csv, rec.csv);
-    ASSERT_EQ(back.aux.size(), rec.aux.size());
-    for (std::size_t i = 0; i < rec.aux.size(); ++i) {
-        EXPECT_EQ(back.aux[i], rec.aux[i]);  // %.17g: exact round-trip
-    }
-
-    rec.status = JobStatus::kFailed;
-    rec.error = JobErrorCode::kTimeout;
-    rec.error_message = "watchdog: \"deadline\" exceeded\n";
-    ASSERT_TRUE(from_jsonl(to_jsonl(rec), back, &error)) << error;
-    EXPECT_EQ(back.status, JobStatus::kFailed);
-    EXPECT_EQ(back.error, JobErrorCode::kTimeout);
-    EXPECT_EQ(back.error_message, rec.error_message);
-}
-
-TEST(Journal, MalformedTrailingLineIsDropped)
-{
-    const std::string path = temp_path("torn");
-    {
-        std::ofstream os(path);
-        JournalRecord rec;
-        rec.job_id = 0;
-        rec.status = JobStatus::kCompleted;
-        rec.attempts = 1;
-        rec.csv = "row0";
-        os << to_jsonl(rec) << "\n";
-        os << "{\"job\":1,\"status\":\"compl";  // torn mid-write
-    }
-    std::size_t skipped = 0;
-    const auto records = Journal::load(path, &skipped);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].job_id, 0u);
-    EXPECT_EQ(skipped, 1u);
-    std::remove(path.c_str());
-}
 
 TEST(JobEngine, ResumeReproducesUninterruptedOutput)
 {
-    const std::string ref_journal = temp_path("ref");
-    const std::string cut_journal = temp_path("cut");
-    const std::string new_journal = temp_path("new");
+    const std::string dir = temp_dir("resume");
     const auto jobs = trivial_jobs(8);
-
-    EngineConfig cfg;
-    cfg.journal_path = ref_journal;
     const std::string reference =
-        all_csv(JobEngine(cfg).run(jobs, echo_body));
+        all_csv(JobEngine(EngineConfig()).run(jobs, echo_body));
 
-    // Simulate a crash: keep only the first 3 journal lines.
-    {
-        std::ifstream is(ref_journal);
-        std::ofstream os(cut_journal);
-        std::string line;
-        for (int i = 0; i < 3 && std::getline(is, line); ++i) {
-            os << line << '\n';
-        }
-    }
+    // Simulate a crash after 3 jobs: every later job fails, and a
+    // failed job leaves nothing in the store.
+    ResultStore store(dir, /*lease_ttl_ms=*/5000);
+    EngineConfig cfg;
+    cfg.store = &store;
+    int runs = 0;
+    const auto cut = JobEngine(cfg).run(
+        jobs, [&](const JobSpec &spec, JobContext &ctx) {
+            if (++runs > 3) {
+                throw JobError(JobErrorCode::kUnknown, "crashed");
+            }
+            return echo_body(spec, ctx);
+        });
+    EXPECT_EQ(cut.completed, 3u);
+    EXPECT_EQ(store.stats().published, 3u);
 
     int fresh_runs = 0;
-    EngineConfig rcfg;
-    rcfg.resume_path = cut_journal;
-    rcfg.journal_path = new_journal;
-    const auto resumed = JobEngine(rcfg).run(
+    const auto resumed = JobEngine(cfg).run(
         jobs, [&](const JobSpec &spec, JobContext &ctx) {
             ++fresh_runs;
             return echo_body(spec, ctx);
         });
     EXPECT_EQ(all_csv(resumed), reference);
-    EXPECT_EQ(fresh_runs, 5);  // 3 of 8 replayed from the journal
-    EXPECT_EQ(resumed.resumed, 3u);
+    EXPECT_EQ(fresh_runs, 5);  // 3 of 8 read from the store
+    EXPECT_EQ(resumed.stored, 3u);
+    EXPECT_EQ(resumed.ran(), 5u);
     EXPECT_EQ(resumed.completed, 8u);
     for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_TRUE(resumed.results[i].from_journal);
+        EXPECT_TRUE(resumed.results[i].stored);
     }
-    // aux survives the journal round trip for resumed jobs.
-    EXPECT_EQ(resumed.results[0].output.aux.size(), 1u);
+    // aux survives the store round trip.
+    ASSERT_EQ(resumed.results[0].output.aux.size(), 1u);
     EXPECT_EQ(resumed.results[0].output.aux[0], 0.5);
 
-    // The resumed run's journal is itself a complete resume point.
-    EngineConfig r2cfg;
-    r2cfg.resume_path = new_journal;
-    const auto second = JobEngine(r2cfg).run(
+    // The store is now complete: nothing runs again.
+    const auto second = JobEngine(cfg).run(
         jobs, [](const JobSpec &, JobContext &) -> JobOutput {
             throw JobError(JobErrorCode::kUnknown,
                            "nothing should re-run");
         });
     EXPECT_EQ(all_csv(second), reference);
-    EXPECT_EQ(second.resumed, 8u);
-
-    std::remove(ref_journal.c_str());
-    std::remove(cut_journal.c_str());
-    std::remove(new_journal.c_str());
-}
-
-TEST(Journal, AppendStreamSurvivesReopen)
-{
-    const std::string path = temp_path("reopen");
-    std::remove(path.c_str());
-    {
-        Journal journal(path);
-        for (std::size_t id = 0; id < 3; ++id) {
-            JournalRecord rec;
-            rec.job_id = id;
-            rec.status = JobStatus::kCompleted;
-            rec.attempts = 1;
-            rec.csv = "row" + std::to_string(id);
-            journal.append(rec);
-        }
-        EXPECT_EQ(journal.compactions(), 0u);
-        EXPECT_EQ(journal.disk_bytes(), journal.live_bytes());
-    }
-    Journal journal(path);
-    EXPECT_EQ(journal.recovered().size(), 3u);
-    JournalRecord rec;
-    rec.job_id = 3;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "row3";
-    journal.append(rec);
-    EXPECT_EQ(Journal::load(path).size(), 4u);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, TornTailIsRewrittenCleanBeforeAppends)
-{
-    const std::string path = temp_path("clean");
-    {
-        std::ofstream os(path);
-        JournalRecord rec;
-        rec.job_id = 0;
-        rec.status = JobStatus::kCompleted;
-        rec.attempts = 1;
-        rec.csv = "row0";
-        os << to_jsonl(rec) << "\n";
-        os << "{\"job\":1,\"status\":\"compl";  // torn, no newline
-    }
-    Journal journal(path);
-    EXPECT_EQ(journal.recovered().size(), 1u);
-    JournalRecord rec;
-    rec.job_id = 2;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "row2";
-    journal.append(rec);
-    // The torn line is gone; the new record was not glued to it.
-    std::size_t skipped = 99;
-    const auto records = Journal::load(path, &skipped);
-    EXPECT_EQ(skipped, 0u);
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].job_id, 0u);
-    EXPECT_EQ(records[1].job_id, 2u);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, CompactionKeepsNewestRecordPerJob)
-{
-    const std::string path = temp_path("compact");
-    std::remove(path.c_str());
-    Journal journal(path, /*compact_threshold_bytes=*/256);
-    JournalRecord rec;
-    rec.job_id = 7;
-    rec.status = JobStatus::kFailed;
-    rec.error = JobErrorCode::kTimeout;
-    rec.error_message = "transient straggler";
-    // Re-record the same job until superseded bytes trip compaction.
-    for (int i = 0; i < 32; ++i) {
-        rec.attempts = i + 1;
-        journal.append(rec);
-    }
-    JournalRecord done;
-    done.job_id = 7;
-    done.status = JobStatus::kCompleted;
-    done.attempts = 33;
-    done.csv = "row7";
-    journal.append(done);
-    JournalRecord other;
-    other.job_id = 8;
-    other.status = JobStatus::kCompleted;
-    other.attempts = 1;
-    other.csv = "row8";
-    journal.append(other);
-
-    EXPECT_GE(journal.compactions(), 1u);
-    // Dead bytes are bounded by the threshold: 33 superseded ~90-byte
-    // records would otherwise leave ~3KB of garbage.
-    EXPECT_LE(journal.disk_bytes() - journal.live_bytes(), 256u);
-    EXPECT_LE(journal.disk_bytes(), 256u + journal.live_bytes());
-    // The newest record per job survives every compaction: job 7's
-    // completion supersedes all of its journaled failures.
-    const auto records = Journal::load(path);
-    EXPECT_LE(records.size(), 6u);  // 35 appends, mostly compacted away
-    const JournalRecord *last7 = nullptr;
-    const JournalRecord *last8 = nullptr;
-    for (const JournalRecord &r : records) {
-        if (r.job_id == 7) {
-            last7 = &r;
-        }
-        if (r.job_id == 8) {
-            last8 = &r;
-        }
-    }
-    ASSERT_NE(last7, nullptr);
-    EXPECT_EQ(last7->status, JobStatus::kCompleted);
-    EXPECT_EQ(last7->attempts, 33);
-    EXPECT_EQ(last7->csv, "row7");
-    ASSERT_NE(last8, nullptr);
-    EXPECT_EQ(last8->status, JobStatus::kCompleted);
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Checksums + injected write faults
-// ---------------------------------------------------------------------------
-
-TEST(Journal, ChecksumIgnoresAttemptsButNotResults)
-{
-    JournalRecord rec;
-    rec.job_id = 3;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "w,s,p,1.25";
-    rec.aux = {0.5};
-
-    JournalRecord rerun = rec;
-    rerun.attempts = 4;  // a stolen job retried more times upstream
-    EXPECT_EQ(record_checksum(rec), record_checksum(rerun));
-
-    JournalRecord other = rec;
-    other.csv = "w,s,p,1.26";
-    EXPECT_NE(record_checksum(rec), record_checksum(other));
-    other = rec;
-    other.aux = {0.5000001};
-    EXPECT_NE(record_checksum(rec), record_checksum(other));
-    other = rec;
-    other.status = JobStatus::kFailed;
-    EXPECT_NE(record_checksum(rec), record_checksum(other));
-}
-
-TEST(Journal, TamperedLineIsRejectedByChecksum)
-{
-    JournalRecord rec;
-    rec.job_id = 9;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "workload9,suite,s,p,1.5";
-    std::string line = to_jsonl(rec);
-    EXPECT_NE(line.find("\"sum\":"), std::string::npos);
-
-    // Flip one payload character: parse must fail even though the
-    // line is still syntactically valid JSONL.
-    const std::size_t at = line.find("workload9");
-    ASSERT_NE(at, std::string::npos);
-    line[at] = 'W';
-    JournalRecord back;
-    std::string error;
-    EXPECT_FALSE(from_jsonl(line, back, &error));
-
-    // A pre-checksum journal line (no "sum" field) still parses.
-    std::string legacy = to_jsonl(rec);
-    const std::size_t sum_at = legacy.rfind(",\"sum\":");
-    ASSERT_NE(sum_at, std::string::npos);
-    legacy.erase(sum_at, legacy.rfind('}') - sum_at);
-    ASSERT_TRUE(from_jsonl(legacy, back, &error)) << error;
-    EXPECT_EQ(back.csv, rec.csv);
-}
-
-TEST(Journal, InjectedShortWriteFailsAppendThenRetriesClean)
-{
-    const std::string path = temp_path("enospc");
-    std::remove(path.c_str());
-    Journal journal(path);
-    JournalRecord rec;
-    rec.job_id = 0;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    rec.csv = "row0";
-    journal.append(rec);
-
-    // Every write fails as a disk-full short write from here on.
-    set_journal_write_gate(
-        [](const std::string &, const std::string &) { return false; });
-    rec.job_id = 1;
-    rec.csv = "row1";
-    EXPECT_THROW(journal.append(rec), JobError);
-    set_journal_write_gate(nullptr);
-
-    // The failed append tore the tail; the retry first rewrites the
-    // file clean, so nothing is lost and nothing is glued together.
-    journal.append(rec);
-    std::size_t skipped = 99;
-    const auto records = Journal::load(path, &skipped);
-    EXPECT_EQ(skipped, 0u);
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].job_id, 0u);
-    EXPECT_EQ(records[1].job_id, 1u);
-    EXPECT_EQ(records[1].csv, "row1");
-    std::remove(path.c_str());
-}
-
-TEST(Journal, FailedCompactionIsDeferredNotFatal)
-{
-    const std::string path = temp_path("defer");
-    std::remove(path.c_str());
-    Journal journal(path, /*compact_threshold_bytes=*/256);
-
-    // Replacement-file writes (write-to-temp + rename) fail; direct
-    // appends succeed. Compaction must be deferred, never fatal.
-    set_journal_write_gate(
-        [&](const std::string &gated, const std::string &) {
-            return gated == path;
-        });
-    JournalRecord rec;
-    rec.job_id = 7;
-    rec.status = JobStatus::kFailed;
-    rec.error = JobErrorCode::kTimeout;
-    rec.error_message = "transient straggler";
-    for (int i = 0; i < 32; ++i) {
-        rec.attempts = i + 1;
-        EXPECT_NO_THROW(journal.append(rec));
-    }
-    EXPECT_EQ(journal.compactions(), 0u);
-    // The journal is fully intact despite the blocked compactions.
-    EXPECT_EQ(Journal::load(path).size(), 32u);
-
-    // Disk pressure clears: the next superseding append compacts.
-    set_journal_write_gate(nullptr);
-    rec.attempts = 33;
-    journal.append(rec);
-    EXPECT_GE(journal.compactions(), 1u);
-    const auto records = Journal::load(path);
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].attempts, 33);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, TwoWritersOneFileInterleaveSafely)
-{
-    // Two Journal instances on one path model the misconfiguration
-    // the shard layer avoids by design (per-shard journals): plain
-    // interleaved appends must still all land and load cleanly, as
-    // long as neither instance compacts (thresholds stay default).
-    const std::string path = temp_path("two");
-    std::remove(path.c_str());
-    JournalRecord rec;
-    rec.status = JobStatus::kCompleted;
-    rec.attempts = 1;
-    {
-        Journal a(path);
-        rec.job_id = 0;
-        rec.csv = "a0";
-        a.append(rec);
-        Journal b(path);  // opened later: sees a's record
-        EXPECT_EQ(b.recovered().size(), 1u);
-        rec.job_id = 1;
-        rec.csv = "b1";
-        b.append(rec);
-        rec.job_id = 2;
-        rec.csv = "a2";
-        a.append(rec);
-        rec.job_id = 3;
-        rec.csv = "b3";
-        b.append(rec);
-    }
-    std::size_t skipped = 99;
-    const auto records = Journal::load(path, &skipped);
-    EXPECT_EQ(skipped, 0u);
-    ASSERT_EQ(records.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(records[i].job_id, i);
-    }
-    std::remove(path.c_str());
+    EXPECT_EQ(second.stored, 8u);
+    EXPECT_EQ(second.ran(), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -777,7 +446,6 @@ TEST(ProcessFaults, DecisionsAreDeterministicAndGated)
     plan.enabled = true;
     plan.seed = 5;
     plan.kill_rate = 0.5;
-    plan.write_fail_rate = 0.25;
     ProcessFaultInjector a(plan);
     ProcessFaultInjector b(plan);
     bool saw_kill = false;
@@ -791,18 +459,11 @@ TEST(ProcessFaults, DecisionsAreDeterministicAndGated)
         }
     }
     EXPECT_TRUE(saw_kill);
-    bool saw_write_fail = false;
-    for (std::uint64_t nth = 0; nth < 64; ++nth) {
-        EXPECT_EQ(a.should_fail_write(nth), b.should_fail_write(nth));
-        saw_write_fail |= a.should_fail_write(nth);
-    }
-    EXPECT_TRUE(saw_write_fail);
 
     plan.enabled = false;
     ProcessFaultInjector off(plan);
     for (std::size_t job = 0; job < 32; ++job) {
         EXPECT_FALSE(off.should_kill(ShardFaultPoint::kClaim, job));
-        EXPECT_FALSE(off.should_fail_write(job));
     }
 }
 
@@ -810,8 +471,8 @@ using ProcessFaultsDeathTest = ::testing::Test;
 
 TEST(ProcessFaultsDeathTest, MaybeKillDeliversRealSigkill)
 {
-    // The honest crash: no exit handlers, no destructors — the shard
-    // layer's lease recovery is built against exactly this signal.
+    // The honest crash: no exit handlers, no destructors — the
+    // store's lease recovery is built against exactly this signal.
     ProcessFaultPlan plan;
     plan.enabled = true;
     plan.kill_rate = 1.0;

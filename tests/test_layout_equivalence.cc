@@ -98,6 +98,45 @@ constexpr GoldenRow kGoldenMix[] = {
     {"discard", "mix2:stream+gather", 0x6fc38c052de2700eull, 0xa05e4b9e6186f1f3ull},
 };
 
+/**
+ * kModelVersion history, append-only: one row per model version with
+ * the FNV-1a hash of every metrics golden above (kGolden, then
+ * kGoldenTrace, then kGoldenMix). A behaviour change that re-pins a
+ * golden must bump kModelVersion and append a row, or the result and
+ * warmup stores would keep serving what the old model computed.
+ */
+struct ModelVersionPin {
+    std::uint32_t version;
+    std::uint64_t goldens;
+};
+
+constexpr ModelVersionPin kModelVersions[] = {
+    {1, 0x43b337fb77af8f2full},
+};
+
+TEST(LayoutEquivalence, MetricsGoldensMatchModelVersion)
+{
+    std::uint64_t h = kFnv1aOffset;
+    const auto fold = [&h](const auto &rows) {
+        for (const GoldenRow &row : rows) {
+            h = fnv1a_64(&row.metrics_digest, sizeof(row.metrics_digest), h);
+        }
+    };
+    fold(kGolden);
+    fold(kGoldenTrace);
+    fold(kGoldenMix);
+    for (std::size_t i = 1; i < std::size(kModelVersions); ++i) {
+        EXPECT_LT(kModelVersions[i - 1].version, kModelVersions[i].version);
+    }
+    const ModelVersionPin &current =
+        kModelVersions[std::size(kModelVersions) - 1];
+    EXPECT_EQ(current.version, kModelVersion)
+        << "append a row for the new kModelVersion";
+    EXPECT_EQ(current.goldens, h)
+        << std::hex << "metrics goldens moved (now 0x" << h
+        << "): bump kModelVersion and append {version, hash}";
+}
+
 TEST(LayoutEquivalence, SingleCoreSchemesMatchGoldenDigests)
 {
     for (const GoldenRow &row : kGolden) {

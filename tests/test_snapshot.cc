@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <csignal>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cache.h"
@@ -37,6 +39,7 @@
 #include "snapshot/cache.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
+#include "snapshot/store_file.h"
 #include "trace/suites.h"
 #include "vmem/page_table.h"
 #include "vmem/tlb.h"
@@ -929,6 +932,71 @@ TEST(SnapshotCacheTest, FailedFlushPublishesNothing)
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(SnapshotCacheTest, StaleClaimIsStolenAndPublished)
+{
+    // A producer killed mid-warmup leaves its claim behind. Once the
+    // claim is older than the TTL, the next fetch steals it, produces
+    // and publishes, instead of stalling and leaving the key bare.
+    namespace fs = std::filesystem;
+    const std::string dir = temp_dir("stale");
+    const std::string claim =
+        LeaseDir(dir, "snap", SnapshotCache::kClaimTtlMs).path(6);
+    {
+        std::ofstream os(claim);
+        os << "killed producer";
+    }
+    fs::last_write_time(claim, fs::file_time_type::clock::now() -
+                                   std::chrono::seconds(60));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    SnapshotCache cache(dir);
+    SnapshotCache::FetchOutcome out;
+    ASSERT_NE(cache.fetch(6, [] { return tiny_snapshot(); }, &out),
+              nullptr);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(SnapshotCache::kClaimTtlMs / 10));
+    EXPECT_TRUE(out.saved);
+    EXPECT_FALSE(fs::exists(claim));  // the thief released it
+
+    SnapshotCache second(dir);
+    SnapshotCache::FetchOutcome again;
+    (void)second.fetch(
+        6,
+        []() -> std::string {
+            ADD_FAILURE() << "published snapshot was not reused";
+            return tiny_snapshot();
+        },
+        &again);
+    EXPECT_TRUE(again.hit);
+}
+
+TEST(SnapshotCacheTest, LiveClaimMakesWaitersPoll)
+{
+    // A fresh claim is another process producing the key: wait for
+    // its publish instead of warming up a duplicate.
+    const std::string dir = temp_dir("live");
+    SnapshotCache cache(dir);
+    const LeaseDir producer(dir, "snap", SnapshotCache::kClaimTtlMs);
+    ASSERT_EQ(producer.try_claim(8), ClaimOutcome::kAcquired);
+    std::thread publisher([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        EXPECT_TRUE(publish_file(cache.path_for(8), tiny_snapshot()));
+        producer.release(8);
+    });
+    SnapshotCache::FetchOutcome out;
+    const SnapshotBlob blob = cache.fetch(
+        8,
+        []() -> std::string {
+            ADD_FAILURE() << "waiter produced despite a live claim";
+            return tiny_snapshot();
+        },
+        &out);
+    publisher.join();
+    ASSERT_NE(blob, nullptr);
+    EXPECT_TRUE(out.hit);
+    EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(SnapshotCacheTest, ProducerFailurePropagates)

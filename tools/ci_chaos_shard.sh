@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# CI chaos drill for the sharded execution layer (sim/jobs/shard.h):
+# CI chaos drill for the result store (sim/jobs/store.h):
 #
 #   1. run a fig09-class sweep single-process -> reference CSV;
-#   2. run the identical matrix as 4 shard processes sharing one
-#      --shard-dir; two of them carry seeded self-SIGKILL fault plans
-#      (--inject-kill) and die at claim/run/commit boundaries;
-#   3. the survivors must reclaim the victims' expired leases and
-#      finish every job in the matrix;
-#   4. --merge must reassemble a CSV byte-identical to the reference.
+#   2. run the identical matrix as 4 processes sharing one --shard-dir
+#      and one --snapshot-dir; two of them carry seeded self-SIGKILL
+#      fault plans (--inject-kill) and die at claim/run/commit
+#      boundaries;
+#   3. the survivors must take over the victims' expired leases,
+#      finish every job, and each print a CSV byte-identical to the
+#      reference;
+#   4. a rerun over the finished directory must run 0 jobs and print
+#      the reference CSV again.
 #
 # Usage: ci_chaos_shard.sh <path-to-sweep_tool> [workdir]
 set -u
@@ -22,9 +25,10 @@ mkdir -p "$FARM"
 # enough to stay fast.
 ARGS=(--workloads 8 --insts 100000 --warmup 20000
       --schemes discard,permit,dripper)
-# Short TTL so steals happen promptly; --jobs 2 per shard exercises
+# Short TTL so steals happen promptly; --jobs 2 per process exercises
 # concurrent claim/heartbeat threads inside each process.
-SHARD=(--jobs 2 --shard-dir "$FARM" --lease-ttl 2000)
+STORE=(--jobs 2 --shard-dir "$FARM" --lease-ttl 2000
+       --snapshot-dir "$WORK/snaps")
 
 echo "== reference run (single process) =="
 "$SWEEP" "${ARGS[@]}" > "$WORK/ref.csv" 2> "$WORK/ref.err"
@@ -35,23 +39,21 @@ if [ "$status" -ne 0 ]; then
     exit 1
 fi
 
-echo "== 4 shards, 2 seeded victims =="
+echo "== 4 processes on one store, 2 seeded victims =="
 # Victims start first so they own leases when the kill fires; a high
 # rate makes the seeded SIGKILL land within their first few boundary
 # crossings.
-"$SWEEP" "${ARGS[@]}" "${SHARD[@]}" --shard-name victim0 \
-    --inject-kill 0.9 --fault-seed 11 \
+"$SWEEP" "${ARGS[@]}" "${STORE[@]}" --inject-kill 0.9 --fault-seed 11 \
     > "$WORK/victim0.csv" 2> "$WORK/victim0.err" &
 v0=$!
-"$SWEEP" "${ARGS[@]}" "${SHARD[@]}" --shard-name victim1 \
-    --inject-kill 0.9 --fault-seed 22 \
+"$SWEEP" "${ARGS[@]}" "${STORE[@]}" --inject-kill 0.9 --fault-seed 22 \
     > "$WORK/victim1.csv" 2> "$WORK/victim1.err" &
 v1=$!
 sleep 1
-"$SWEEP" "${ARGS[@]}" "${SHARD[@]}" --shard-name survivor0 \
+"$SWEEP" "${ARGS[@]}" "${STORE[@]}" \
     > "$WORK/survivor0.csv" 2> "$WORK/survivor0.err" &
 s0=$!
-"$SWEEP" "${ARGS[@]}" "${SHARD[@]}" --shard-name survivor1 \
+"$SWEEP" "${ARGS[@]}" "${STORE[@]}" \
     > "$WORK/survivor1.csv" 2> "$WORK/survivor1.err" &
 s1=$!
 
@@ -80,21 +82,27 @@ for rc in "$rs0" "$rs1"; do
 done
 [ "$fail" -ne 0 ] && exit 1
 
-echo "== merge =="
-"$SWEEP" "${ARGS[@]}" --shard-dir "$FARM" --merge \
-    > "$WORK/merged.csv" 2> "$WORK/merge.err"
+echo "== rerun over the finished store =="
+"$SWEEP" "${ARGS[@]}" "${STORE[@]}" \
+    > "$WORK/rerun.csv" 2> "$WORK/rerun.err"
 status=$?
-cat "$WORK/merge.err"
+cat "$WORK/rerun.err"
 if [ "$status" -ne 0 ]; then
-    echo "FAIL: merge exited with $status" >&2
+    echo "FAIL: rerun exited with $status" >&2
+    exit 1
+fi
+if ! grep -q '^jobs: .*; 0 run, ' "$WORK/rerun.err"; then
+    echo "FAIL: the rerun over a finished store ran jobs" >&2
     exit 1
 fi
 
 echo "== verify =="
-if ! diff -q "$WORK/ref.csv" "$WORK/merged.csv"; then
-    echo "FAIL: merged CSV differs from the single-process reference" >&2
-    diff "$WORK/ref.csv" "$WORK/merged.csv" | head -20 >&2
-    exit 1
-fi
-echo "PASS: two shards died mid-sweep, survivors finished all jobs," \
-     "merged CSV is byte-identical to the single-process run"
+for run in survivor0 survivor1 rerun; do
+    if ! diff -q "$WORK/ref.csv" "$WORK/$run.csv"; then
+        echo "FAIL: $run CSV differs from the single-process reference" >&2
+        diff "$WORK/ref.csv" "$WORK/$run.csv" | head -20 >&2
+        exit 1
+    fi
+done
+echo "PASS: two processes died mid-sweep, both survivors and a rerun" \
+     "that ran 0 jobs printed the single-process CSV byte for byte"

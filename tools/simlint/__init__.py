@@ -17,7 +17,7 @@ them as a rule-plugin package:
   L10-L14, L19  hot-path cost: no per-access heap allocation, hash
       or tree maps, undevirtualizable dispatch, large by-value
       structs, formatting/I/O, vector<bool> or runtime-divisor modulo
-  L15 jobs I/O: fwrite/fflush/fclose/rename results are checked
+  L15 store I/O: fwrite/fflush/fclose/rename results are checked
   L16 snapshot completeness: save_state covers every data member
   L17 page geometry only through the typed helpers
   L18 address-type .raw() escapes only at blessed seams

@@ -1,4 +1,4 @@
-"""L15: jobs I/O — check fwrite/fflush/fclose/rename results."""
+"""L15: store I/O — check fwrite/fflush/fclose/rename results."""
 
 from __future__ import annotations
 
@@ -40,24 +40,30 @@ def _consumed(code: str, start: int) -> bool:
     return False  # ; { } ) — statement position, result dropped
 
 
-@rule("L15", "jobs I/O: check fwrite/fflush/fclose/rename results")
-def check(project: Project) -> List[Finding]:
-    """The journal/lease layer under src/sim/jobs/ is the crash-safety
-    boundary: sharded sweeps recover by re-reading what these files
-    claim was durably written.  An fwrite/fflush/fclose/rename whose
-    result is dropped turns disk-full or a torn write into silent data
-    loss — exactly the faults the chaos drill injects (faults.h
-    should_fail_write, tools/ci_chaos_shard.sh).
+# The file layer under both content-addressed stores: the warmup
+# snapshot cache and the job result store read, publish and lease
+# through it and nothing else.
+SCOPE = ("src/snapshot/store_file.",)
 
-    The rule flags statement-position calls (result discarded) in any
-    file under src/sim/jobs/.  Results fed into a comparison,
-    assignment, condition, argument or `return` are fine.  A close
-    that genuinely cannot lose data (read-only stream) takes
-    `LINT_IO_OK: <why>`.
+
+@rule("L15", "store I/O: check fwrite/fflush/fclose/rename results")
+def check(project: Project) -> List[Finding]:
+    """The store file layer (src/snapshot/store_file.{h,cc}) is the
+    crash-safety boundary: a rerun trusts every result and warmup file
+    it finds, and a farm trusts every lease.  An
+    fwrite/fflush/fclose/rename whose result is dropped turns disk-full
+    or a short write into a published partial file — the fault
+    StoreFile.PublishOverFileSizeLimitLeavesNoFile provokes with
+    RLIMIT_FSIZE.
+
+    The rule flags statement-position calls (result discarded) in the
+    store file layer.  Results fed into a comparison, assignment,
+    condition, argument or `return` are fine.  A close that genuinely
+    cannot lose data (read-only stream) takes `LINT_IO_OK: <why>`.
     """
     out: List[Finding] = []
     for sf in project.src_files():
-        if not sf.rel.startswith("src/sim/jobs/"):
+        if not sf.rel.startswith(SCOPE):
             continue
         code = sf.code
         for m in IO_RE.finditer(code):
@@ -76,9 +82,9 @@ def check(project: Project) -> List[Finding]:
                     "L15",
                     sf.path,
                     no,
-                    f"`{m.group(1)}` result discarded in a journal/lease "
-                    "path; check it (disk-full and torn writes are "
-                    "simulated here) or annotate `LINT_IO_OK: <why>`",
+                    f"`{m.group(1)}` result discarded in the store file "
+                    "layer; check it (disk-full and torn writes are "
+                    "tested here) or annotate `LINT_IO_OK: <why>`",
                 )
             )
     return out

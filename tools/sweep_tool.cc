@@ -11,25 +11,25 @@
  *              [--prefetcher berti|ipcp|bop|stride|nl]
  *              [--schemes discard,permit,dripper,...]
  *              [--unseen] [--large-pages F]
- *              [--jobs N] [--journal FILE] [--resume FILE]
- *              [--fail-fast] [--inject-faults RATE] [--fault-seed N]
- *              [--shard-dir DIR] [--shard-name NAME] [--lease-ttl MS]
- *              [--merge] [--inject-kill RATE]
+ *              [--jobs N] [--fail-fast] [--inject-faults RATE]
+ *              [--fault-seed N]
+ *              [--shard-dir DIR] [--lease-ttl MS] [--inject-kill RATE]
  *              [--telemetry-dir DIR] [--trace-events FILE]
  *              [--snapshot-dir DIR] [--no-snapshot-reuse]
  *
  * Example:
  *   sweep_tool --workloads 32 --schemes discard,permit,dripper \
- *       --jobs 8 --journal sweep.jsonl > results.csv
+ *       --jobs 8 --shard-dir sweep.d > results.csv
  *
- * The CSV is byte-identical for any --jobs count, and a sweep resumed
- * from its journal reproduces the uninterrupted output exactly.
+ * The CSV is byte-identical for any --jobs count.
  *
- * Multi-process sweeps: launch N processes with identical matrix
- * flags and the same --shard-dir; each claims jobs via leases, and
- * dead shards are recovered by the survivors (sim/jobs/shard.h).
- * Afterwards, `sweep_tool <same flags> --shard-dir D --merge` emits
- * the CSV a single-process run would have produced, byte-identical.
+ * Resume and multi-process sweeps: with --shard-dir, every completed
+ * job is stored in that directory under a key of everything it
+ * computes (sim/jobs/store.h). Rerunning the same command after a
+ * crash runs only the jobs not stored yet; N processes launched with
+ * the same --shard-dir split the matrix through leases, survivors
+ * take over the jobs of dead ones, and each prints the whole CSV,
+ * byte-identical to a single-process run.
  *
  * Warmup reuse: with --snapshot-dir, every job that warms up the same
  * (workload, machine config, warmup budget) key shares one warmup via
@@ -97,10 +97,6 @@ main(int argc, char **argv)
             large_pages = require_double(a, next());
         } else if (a == "--jobs") {
             args.jobs = require_u64(a, next());
-        } else if (a == "--journal") {
-            args.journal = next();
-        } else if (a == "--resume") {
-            args.resume = next();
         } else if (a == "--fail-fast") {
             args.fail_fast = true;
         } else if (a == "--inject-faults") {
@@ -109,12 +105,8 @@ main(int argc, char **argv)
             args.fault_seed = require_u64(a, next());
         } else if (a == "--shard-dir") {
             args.shard_dir = next();
-        } else if (a == "--shard-name") {
-            args.shard_name = next();
         } else if (a == "--lease-ttl") {
             args.lease_ttl_ms = require_u64(a, next());
-        } else if (a == "--merge") {
-            args.merge = true;
         } else if (a == "--inject-kill") {
             args.kill_rate = require_double(a, next());
         } else if (a == "--telemetry-dir") {
@@ -168,8 +160,8 @@ main(int argc, char **argv)
 
         std::printf("%s\n", csv_header().c_str());
         for (const JobResult &res : report.results) {
-            if (res.status == JobStatus::kCompleted && !res.csv.empty()) {
-                std::printf("%s\n", res.csv.c_str());
+            if (res.status == JobStatus::kCompleted) {
+                std::printf("%s\n", to_csv(res.output.row).c_str());
             }
         }
         std::fflush(stdout);
