@@ -18,8 +18,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hashing.h"
 #include "filter/policies.h"
 #include "sim/experiment.h"
+#include "sim/jobs/store.h"
 #include "sim/multicore.h"
 #include "telemetry/telemetry.h"
 
@@ -54,9 +56,17 @@ main(int argc, char **argv)
         spec.id = i;
         spec.workload.name = "mix" + std::to_string(i);
         spec.workload.suite = "mix";
-        // mix<i> is drawn by --seed, so the seed names its content in
-        // the result-store key.
-        spec.workload.seed = args.seed;
+        // "mix<i>" names a slot, not its content: fold every member's
+        // key into the seed so the result-store key names the 8
+        // workloads this job simulates, whatever roster or --seed
+        // drew them.
+        std::uint64_t members = kFnv1aOffset;
+        for (const WorkloadSpec &w : mixes[i]) {
+            JobSpec member;
+            member.workload = w;
+            members = hash_combine(members, job_key(member));
+        }
+        spec.workload.seed = members;
         spec.scheme = "permit+dripper";
         spec.prefetcher = "berti";
         spec.run.warmup_insts = mc.warmup_insts;

@@ -145,6 +145,9 @@ JobOutput run_sim_job(const JobSpec &spec, JobContext &ctx);
  *
  * @p telemetry (may be null) is handed down for trace spans and
  * per-run epoch sampling.
+ *
+ * @throws JobError(kConfigInvalid) when the --shard-dir directory
+ *         cannot be created.
  */
 EngineReport run_engine(const std::vector<JobSpec> &jobs,
                         const BenchArgs &args, const JobFn &fn,

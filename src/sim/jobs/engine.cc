@@ -252,7 +252,7 @@ JobEngine::JobEngine(EngineConfig cfg) : cfg_(std::move(cfg))
 JobResult
 JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
                        const FaultInjector &injector,
-                       std::uint32_t worker, RunTickHook *extra) const
+                       std::uint32_t worker, RunTickHook *lease) const
 {
     Tracer *tracer = engine_tracer(cfg_);
     JobResult res;
@@ -271,12 +271,12 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
             injector.decide(spec.id, attempt);
         FaultHook fault(decision, injector.plan().stall_ms);
         Watchdog watchdog(spec.watchdog_steps, cfg_.watchdog_wall_ms);
-        // Extra (lease heartbeat) first, then fault, then watchdog: a
-        // lease refresh must happen even on the tick a fault fires,
-        // and a stall is observed by the deadline check behind it.
+        // Lease heartbeat first, then fault, then watchdog: a lease
+        // refresh must happen even on the tick a fault fires, and a
+        // stall is observed by the deadline check behind it.
         TickHookChain chain;
-        if (extra != nullptr) {
-            chain.add(extra);
+        if (lease != nullptr) {
+            chain.add(lease);
         }
         chain.add(&fault);
         chain.add(&watchdog);
@@ -385,12 +385,17 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
                 res.error_message = "skipped by --fail-fast";
                 continue;
             }
+            bool leased = false;
             if (store != nullptr) {
-                if (store->leases().try_claim(keys[i]) ==
-                    ClaimOutcome::kBusy) {
+                const ClaimOutcome claim =
+                    store->leases().try_claim(keys[i]);
+                if (claim == ClaimOutcome::kBusy) {
                     dispatch.defer(i);  // a peer runs it; look later
                     continue;
                 }
+                // An unavailable lease (read-only or vanished store)
+                // has no owner to wait for: run the job unleased.
+                leased = claim != ClaimOutcome::kUnavailable;
                 // A peer may have published between our look and
                 // our claim (it publishes before it releases).
                 if (store->load(keys[i], res)) {
@@ -412,8 +417,8 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
                     kJobPidBase + static_cast<std::uint32_t>(i),
                     "job " + std::to_string(i) + ": " + res.label);
             }
-            if (store == nullptr) {
-                res = execute_one(jobs[i], fn, injector, wid);
+            if (!leased) {
+                res = execute_one(jobs[i], fn, injector, wid, nullptr);
             } else {
                 LeaseHeartbeat heartbeat(store->leases(), keys[i]);
                 res = execute_one(jobs[i], fn, injector, wid, &heartbeat);

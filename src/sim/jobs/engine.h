@@ -194,22 +194,20 @@ class JobEngine
      */
     EngineReport run(const std::vector<JobSpec> &jobs, const JobFn &fn);
 
-    /**
-     * Execute one spec through the full per-attempt machinery
-     * (isolation, classification, watchdog, fault injection, retry
-     * with jittered backoff) without touching the store. @p extra,
-     * when non-null, is prepended to the per-attempt tick-hook chain —
-     * run() threads the lease heartbeat through here so a lease
-     * refresh rides the same cadence as the watchdog.
-     */
-    JobResult execute_one(const JobSpec &spec, const JobFn &fn,
-                          const FaultInjector &injector,
-                          std::uint32_t worker,
-                          RunTickHook *extra = nullptr) const;
-
     const EngineConfig &config() const { return cfg_; }
 
   private:
+    /**
+     * Execute one spec through the full per-attempt machinery
+     * (isolation, classification, watchdog, fault injection, retry
+     * with jittered backoff) without touching the store. @p lease,
+     * when non-null, heads the per-attempt tick-hook chain, so a
+     * claimed job's lease refresh rides the watchdog's cadence.
+     */
+    JobResult execute_one(const JobSpec &spec, const JobFn &fn,
+                          const FaultInjector &injector,
+                          std::uint32_t worker, RunTickHook *lease) const;
+
     EngineConfig cfg_;
 };
 

@@ -1,7 +1,5 @@
 #include "sim/jobs/job.h"
 
-#include <cstring>
-
 namespace moka {
 
 const char *
@@ -18,21 +16,6 @@ to_string(JobErrorCode code)
       case JobErrorCode::kUnknown: break;
     }
     return "unknown";
-}
-
-JobErrorCode
-job_error_code_from(const std::string &name)
-{
-    for (const JobErrorCode code :
-         {JobErrorCode::kTraceCorrupt, JobErrorCode::kConfigInvalid,
-          JobErrorCode::kAuditFailure, JobErrorCode::kTimeout,
-          JobErrorCode::kOom, JobErrorCode::kLeaseLost,
-          JobErrorCode::kSnapshotInvalid}) {
-        if (name == to_string(code)) {
-            return code;
-        }
-    }
-    return JobErrorCode::kUnknown;
 }
 
 bool

@@ -38,9 +38,6 @@ enum class JobErrorCode : std::uint8_t {
 /** Stable report name of @p code (e.g. "trace_corrupt"). */
 const char *to_string(JobErrorCode code);
 
-/** Inverse of to_string; kUnknown for unrecognized names. */
-JobErrorCode job_error_code_from(const std::string &name);
-
 /**
  * True when @p code marks a transient failure worth retrying with
  * backoff (stragglers, stalls, memory pressure); permanent failures

@@ -105,9 +105,17 @@ ResultStore::ResultStore(std::string dir, std::uint64_t lease_ttl_ms)
 {
     SIM_REQUIRE(!dir_.empty(), "result store needs a directory");
     SIM_REQUIRE(lease_ttl_ms > 0, "lease TTL must be positive");
-    // Best effort: a failure surfaces as failed claims and publishes.
+    // A directory we cannot create (a path under a regular file, a
+    // missing parent we may not write) is a bad --shard-dir. One that
+    // exists but refuses writes still serves its stored results; its
+    // jobs run unleased and their publishes fail (see engine.cc).
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
+    if (ec) {
+        throw JobError(JobErrorCode::kConfigInvalid,
+                       "result store: cannot create " + dir_ + ": " +
+                           ec.message());
+    }
 }
 
 std::string

@@ -50,6 +50,7 @@ class ResultStore
     /**
      * @param dir          store directory (created if missing)
      * @param lease_ttl_ms a claim whose heartbeat is older is stolen
+     * @throws JobError(kConfigInvalid) when @p dir cannot be created
      */
     ResultStore(std::string dir, std::uint64_t lease_ttl_ms);
 

@@ -71,21 +71,21 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
     // Look, then claim, then look again: the previous owner may have
     // published between our first look and our claim. While another
     // process holds a live claim, poll for its publish.
-    bool claimed = false;
+    ClaimOutcome claim = ClaimOutcome::kBusy;
     while (true) {
         if (SnapshotBlob found = try_load(key)) {
-            if (claimed) {
+            if (claim != ClaimOutcome::kBusy) {
                 leases_.release(key);
             }
             hits_.fetch_add(1, std::memory_order_relaxed);
             outcome.hit = true;
             return found;
         }
-        if (claimed) {
+        if (claim != ClaimOutcome::kBusy) {
             break;
         }
-        claimed = leases_.try_claim(key) != ClaimOutcome::kBusy;
-        if (!claimed) {
+        claim = leases_.try_claim(key);
+        if (claim == ClaimOutcome::kBusy) {
             std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
         }
     }
@@ -98,9 +98,11 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
         leases_.release(key);
         throw;
     }
-    // A failed publish keeps the file private; the blob is still
-    // reused in-process.
-    if (publish_file(path_for(key), blob->bytes())) {
+    // An unclaimable directory (read-only, missing) gets a cold
+    // warmup and no publish. A failed publish keeps the file private.
+    // Either way the blob is still reused in-process.
+    if (claim != ClaimOutcome::kUnavailable &&
+        publish_file(path_for(key), blob->bytes())) {
         saves_.fetch_add(1, std::memory_order_relaxed);
         outcome.saved = true;
     }

@@ -7,7 +7,9 @@
  * produced under a lease and published by write-temp + rename
  * (snapshot/store_file.h): waiters poll for the published file while
  * the lease is live, and steal a lease older than kClaimTtlMs, so a
- * producer that died mid-warmup delays them by at most the TTL.
+ * producer that died mid-warmup delays them by at most the TTL. A
+ * directory that refuses leases (read-only, missing) gets cold,
+ * unpublished warmups.
  */
 #ifndef MOKASIM_SNAPSHOT_CACHE_H
 #define MOKASIM_SNAPSHOT_CACHE_H

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -18,16 +19,18 @@ namespace fs = std::filesystem;
 
 /**
  * Write @p payload to a new file @p path, created exclusively (the
- * atomic claim: exactly one concurrent caller succeeds). A file we
- * created but could not fill is removed, so a half-written lease
- * never lingers.
+ * atomic claim: exactly one concurrent caller succeeds). @return
+ * kAcquired, kBusy when @p path already exists, or kUnavailable on
+ * any other error. A file we created but could not fill is removed,
+ * so a half-written lease never lingers.
  */
-bool
+ClaimOutcome
 create_exclusive(const std::string &path, const std::string &payload)
 {
     std::FILE *f = std::fopen(path.c_str(), "wbx");
     if (f == nullptr) {
-        return false;  // EEXIST (claim lost) or a real I/O error
+        return errno == EEXIST ? ClaimOutcome::kBusy
+                               : ClaimOutcome::kUnavailable;
     }
     bool ok =
         std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
@@ -35,8 +38,9 @@ create_exclusive(const std::string &path, const std::string &payload)
     if (!ok) {
         // LINT_IO_OK: cleanup of a lease we report as not created.
         std::remove(path.c_str());
+        return ClaimOutcome::kUnavailable;
     }
-    return ok;
+    return ClaimOutcome::kAcquired;
 }
 
 /**
@@ -149,29 +153,31 @@ ClaimOutcome
 LeaseDir::try_claim(std::uint64_t key) const
 {
     const std::string lease = path(key);
-    if (create_exclusive(lease, nonce_)) {
-        return ClaimOutcome::kAcquired;
+    const ClaimOutcome created = create_exclusive(lease, nonce_);
+    if (created != ClaimOutcome::kBusy) {
+        return created;
     }
     const std::int64_t age = age_ms(lease);
     if (age < 0) {
         // Released between our create and our stat: one retry.
-        return create_exclusive(lease, nonce_) ? ClaimOutcome::kAcquired
-                                               : ClaimOutcome::kBusy;
+        return create_exclusive(lease, nonce_);
     }
     if (static_cast<std::uint64_t>(age) <= ttl_ms_) {
         return ClaimOutcome::kBusy;  // live owner heartbeat
     }
     // Expired: reap by rename. However many thieves race, exactly one
-    // sees it succeed. A thief that dies here leaves an inert .reap
-    // file, and the lease name is free again.
+    // sees it succeed; the losers see ENOENT. A thief that dies here
+    // leaves an inert .reap file, and the lease name is free again.
     const std::string reap = lease + ".reap." + nonce_;
     if (std::rename(lease.c_str(), reap.c_str()) != 0) {
-        return ClaimOutcome::kBusy;  // lost the reap race
+        return errno == ENOENT ? ClaimOutcome::kBusy
+                               : ClaimOutcome::kUnavailable;
     }
     // LINT_IO_OK: reap-file cleanup; a leftover file is inert.
     std::remove(reap.c_str());
-    return create_exclusive(lease, nonce_) ? ClaimOutcome::kStolen
-                                           : ClaimOutcome::kBusy;
+    const ClaimOutcome reclaimed = create_exclusive(lease, nonce_);
+    return reclaimed == ClaimOutcome::kAcquired ? ClaimOutcome::kStolen
+                                                : reclaimed;
 }
 
 bool

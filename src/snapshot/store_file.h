@@ -54,6 +54,12 @@ enum class ClaimOutcome : std::uint8_t {
     kAcquired,  //!< fresh lease created; the key is ours
     kStolen,    //!< expired lease reaped, then acquired
     kBusy,      //!< live lease held by another owner (or a lost race)
+    /**
+     * The directory refuses lease files (read-only, full, not a
+     * directory). Nobody can claim the key, so waiting for an owner
+     * would never end: callers produce the key unleased.
+     */
+    kUnavailable,
 };
 
 /**
@@ -76,6 +82,8 @@ class LeaseDir
     /**
      * Try to become the owner of @p key. Never blocks: a live lease
      * yields kBusy at once (callers poll); an expired one is stolen.
+     * kBusy means a lease file exists; any other failure to create or
+     * reap one is kUnavailable.
      */
     ClaimOutcome try_claim(std::uint64_t key) const;
 

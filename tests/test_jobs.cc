@@ -169,14 +169,6 @@ TEST(JobErrors, TransiencyTaxonomy)
     // A lost lease must not be retried locally: the peer that stole
     // the job owns it now (see engine.cc).
     EXPECT_FALSE(is_transient(JobErrorCode::kLeaseLost));
-    // Names round-trip through their report strings.
-    for (const JobErrorCode code :
-         {JobErrorCode::kTraceCorrupt, JobErrorCode::kConfigInvalid,
-          JobErrorCode::kAuditFailure, JobErrorCode::kTimeout,
-          JobErrorCode::kOom, JobErrorCode::kLeaseLost,
-          JobErrorCode::kUnknown}) {
-        EXPECT_EQ(job_error_code_from(to_string(code)), code);
-    }
 }
 
 // ---------------------------------------------------------------------------

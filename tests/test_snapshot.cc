@@ -1078,8 +1078,6 @@ TEST(SnapshotJobError, NameRoundTrip)
 {
     EXPECT_STREQ(to_string(JobErrorCode::kSnapshotInvalid),
                  "snapshot_invalid");
-    EXPECT_EQ(job_error_code_from("snapshot_invalid"),
-              JobErrorCode::kSnapshotInvalid);
     EXPECT_FALSE(is_transient(JobErrorCode::kSnapshotInvalid));
 }
 

@@ -5,7 +5,8 @@
  * coverage, and the store-mode engine loop — no stale results across
  * matrices or budgets, concurrent engines on one directory, reruns
  * over a finished directory, failed jobs retried alone, bad records
- * re-run, and publishes that hit the file-size limit.
+ * re-run, publishes that hit the file-size limit, and directories
+ * that refuse leases.
  *
  * Timing: lease TTLs here are either huge (5 s — never expires within
  * a test) or tiny (60 ms) with sleeps several times longer, so the
@@ -231,6 +232,39 @@ TEST(StoreFile, PublishOverFileSizeLimitLeavesNoFile)
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
+    fs::remove_all(dir);
+}
+
+TEST(StoreFile, DirectoryUnderRegularFileNeverBlocks)
+{
+    // Nobody can create a lease under a regular file (ENOTDIR, root
+    // included), so waiting for the key's owner would never end. The
+    // claim says so, and the snapshot cache warms up cold instead.
+    const std::string dir = temp_dir("notdir");
+    {
+        std::ofstream os(dir + "/file");
+        os << "x";
+    }
+    const std::string bad = dir + "/file/store";
+    EXPECT_EQ(LeaseDir(bad, "snap", 5000).try_claim(7),
+              ClaimOutcome::kUnavailable);
+
+    SnapshotWriter w(7);
+    w.begin_section("payload");
+    w.put_u64(42);
+    const std::string bytes = w.finish();
+    const auto t0 = std::chrono::steady_clock::now();
+    SnapshotCache cache(bad);
+    SnapshotCache::FetchOutcome outcome;
+    const SnapshotBlob blob =
+        cache.fetch(7, [&] { return bytes; }, &outcome);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(SnapshotCache::kClaimTtlMs / 10));
+    ASSERT_NE(blob, nullptr);
+    EXPECT_EQ(blob->bytes(), bytes);
+    EXPECT_FALSE(outcome.hit);
+    EXPECT_FALSE(outcome.saved);
+    EXPECT_EQ(cache.stats().misses, 1u);
     fs::remove_all(dir);
 }
 
@@ -502,6 +536,45 @@ TEST(ResultStore, BadRecordsAreRerun)
     EXPECT_EQ(rerun, expected);
     EXPECT_EQ(again.stats().invalid, 3u);
     EXPECT_EQ(all_csv(report), reference);
+    fs::remove_all(dir);
+}
+
+TEST(ResultStore, UnusableDirectoryNeverHangsTheEngine)
+{
+    const std::string dir = temp_dir("unusable");
+    {
+        std::ofstream os(dir + "/file");
+        os << "x";
+    }
+    // A --shard-dir that cannot be created is a config error, at once.
+    BenchArgs args;
+    args.shard_dir = dir + "/file/store";
+    try {
+        (void)run_engine(trivial_jobs(2), args, echo_body);
+        ADD_FAILURE() << "a bad shard dir was accepted";
+    } catch (const JobError &e) {
+        EXPECT_EQ(e.code(), JobErrorCode::kConfigInvalid);
+    }
+
+    // A store whose directory turns into a file under it refuses
+    // every lease: its jobs run unleased, and nothing is stored.
+    const std::string gone = dir + "/gone";
+    ResultStore store(gone, 5000);
+    fs::remove(gone);
+    {
+        std::ofstream os(gone);
+        os << "x";
+    }
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.store = &store;
+    const auto jobs = trivial_jobs(4);
+    const EngineReport report = JobEngine(cfg).run(jobs, echo_body);
+    EXPECT_EQ(report.completed, jobs.size());
+    EXPECT_EQ(report.ran(), jobs.size());
+    EXPECT_EQ(store.stats().published, 0u);
+    EXPECT_EQ(all_csv(report),
+              all_csv(JobEngine(EngineConfig()).run(jobs, echo_body)));
     fs::remove_all(dir);
 }
 

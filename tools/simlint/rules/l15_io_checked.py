@@ -40,10 +40,11 @@ def _consumed(code: str, start: int) -> bool:
     return False  # ; { } ) — statement position, result dropped
 
 
-# The file layer under both content-addressed stores: the warmup
+# The file layer under both content-addressed stores (the warmup
 # snapshot cache and the job result store read, publish and lease
-# through it and nothing else.
-SCOPE = ("src/snapshot/store_file.",)
+# through it), plus the job engine, whose fault tools rewrite trace
+# files (corrupt_trace_file).
+SCOPE = ("src/snapshot/store_file.", "src/sim/jobs/")
 
 
 @rule("L15", "store I/O: check fwrite/fflush/fclose/rename results")
@@ -54,12 +55,14 @@ def check(project: Project) -> List[Finding]:
     fwrite/fflush/fclose/rename whose result is dropped turns disk-full
     or a short write into a published partial file — the fault
     StoreFile.PublishOverFileSizeLimitLeavesNoFile provokes with
-    RLIMIT_FSIZE.
+    RLIMIT_FSIZE.  The job engine (src/sim/jobs/) sits on top of it
+    and writes files of its own (corrupt_trace_file), so it is held to
+    the same rule.
 
-    The rule flags statement-position calls (result discarded) in the
-    store file layer.  Results fed into a comparison, assignment,
-    condition, argument or `return` are fine.  A close that genuinely
-    cannot lose data (read-only stream) takes `LINT_IO_OK: <why>`.
+    The rule flags statement-position calls (result discarded) in those
+    files.  Results fed into a comparison, assignment, condition,
+    argument or `return` are fine.  A close that genuinely cannot lose
+    data (read-only stream) takes `LINT_IO_OK: <why>`.
     """
     out: List[Finding] = []
     for sf in project.src_files():
@@ -82,8 +85,8 @@ def check(project: Project) -> List[Finding]:
                     "L15",
                     sf.path,
                     no,
-                    f"`{m.group(1)}` result discarded in the store file "
-                    "layer; check it (disk-full and torn writes are "
+                    f"`{m.group(1)}` result discarded in store or "
+                    "engine I/O; check it (disk-full and torn writes are "
                     "tested here) or annotate `LINT_IO_OK: <why>`",
                 )
             )
