@@ -2,20 +2,25 @@
  * @file
  * Simulator-throughput harness behind BENCH_throughput.json: wall-
  * clocks a fixed matrix of (scheme x workload) single-core cells plus
- * one fig19-class 4-core mix cell, reports simulated instructions per
- * wall-clock second for each, and emits the JSON trajectory record.
+ * one fig19-class 4-core mix cell and emits the JSON trajectory
+ * record. Per cell it reports the instructions the machine really
+ * executed (Machine::steps()) and their rate, steps/s, next to the
+ * budget rate, inst/s (cores x (warmup + measure) / wall), and their
+ * ratio, the replay factor. A multicore cell's fast cores keep
+ * running until the slowest core reaches its budget, so its budget
+ * rate understates the work several-fold; single-core cells replay
+ * nothing (factor 1).
  *
  * Two numbers matter downstream:
- *   - fig19_class_inst_per_sec: the headline rate on the 4-core mix
- *     that bottlenecks real sweeps (the ROADMAP throughput target is
- *     expressed against this cell);
- *   - geomean_inst_per_sec: geometric mean over every cell, the gate
+ *   - fig19_class_steps_per_sec: the rate on the 4-core mix that
+ *     bottlenecks real sweeps;
+ *   - geomean_steps_per_sec: geometric mean over every cell, the gate
  *     value tools/ci_perf_throughput.sh compares against the
  *     committed baseline.
  *
  * With --baseline <BENCH_throughput.json>, the run exits non-zero
  * when its geomean falls more than the baseline's max_regression_pct
- * below the baseline geomean. Absolute inst/sec is machine-specific,
+ * below the baseline geomean. Absolute rates are machine-specific,
  * so the gate is meant to compare runs on the same machine class
  * (CI runner vs CI runner, laptop vs laptop) — the committed numbers
  * double as the reference-machine trajectory.
@@ -96,8 +101,15 @@ scheme_of(const std::string &name)
     return scheme_discard();
 }
 
-/** One timed simulation of @p cell; returns elapsed seconds. */
-double
+/** What one timed simulation of a cell did. */
+struct Timing
+{
+    double secs = 0.0;        //!< wall clock, construction included
+    std::uint64_t steps = 0;  //!< Machine::steps() at the end
+};
+
+/** One timed simulation of @p cell. */
+Timing
 run_cell(const Cell &cell)
 {
     const unsigned cores = static_cast<unsigned>(cell.workloads.size());
@@ -114,7 +126,7 @@ run_cell(const Cell &cell)
     m.start_measurement();
     m.run(cell.measure);
     const auto end = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(end - begin).count();
+    return {std::chrono::duration<double>(end - begin).count(), m.steps()};
 }
 
 /** Extract `"key": <number>` from a JSON baseline (flat schema). */
@@ -167,8 +179,10 @@ main(int argc, char **argv)
                 std::size(kCells), reps, build);
 
     std::ostringstream cells_json;
-    double log_sum = 0.0;
+    double log_ips = 0.0;
+    double log_sps = 0.0;
     double fig19_ips = 0.0;
+    double fig19_sps = 0.0;
     for (std::size_t c = 0; c < std::size(kCells); ++c) {
         const Cell &cell = kCells[c];
         const unsigned cores =
@@ -176,22 +190,30 @@ main(int argc, char **argv)
         const double insts = static_cast<double>(cores) *
                              static_cast<double>(cell.warmup +
                                                  cell.measure);
-        double best = 0.0;
+        // Steps are deterministic; only the wall varies between reps.
+        Timing best;
         for (int r = 0; r < reps; ++r) {
-            const double secs = run_cell(cell);
-            if (best == 0.0 || secs < best) {
-                best = secs;
+            const Timing t = run_cell(cell);
+            if (best.secs == 0.0 || t.secs < best.secs) {
+                best = t;
             }
         }
-        const double ips = insts / best;
-        log_sum += std::log(ips);
+        const double steps = static_cast<double>(best.steps);
+        const double ips = insts / best.secs;
+        const double sps = steps / best.secs;
+        const double replay = steps / insts;
+        log_ips += std::log(ips);
+        log_sps += std::log(sps);
         if (c == kFig19Cell) {
             fig19_ips = ips;
+            fig19_sps = sps;
         }
         std::string label = std::string(cell.scheme) + "/";
         label += cores == 1 ? cell.workloads[0] : "mix4";
-        std::printf("%-28s %2u core(s)  %7.1f ms  %9.0f inst/s\n",
-                    label.c_str(), cores, best * 1e3, ips);
+        std::printf("%-28s %2u core(s)  %7.1f ms  %9.0f steps/s  "
+                    "replay %.2fx  %9.0f inst/s\n",
+                    label.c_str(), cores, best.secs * 1e3, sps, replay,
+                    ips);
         if (c != 0) {
             cells_json << ",\n";
         }
@@ -200,14 +222,20 @@ main(int argc, char **argv)
                    << (cores == 1 ? cell.workloads[0] : "mix4")
                    << "\", \"cores\": " << cores << ", \"insts\": "
                    << static_cast<long long>(insts)
-                   << ", \"wall_ms\": " << best * 1e3
+                   << ", \"steps\": " << best.steps
+                   << ", \"wall_ms\": " << best.secs * 1e3
+                   << ", \"steps_per_sec\": "
+                   << static_cast<long long>(sps)
+                   << ", \"replay_factor\": " << replay
                    << ", \"inst_per_sec\": "
                    << static_cast<long long>(ips) << "}";
     }
-    const double geomean =
-        std::exp(log_sum / static_cast<double>(std::size(kCells)));
-    std::printf("geomean: %.0f inst/s   fig19-class: %.0f inst/s\n",
-                geomean, fig19_ips);
+    const double n = static_cast<double>(std::size(kCells));
+    const double geomean_ips = std::exp(log_ips / n);
+    const double geomean = std::exp(log_sps / n);
+    std::printf("geomean: %.0f steps/s (%.0f inst/s)   fig19-class: "
+                "%.0f steps/s (%.0f inst/s)\n",
+                geomean, geomean_ips, fig19_sps, fig19_ips);
 
     std::ofstream out(out_path);
     out << "{\n"
@@ -215,10 +243,14 @@ main(int argc, char **argv)
         << "  \"reps\": " << reps << ",\n"
         << "  \"cells\": [\n"
         << cells_json.str() << "\n  ],\n"
+        << "  \"fig19_class_steps_per_sec\": "
+        << static_cast<long long>(fig19_sps) << ",\n"
+        << "  \"geomean_steps_per_sec\": "
+        << static_cast<long long>(geomean) << ",\n"
         << "  \"fig19_class_inst_per_sec\": "
         << static_cast<long long>(fig19_ips) << ",\n"
         << "  \"geomean_inst_per_sec\": "
-        << static_cast<long long>(geomean) << ",\n"
+        << static_cast<long long>(geomean_ips) << ",\n"
         // Single cells wobble up to ~15% run-to-run on a shared box
         // and runner hardware varies more, so the floor is sized to
         // catch step-function regressions (a reintroduced per-access
@@ -242,20 +274,20 @@ main(int argc, char **argv)
     const std::string text = buf.str();
     double base_geomean = 0.0;
     double max_pct = 0.0;
-    if (!json_number(text, "geomean_inst_per_sec", base_geomean) ||
+    if (!json_number(text, "geomean_steps_per_sec", base_geomean) ||
         !json_number(text, "max_regression_pct", max_pct)) {
         std::fprintf(stderr,
                      "throughput: baseline %s lacks "
-                     "geomean_inst_per_sec / max_regression_pct\n",
+                     "geomean_steps_per_sec / max_regression_pct\n",
                      baseline_path.c_str());
         return 2;
     }
     const double floor = base_geomean * (1.0 - max_pct / 100.0);
-    std::printf("baseline geomean: %.0f inst/s, floor at -%.0f%%: %.0f\n",
+    std::printf("baseline geomean: %.0f steps/s, floor at -%.0f%%: %.0f\n",
                 base_geomean, max_pct, floor);
     if (geomean < floor) {
         std::fprintf(stderr,
-                     "throughput: geomean %.0f inst/s regressed more "
+                     "throughput: geomean %.0f steps/s regressed more "
                      "than %.0f%% below the baseline %.0f\n",
                      geomean, max_pct, base_geomean);
         return 1;

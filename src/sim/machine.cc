@@ -616,6 +616,8 @@ CoreComplex::save_state(SnapshotWriter &w) const
     w.put_u64(epoch_start_cycle_);
     w.put_u64(epoch_start_insts_);
     put_fields(w, last_snapshot_);
+    w.begin_section("core.workload");
+    workload_->save_state(w);
 }
 
 void
@@ -653,11 +655,12 @@ CoreComplex::restore_state(SnapshotReader &r)
     epoch_start_cycle_ = r.get_u64();
     epoch_start_insts_ = r.get_u64();
     get_fields(r, last_snapshot_);
-    // Fast-forward the fresh workload to the snapshot position:
     // step() consumes exactly one workload instruction per
-    // retirement, so the retired count IS the replay position.
-    // Seekable workloads (trace files) re-position in O(1).
-    workload_->skip(core_.retired());
+    // retirement, so the retired count is the stream position. A
+    // generator restores its saved state; a workload that saved none
+    // replays to the position (trace files seek there in O(1)).
+    r.begin_section("core.workload");
+    workload_->restore_state(r, core_.retired());
     // The audit cadence is derived, not saved, so that audit-enabled
     // and audit-off builds write the same snapshot bytes.
     const InstCount every = cfg_.audit_interval_insts;

@@ -224,11 +224,12 @@ class CoreComplex : public CacheListener
     SIM_COLD void audit(AuditReport &report) const;
 
     /**
-     * Serialize every architectural structure in this core complex.
-     * The workload itself is not serialized: its replay position is
-     * the retired-instruction count, and restore_state fast-forwards
-     * a freshly built workload to it (CoreComplex::step consumes
-     * exactly one workload instruction per retirement).
+     * Serialize every architectural structure in this core complex,
+     * then the workload's generator state ("core.workload"). A
+     * workload that saves no state is replayed on restore to the
+     * retired-instruction count, which is its stream position
+     * (CoreComplex::step consumes exactly one workload instruction
+     * per retirement).
      */
     SIM_COLD void save_state(SnapshotWriter &w) const;
     /** Inverse of save_state on a same-config instance. */

@@ -72,7 +72,7 @@ SnapshotWriter::close_section()
         return;
     }
     const std::uint64_t size = out_.size() - payload_at_;
-    const std::uint64_t sum = fnv1a_64(out_.data() + payload_at_, size);
+    const std::uint64_t sum = checksum64(out_.data() + payload_at_, size);
     std::memcpy(out_.data() + payload_at_ - 16, &size, 8);
     std::memcpy(out_.data() + payload_at_ - 8, &sum, 8);
     open_ = false;
@@ -144,10 +144,10 @@ SnapshotImage::SnapshotImage(std::string bytes) : bytes_(std::move(bytes))
         }
         s.begin = at;
         at += s.size;
-        if (fnv1a_64(bytes_.data() + s.begin, s.size) != sum) {
+        if (checksum64(bytes_.data() + s.begin, s.size) != sum) {
             throw SnapshotError(SnapshotErrorKind::kChecksum,
                                 "section '" + s.name +
-                                    "' fails its FNV-1a sum");
+                                    "' fails its checksum");
         }
         sections_.push_back(std::move(s));
     }

@@ -45,6 +45,22 @@ class AccessKernel
 
     /** Produce the next data reference. */
     virtual Access next(Rng &rng) = 0;
+
+    /**
+     * Save the state next() mutates: a one-byte kind tag, then the
+     * kernel's state record (and its cursor vector, if any).
+     */
+    virtual void save_state(SnapshotWriter &w) const = 0;
+
+    /**
+     * Inverse of save_state on a kernel built from the same
+     * parameters.
+     *
+     * @throws SnapshotError(kMalformed) on a different kind tag, a
+     *         vector of another length, or an index or enum value out
+     *         of range, before the value is used
+     */
+    virtual void restore_state(SnapshotReader &r) = 0;
 };
 
 using KernelPtr = std::unique_ptr<AccessKernel>;
@@ -194,36 +210,6 @@ struct DualStrideParams
     unsigned runs_per_burst = 8;  //!< page runs per hop burst
 };
 KernelPtr make_dual_stride_kernel(const DualStrideParams &p);
-
-/**
- * 2D 5-point stencil sweep (HPC flavour): for each output element the
- * kernel reads north/west/center/east/south of the input grid — five
- * parallel streams at fixed row offsets. Page-cross friendly on all
- * streams; the classic multi-stream prefetcher stressor.
- */
-struct StencilParams
-{
-    Addr base = 0xE0000000;
-    Addr row_bytes = 64u << 10;  //!< grid row pitch (bytes)
-    unsigned rows = 256;         //!< grid rows (wraps)
-    Addr elem_bytes = 8;         //!< element size
-};
-KernelPtr make_stencil_kernel(const StencilParams &p);
-
-/**
- * Zipf-distributed point accesses (database/key-value flavour): a
- * small hot set absorbs most accesses (cache-resident) while the
- * long tail scatters over the footprint. Nearly prefetch-neutral;
- * useful as a non-bimodal control workload.
- */
-struct ZipfParams
-{
-    Addr base = 0xF0000000;
-    Addr footprint = 16u << 20;
-    double skew = 0.8;           //!< Zipf exponent (0 = uniform)
-    double store_frac = 0.1;
-};
-KernelPtr make_zipf_kernel(const ZipfParams &p);
 
 /**
  * Phase mixer: runs each child kernel for @p phase_len accesses in

@@ -8,10 +8,12 @@
 #ifndef MOKASIM_TRACE_WORKLOAD_H
 #define MOKASIM_TRACE_WORKLOAD_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "common/types.h"
+#include "snapshot/format.h"
 
 namespace moka {
 
@@ -54,14 +56,39 @@ class Workload
     /**
      * Advance the stream by @p n instructions, discarding them. The
      * default decodes and drops; seekable sources (trace files)
-     * override with O(1) re-positioning — snapshot restore uses this
-     * to fast-forward to the retired-instruction count.
+     * override with O(1) re-positioning.
      */
     virtual void skip(std::uint64_t n)
     {
         for (std::uint64_t i = 0; i < n; ++i) {
             (void)next();
         }
+    }
+
+    /**
+     * Save the state next() mutates into the caller's open
+     * "core.workload" snapshot section. Generators save their RNG
+     * and cursors (configuration is rebuilt, never saved); the
+     * default saves nothing and leaves the position to
+     * restore_state's replay.
+     */
+    virtual void save_state(SnapshotWriter & /*w*/) const {}
+
+    /**
+     * Continue the stream on a freshly built instance of the same
+     * workload from what save_state wrote; @p position is how many
+     * instructions the saved stream had produced. The default
+     * discards the section and replays: skip(@p position). That is
+     * O(1) for trace files, and it keeps decorators that forward only
+     * next, skip and name correct.
+     *
+     * @throws SnapshotError(kMalformed) when the saved state does not
+     *         fit this workload
+     */
+    virtual void restore_state(SnapshotReader &r, std::uint64_t position)
+    {
+        r.discard_rest();
+        skip(position);
     }
 
     /** Human-readable instance name (e.g. "gap.bfs.0"). */

@@ -75,27 +75,28 @@ struct GoldenRow {
 // snapshot format version 2 (caches stopped serializing the never-
 // incremented PrefetchStats::pgc_dropped) and for version 3 (sparse
 // page maps, packed frame bits, whole-array caches and TLBs, no audit
-// cadence, so audit-enabled builds match too); the metrics digests
-// did not move.
+// cadence, so audit-enabled builds match too) and for version 4 (each
+// core's workload generator state in "core.workload", section sums by
+// checksum64); the metrics digests did not move.
 constexpr GoldenRow kGolden[] = {
-    {"dripper", "parsec.stream.0", 0x6c1561c53ddd88d4ull, 0x7873dffa91c221dfull},
-    {"permit", "parsec.stream.0", 0x9d532bbf386bf867ull, 0x7873dffa91c221dfull},
-    {"ppf", "parsec.stream.0", 0x98a17141556f632bull, 0xfad344a3d7cd329bull},
-    {"discard", "parsec.stream.0", 0x5acc7cf82a103f2full, 0x513b0dc733f2ebcdull},
-    {"dripper", "spec06.gather.1", 0xc48303b8c2c4086full, 0x19092a40a62fbb3bull},
-    {"permit", "spec06.gather.1", 0x75464eadc13e2e57ull, 0x19092a40a62fbb3bull},
-    {"ppf", "spec06.gather.1", 0xa2b1037f88d11559ull, 0xf361a57e8d9563afull},
-    {"discard", "spec06.gather.1", 0xbeb3af529a73efa3ull, 0x3941f4f8ee712a83ull},
+    {"dripper", "parsec.stream.0", 0xd79d5f271ff0be02ull, 0x7873dffa91c221dfull},
+    {"permit", "parsec.stream.0", 0x619237eebee7298full, 0x7873dffa91c221dfull},
+    {"ppf", "parsec.stream.0", 0xb3f56ac55ff8ac53ull, 0xfad344a3d7cd329bull},
+    {"discard", "parsec.stream.0", 0xa158d4cc24968384ull, 0x513b0dc733f2ebcdull},
+    {"dripper", "spec06.gather.1", 0xcba7e65d6439c46full, 0x19092a40a62fbb3bull},
+    {"permit", "spec06.gather.1", 0x9e0f125265bf9963ull, 0x19092a40a62fbb3bull},
+    {"ppf", "spec06.gather.1", 0x32cea74ed4bc8953ull, 0xf361a57e8d9563afull},
+    {"discard", "spec06.gather.1", 0x7a5c99510f414a24ull, 0x3941f4f8ee712a83ull},
 };
 
 constexpr GoldenRow kGoldenTrace[] = {
-    {"dripper", "trace:spec06.hash.4", 0xad1786cf2db4dc83ull, 0x61bd44852deab3b6ull},
-    {"permit", "trace:spec06.hash.4", 0x6f5ad165dac25ca3ull, 0x61bd44852deab3b6ull},
+    {"dripper", "trace:spec06.hash.4", 0xcbff7838059822a9ull, 0x61bd44852deab3b6ull},
+    {"permit", "trace:spec06.hash.4", 0xee016fcbc818a4caull, 0x61bd44852deab3b6ull},
 };
 
 constexpr GoldenRow kGoldenMix[] = {
-    {"dripper", "mix2:stream+gather", 0x34ca0e29e4c07976ull, 0x697123b20d884c63ull},
-    {"discard", "mix2:stream+gather", 0x6fc38c052de2700eull, 0xa05e4b9e6186f1f3ull},
+    {"dripper", "mix2:stream+gather", 0xd607d40f319d8e86ull, 0x697123b20d884c63ull},
+    {"discard", "mix2:stream+gather", 0x1de5a5e03fabf61dull, 0xa05e4b9e6186f1f3ull},
 };
 
 /**

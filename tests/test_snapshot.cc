@@ -11,13 +11,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/cache.h"
+#include "common/fields.h"
+#include "common/hashing.h"
 #include "core/branch_pred.h"
 #include "dram/dram.h"
 #include "filter/adaptive_threshold.h"
@@ -40,7 +45,9 @@
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/store_file.h"
+#include "trace/generators.h"
 #include "trace/suites.h"
+#include "trace/trace_io.h"
 #include "vmem/page_table.h"
 #include "vmem/tlb.h"
 #include "vmem/walker.h"
@@ -143,13 +150,6 @@ TEST(SnapshotFormat, RejectsTruncation)
     }
 }
 
-TEST(SnapshotFormat, RejectsFlippedPayloadBit)
-{
-    std::string bytes = tiny_snapshot();
-    bytes[bytes.size() - 1] ^= 0x01;  // last payload byte
-    EXPECT_EQ(reject_kind(bytes), SnapshotErrorKind::kChecksum);
-}
-
 TEST(SnapshotFormat, SectionNameMismatchIsMalformed)
 {
     const SnapshotImage image(tiny_snapshot());
@@ -194,6 +194,28 @@ payload_of(const std::string &bytes)
     // length, payload sum
     constexpr std::size_t kHeader = 8 + 4 + 8 + 4 + 4 + 1 + 8 + 8;
     return bytes.substr(kHeader);
+}
+
+TEST(SnapshotFormat, RejectsFlippedPayloadBit)
+{
+    // Four 32-byte stripes fill every checksum lane, then a 13-byte
+    // tail leaves one whole word and a partial one.
+    std::string payload(4 * 32 + 13, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        payload[i] = static_cast<char>(i * 37 + 11);
+    }
+    const std::string bytes = reseal(payload);
+    ASSERT_EQ(payload_of(bytes), payload);
+    // Every bit of the stored sum, then every bit of the payload.
+    const std::size_t sum_at = bytes.size() - payload.size() - 8;
+    for (std::size_t at = sum_at; at < bytes.size(); ++at) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::string flipped = bytes;
+            flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+            EXPECT_EQ(reject_kind(flipped), SnapshotErrorKind::kChecksum)
+                << "byte " << at << ", bit " << bit;
+        }
+    }
 }
 
 /**
@@ -754,11 +776,26 @@ snap_config()
 }
 
 Machine
-build_machine(const MachineConfig &cfg, const WorkloadSpec &spec)
+machine_on(const MachineConfig &cfg, WorkloadPtr workload)
 {
     std::vector<WorkloadPtr> w;
-    w.push_back(make_workload(spec));
+    w.push_back(std::move(workload));
     return Machine(cfg, std::move(w));
+}
+
+Machine
+build_machine(const MachineConfig &cfg, const WorkloadSpec &spec)
+{
+    return machine_on(cfg, make_workload(spec));
+}
+
+/** Every RunMetrics counter of @p a equals @p b's. */
+void
+expect_same_metrics(const RunMetrics &a, const RunMetrics &b)
+{
+    for_each_leaf([](const char *name, std::uint64_t x,
+                     std::uint64_t y) { EXPECT_EQ(x, y) << name; },
+                  a, b);
 }
 
 TEST(SnapshotMachine, SaveRestoreSaveIsByteIdentical)
@@ -783,37 +820,123 @@ TEST(SnapshotMachine, WarmedSingleCoreSnapshotIsCompact)
     EXPECT_LT(warmed.save_snapshot().size(), 1'500'000u);
 }
 
-TEST(SnapshotMachine, RestoredMeasureMatchesStraightThrough)
+/** One roster instance of every workload family. */
+std::vector<WorkloadSpec>
+one_per_family()
+{
+    std::vector<WorkloadSpec> out;
+    for (const Family f :
+         {Family::kStream, Family::kTile, Family::kGather, Family::kCsr,
+          Family::kChase, Family::kHash, Family::kBursty, Family::kPhaseMix,
+          Family::kDualStride, Family::kSeqChase}) {
+        out.push_back(pick(f));
+    }
+    return out;
+}
+
+/**
+ * Warm up, save and measure on one machine; restore the save into a
+ * fresh machine on a second @p make() and measure the same region.
+ * Strongest possible equality: the full state after the measured
+ * region, workload generator included, is byte-identical, not just
+ * the metrics.
+ */
+void
+expect_resume_matches(const std::function<WorkloadPtr()> &make)
 {
     const MachineConfig cfg = snap_config();
-    const WorkloadSpec spec = pick(Family::kCsr);
-
-    // Straight through: warmup + measure on one machine.
-    Machine straight = build_machine(cfg, spec);
+    Machine straight = machine_on(cfg, make());
     straight.run(20'000);
     const std::string snap = straight.save_snapshot();
     straight.start_measurement();
     straight.run(60'000);
 
-    // Restored: fresh machine, restore the warmup state, measure.
-    Machine resumed = build_machine(cfg, spec);
+    Machine resumed = machine_on(cfg, make());
     resumed.restore_snapshot(snap);
     resumed.start_measurement();
     resumed.run(60'000);
 
-    // Strongest possible equality: the full architectural state after
-    // the measured region is byte-identical, not just the metrics.
-    EXPECT_EQ(resumed.save_snapshot(), straight.save_snapshot());
-    const RunMetrics a = straight.measured(0);
-    const RunMetrics b = resumed.measured(0);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.l1d.misses, b.l1d.misses);
-    EXPECT_EQ(a.llc.misses, b.llc.misses);
-    EXPECT_EQ(a.pgc_issued, b.pgc_issued);
-    EXPECT_EQ(a.pgc_dropped, b.pgc_dropped);
-    EXPECT_EQ(a.spec_walks, b.spec_walks);
-    EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts);
+    EXPECT_TRUE(resumed.save_snapshot() == straight.save_snapshot());
+    expect_same_metrics(straight.measured(0), resumed.measured(0));
+}
+
+TEST(SnapshotMachine, RestoredMeasureMatchesStraightThrough)
+{
+    for (const WorkloadSpec &spec : one_per_family()) {
+        SCOPED_TRACE(spec.name);
+        expect_resume_matches([&spec] { return make_workload(spec); });
+    }
+    // A trace file saves no generator state; restore seeks it to the
+    // retired count instead.
+    const std::string path = temp_dir("trace") + "/hash.trc";
+    {
+        WorkloadPtr source = make_workload(pick(Family::kHash));
+        ASSERT_TRUE(record_trace(path, *source, 100'000));
+    }
+    SCOPED_TRACE("recorded trace");
+    expect_resume_matches([&path] { return open_trace(path); });
+}
+
+/**
+ * A decorator that forwards only next, skip and name, the shape of a
+ * counting wrapper: it inherits Workload's replaying restore_state.
+ */
+class ReplayOnlyWorkload final : public Workload
+{
+  public:
+    explicit ReplayOnlyWorkload(WorkloadPtr inner) : inner_(std::move(inner))
+    {
+    }
+
+    TraceInst next() override { return inner_->next(); }
+
+    void
+    skip(std::uint64_t n) override
+    {
+        skips_.push_back(n);
+        inner_->skip(n);
+    }
+
+    const std::string &name() const override { return inner_->name(); }
+
+    /** Every skip() argument so far. */
+    const std::vector<std::uint64_t> &skips() const { return skips_; }
+
+  private:
+    WorkloadPtr inner_;
+    std::vector<std::uint64_t> skips_;
+};
+
+TEST(SnapshotMachine, ReplayOnlyDecoratorRestoresByReplay)
+{
+    const MachineConfig cfg = snap_config();
+    const WorkloadSpec spec = pick(Family::kCsr);
+    Machine straight = build_machine(cfg, spec);
+    straight.run(20'000);
+    const std::string snap = straight.save_snapshot();
+    const std::uint64_t retired = straight.metrics(0).instructions;
+    straight.start_measurement();
+    straight.run(60'000);
+
+    // The snapshot holds the generator's state; the decorator drops
+    // it and replays the synthetic stream to the retired count.
+    auto wrapper = std::make_unique<ReplayOnlyWorkload>(make_workload(spec));
+    const ReplayOnlyWorkload &probe = *wrapper;
+    Machine resumed = machine_on(cfg, std::move(wrapper));
+    resumed.restore_snapshot(snap);
+    EXPECT_EQ(probe.skips(), std::vector<std::uint64_t>{retired});
+    resumed.start_measurement();
+    resumed.run(60'000);
+
+    // The decorator saves no generator state, so everything ahead of
+    // the last section ("core.workload") must match byte for byte.
+    const std::string a = straight.save_snapshot();
+    const std::string b = resumed.save_snapshot();
+    const std::size_t cut = a.rfind("core.workload");
+    ASSERT_NE(cut, std::string::npos);
+    EXPECT_EQ(b.rfind("core.workload"), cut);
+    EXPECT_TRUE(a.compare(0, cut, b, 0, cut) == 0);
+    expect_same_metrics(straight.measured(0), resumed.measured(0));
 }
 
 TEST(SnapshotMachine, ConfigMismatchRejected)
@@ -832,6 +955,222 @@ TEST(SnapshotMachine, ConfigMismatchRejected)
     } catch (const SnapshotError &e) {
         EXPECT_EQ(e.kind(), SnapshotErrorKind::kConfigMismatch);
     }
+}
+
+// ------------------------------------------------ workload state
+
+/**
+ * Where a synthetic workload's kernel starts in its "core.workload"
+ * payload: after the four RNG lanes and the interleaver's loop_iter
+ * and alu_pc. The kernel's one-byte kind tag comes first.
+ */
+constexpr std::size_t kKernelAt = 4 * 8 + 2 * 8;
+
+using WorkloadFactory = std::function<WorkloadPtr()>;
+
+WorkloadPtr
+stream_workload()
+{
+    // StreamParams{} runs 4 streams.
+    return make_synthetic("stream", make_stream_kernel(StreamParams{}),
+                          InterleaveParams{}, 3);
+}
+
+WorkloadPtr
+tile_workload()
+{
+    return make_synthetic("tile", make_tile_kernel(TileParams{}),
+                          InterleaveParams{}, 3);
+}
+
+WorkloadPtr
+chase_workload()
+{
+    // PointerChaseParams{} runs 2 chains.
+    return make_synthetic("chase",
+                          make_pointer_chase_kernel(PointerChaseParams{}),
+                          InterleaveParams{}, 3);
+}
+
+WorkloadPtr
+csr_workload()
+{
+    return make_synthetic("csr", make_csr_graph_kernel(CsrGraphParams{}),
+                          InterleaveParams{}, 3);
+}
+
+WorkloadPtr
+phase_workload()
+{
+    std::vector<KernelPtr> children;
+    children.push_back(make_stream_kernel(StreamParams{}));
+    children.push_back(make_tile_kernel(TileParams{}));
+    return make_synthetic("phase",
+                          make_phase_mix_kernel(std::move(children), 700),
+                          InterleaveParams{}, 3);
+}
+
+/** Snapshot of a one-core machine on @p make() after 5k instructions. */
+std::string
+warmed_snapshot(const WorkloadFactory &make)
+{
+    Machine m = machine_on(snap_config(), make());
+    m.run(5'000);
+    return m.save_snapshot();
+}
+
+/** Payload of @p snap's last section, "core.workload". */
+std::string
+workload_payload(const std::string &snap)
+{
+    const std::size_t name_at = snap.rfind("core.workload");
+    return snap.substr(name_at + std::strlen("core.workload") + 16);
+}
+
+/**
+ * @p snap with its "core.workload" payload replaced by @p payload,
+ * the section's length and sum re-sealed to match.
+ */
+std::string
+with_workload_payload(const std::string &snap, const std::string &payload)
+{
+    const std::size_t len_at =
+        snap.rfind("core.workload") + std::strlen("core.workload");
+    std::string out = snap.substr(0, len_at + 16) + payload;
+    const std::uint64_t size = payload.size();
+    const std::uint64_t sum = checksum64(payload.data(), payload.size());
+    std::memcpy(out.data() + len_at, &size, 8);
+    std::memcpy(out.data() + len_at + 8, &sum, 8);
+    return out;
+}
+
+/** Overwrite the @p n little-endian bytes of @p v at @p at. */
+void
+poke(std::string &payload, std::size_t at, std::uint64_t v, unsigned n)
+{
+    ASSERT_LE(at + n, payload.size());
+    std::memcpy(payload.data() + at, &v, n);
+}
+
+/** Read the @p n little-endian bytes at @p at. */
+std::uint64_t
+peek(const std::string &payload, std::size_t at, unsigned n)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, payload.data() + at, n);
+    return v;
+}
+
+/**
+ * Kind of the SnapshotError restoring @p snap into a machine on
+ * @p make() throws. A restore that succeeds runs the machine, so a
+ * sanitizer build reports any out-of-range index it was handed, and
+ * fails the test.
+ */
+SnapshotErrorKind
+workload_restore_error(const std::string &snap, const WorkloadFactory &make)
+{
+    Machine m = machine_on(snap_config(), make());
+    try {
+        m.restore_snapshot(snap);
+    } catch (const SnapshotError &e) {
+        return e.kind();
+    }
+    m.run(2'000);
+    ADD_FAILURE() << "malformed workload state was restored";
+    return SnapshotErrorKind::kBadMagic;
+}
+
+TEST(SnapshotWorkload, ResealedUnpatchedStateRestores)
+{
+    // Control for the cases below: re-sealing alone changes nothing.
+    const std::string snap = warmed_snapshot(stream_workload);
+    const std::string same =
+        with_workload_payload(snap, workload_payload(snap));
+    EXPECT_EQ(same, snap);
+    Machine m = machine_on(snap_config(), stream_workload());
+    m.restore_snapshot(same);
+    EXPECT_EQ(m.save_snapshot(), snap);
+}
+
+TEST(SnapshotWorkload, KernelKindMismatchIsMalformed)
+{
+    const std::string tile = workload_payload(warmed_snapshot(tile_workload));
+    const std::string snap = warmed_snapshot(stream_workload);
+    std::string payload = workload_payload(snap);
+    ASSERT_NE(payload[kKernelAt], tile[kKernelAt]);
+    payload[kKernelAt] = tile[kKernelAt];
+    EXPECT_EQ(workload_restore_error(with_workload_payload(snap, payload),
+                                     stream_workload),
+              SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotWorkload, StreamIndexPastStreamsIsMalformed)
+{
+    // Stream kernel: tag, next_stream (u32), then the cursor vector.
+    const std::string snap = warmed_snapshot(stream_workload);
+    std::string payload = workload_payload(snap);
+    ASSERT_LT(peek(payload, kKernelAt + 1, 4), 4u);
+    poke(payload, kKernelAt + 1, 4, 4);
+    EXPECT_EQ(workload_restore_error(with_workload_payload(snap, payload),
+                                     stream_workload),
+              SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotWorkload, ChaseIndexPastChainsIsMalformed)
+{
+    // Pointer-chase kernel: tag, next_chain (u32), then the cursors.
+    const std::string snap = warmed_snapshot(chase_workload);
+    std::string payload = workload_payload(snap);
+    ASSERT_LT(peek(payload, kKernelAt + 1, 4), 2u);
+    poke(payload, kKernelAt + 1, 2, 4);
+    EXPECT_EQ(workload_restore_error(with_workload_payload(snap, payload),
+                                     chase_workload),
+              SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotWorkload, PhaseIndexPastChildrenIsMalformed)
+{
+    // Phase mixer: tag, count (u64), active (u64), then the children.
+    const std::string snap = warmed_snapshot(phase_workload);
+    std::string payload = workload_payload(snap);
+    ASSERT_LT(peek(payload, kKernelAt + 9, 8), 2u);
+    poke(payload, kKernelAt + 9, 2, 8);
+    EXPECT_EQ(workload_restore_error(with_workload_payload(snap, payload),
+                                     phase_workload),
+              SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotWorkload, CsrStageOutsideEnumIsMalformed)
+{
+    // CSR kernel: tag, vertex (u64), degree_left (u32), edge_cursor
+    // (u64), pending_gather (u8), stage (u8, three values).
+    constexpr std::size_t kStageAt = kKernelAt + 1 + 8 + 4 + 8 + 1;
+    const std::string snap = warmed_snapshot(csr_workload);
+    std::string payload = workload_payload(snap);
+    ASSERT_EQ(payload.size(), kStageAt + 1);
+    ASSERT_LT(peek(payload, kStageAt, 1), 3u);
+    poke(payload, kStageAt, 3, 1);
+    EXPECT_EQ(workload_restore_error(with_workload_payload(snap, payload),
+                                     csr_workload),
+              SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotWorkload, CursorVectorOfWrongLengthIsMalformed)
+{
+    // Three stream cursors where the kernel runs four: the length
+    // says 3 and the section ends after three, so only the length
+    // check can catch it.
+    constexpr std::size_t kLengthAt = kKernelAt + 1 + 4;
+    const std::string snap = warmed_snapshot(stream_workload);
+    std::string payload = workload_payload(snap);
+    ASSERT_EQ(peek(payload, kLengthAt, 8), 4u);
+    ASSERT_EQ(payload.size(), kLengthAt + 8 + 4 * 8);
+    poke(payload, kLengthAt, 3, 8);
+    payload.resize(payload.size() - 8);
+    EXPECT_EQ(workload_restore_error(with_workload_payload(snap, payload),
+                                     stream_workload),
+              SnapshotErrorKind::kMalformed);
 }
 
 // ------------------------------------------------------- snapshot cache

@@ -2,12 +2,13 @@
 # CI throughput-trajectory gate:
 #
 #   run bench/throughput (built from the `fast` preset) and compare
-#   its geomean inst/sec against the committed BENCH_throughput.json
+#   its geomean steps/s (instructions the machines really executed,
+#   replay included) against the committed BENCH_throughput.json
 #   baseline at the repo root.  The binary itself enforces the gate:
 #   it exits non-zero when the fresh geomean falls more than the
 #   baseline's max_regression_pct below the baseline geomean.
 #
-#   Absolute inst/sec is machine-specific; the committed baseline is
+#   Absolute steps/s is machine-specific; the committed baseline is
 #   the reference-machine trajectory, and CI compares runner against
 #   runner.  Bumping the baseline (after an intentional change) is a
 #   one-file edit: regenerate with `throughput --out
