@@ -3,12 +3,13 @@
  * Ablation — DRIPPER structure sizing (paper §III-E1 notes the
  * weight-table/vUB/pUB sizes were selected empirically). Sweeps each
  * structure independently around the shipped configuration.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
 #include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -40,8 +41,6 @@ main(int argc, char **argv)
     const auto roster = args.select(seen_workloads());
     const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
 
-    std::printf("== Ablation: DRIPPER structure sizes (Berti) ==\n\n");
-
     const SchemeConfig schemes[] = {
         sized("WT=128", 128, 4, 128),
         sized("WT=1024 (paper)", 1024, 4, 128),
@@ -51,25 +50,30 @@ main(int argc, char **argv)
         sized("pUB=32", 1024, 4, 32),
         sized("pUB=512", 1024, 4, 512),
     };
+    constexpr std::size_t kPaper = 1;  //!< dripper_config's own sizes
+
+    // Column 0 is the Discard baseline, column s + 1 schemes[s].
+    std::vector<MatrixColumn> columns = {{"discard"}};
+    for (std::size_t s = 0; s < std::size(schemes); ++s) {
+        columns.push_back(s == kPaper
+                              ? MatrixColumn{"dripper"}
+                              : machine_column(schemes[s].name,
+                                               make_config(k, schemes[s])));
+    }
+    const EngineReport report =
+        run_matrix(make_matrix(roster, columns, args.run), args, columns);
+
+    std::printf("== Ablation: DRIPPER structure sizes (Berti) ==\n\n");
 
     TablePrinter table({"config", "geomean", "storage KB"});
     table.print_header();
-    for (const SchemeConfig &scheme : schemes) {
-        SuiteAggregator agg;
-        for (const WorkloadSpec &spec : roster) {
-            const RunMetrics base = run_single(
-                make_config(k, scheme_discard()), spec, args.run);
-            const RunMetrics m =
-                run_single(make_config(k, scheme), spec, args.run);
-            agg.add(spec.suite, speedup(m, base));
-        }
-        const FilterPtr f = scheme.make_filter();
-        char g[32], kb[32];
-        std::snprintf(g, sizeof(g), "%+.2f%%",
-                      (agg.overall_geomean() - 1.0) * 100.0);
+    for (std::size_t s = 0; s < std::size(schemes); ++s) {
+        const FilterPtr f = schemes[s].make_filter();
+        char kb[32];
         std::snprintf(kb, sizeof(kb), "%.3f",
                       double(f->storage_bits()) / 8000.0);
-        table.print_row({scheme.name, g, kb});
+        table.print_row(
+            {schemes[s].name, geomean_gain(report, roster, s + 1), kb});
     }
-    return 0;
+    return matrix_exit_status(report);
 }

@@ -6,12 +6,15 @@
  *
  * Expected: no single static T_a matches the adaptive scheme across
  * the roster (the paper's argument for epoch-based adaptation).
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
+#include <algorithm>
 #include <cstdio>
 
+#include "common/stats.h"
 #include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -43,36 +46,34 @@ main(int argc, char **argv)
     const auto roster = args.select(seen_workloads());
     const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
 
+    // Column 0 is the Discard baseline, column s + 1 the s-th row.
+    std::vector<std::string> labels;
+    std::vector<MatrixColumn> columns = {{"discard"}};
+    for (int t : {-4, -2, 0, 3, 6, 10}) {
+        const SchemeConfig scheme = dripper_static(t);
+        labels.push_back(scheme.name);
+        columns.push_back(
+            machine_column(scheme.name, make_config(k, scheme)));
+    }
+    labels.push_back(scheme_dripper(k).name);
+    columns.push_back({"dripper"});
+    const EngineReport report =
+        run_matrix(make_matrix(roster, columns, args.run), args, columns);
+
     std::printf("== Ablation: static T_a vs adaptive thresholding "
                 "(Berti+DRIPPER) ==\n\n");
 
-    std::vector<SchemeConfig> schemes;
-    for (int t : {-4, -2, 0, 3, 6, 10}) {
-        schemes.push_back(dripper_static(t));
-    }
-    schemes.push_back(scheme_dripper(k));
-
     TablePrinter table({"scheme", "geomean", "min", "max"});
     table.print_header();
-    for (const SchemeConfig &scheme : schemes) {
-        SuiteAggregator agg;
+    for (std::size_t s = 0; s < labels.size(); ++s) {
+        const SuiteAggregator agg = column_speedups(report, roster, s + 1);
         double lo = 1e9, hi = -1e9;
-        for (const WorkloadSpec &spec : roster) {
-            const RunMetrics base = run_single(
-                make_config(k, scheme_discard()), spec, args.run);
-            const RunMetrics m =
-                run_single(make_config(k, scheme), spec, args.run);
-            const double s = speedup(m, base);
-            agg.add(spec.suite, s);
-            lo = std::min(lo, s);
-            hi = std::max(hi, s);
+        for (const double sp : agg.ratios()) {
+            lo = std::min(lo, sp);
+            hi = std::max(hi, sp);
         }
-        char g[32], a[32], b[32];
-        std::snprintf(g, sizeof(g), "%+.2f%%",
-                      (agg.overall_geomean() - 1.0) * 100.0);
-        std::snprintf(a, sizeof(a), "%+.2f%%", (lo - 1.0) * 100.0);
-        std::snprintf(b, sizeof(b), "%+.2f%%", (hi - 1.0) * 100.0);
-        table.print_row({scheme.name, g, a, b});
+        table.print_row({labels[s], format_pct(agg.overall_geomean() - 1.0),
+                         format_pct(lo - 1.0), format_pct(hi - 1.0)});
     }
-    return 0;
+    return matrix_exit_status(report);
 }

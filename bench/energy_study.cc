@@ -8,13 +8,14 @@
  *
  * Expected: Permit PGC pays an energy premium on PGC-hostile
  * workloads; DRIPPER stays near the cheaper of the two statics.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
-#include "filter/policies.h"
+#include "common/stats.h"
 #include "sim/energy.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -24,7 +25,10 @@ main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
     const auto roster = args.select(seen_workloads());
-    const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "permit", "dripper"}, {"berti"},
+                    args.run),
+        args);
 
     std::printf("== Energy: memory-side nJ per kilo-instruction "
                 "(Berti) ==\n\n");
@@ -34,29 +38,29 @@ main(int argc, char **argv)
     table.print_header();
     double sum_p = 0.0, sum_d = 0.0;
     std::size_t n = 0;
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics mb =
-            run_single(make_config(k, scheme_discard()), spec, args.run);
-        const RunMetrics mp =
-            run_single(make_config(k, scheme_permit()), spec, args.run);
-        const RunMetrics md =
-            run_single(make_config(k, scheme_dripper(k)), spec, args.run);
-        const double eb = estimate_energy(mb).nj_per_kilo_inst;
-        const double ep = estimate_energy(mp).nj_per_kilo_inst;
-        const double ed = estimate_energy(md).nj_per_kilo_inst;
+    const std::size_t R = roster.size();
+    for (std::size_t w = 0; w < R; ++w) {
+        const RunMetrics *mb = cell_metrics(report, R, 0, w);
+        const RunMetrics *mp = cell_metrics(report, R, 1, w);
+        const RunMetrics *md = cell_metrics(report, R, 2, w);
+        if (mb == nullptr || mp == nullptr || md == nullptr) {
+            continue;
+        }
+        const double eb = estimate_energy(*mb).nj_per_kilo_inst;
+        const double ep = estimate_energy(*mp).nj_per_kilo_inst;
+        const double ed = estimate_energy(*md).nj_per_kilo_inst;
         if (eb <= 0.0) {
             continue;
         }
         sum_p += ep / eb;
         sum_d += ed / eb;
         ++n;
-        char b[24], p[24], d[24], po[24], dd[24];
+        char b[24], p[24], d[24];
         std::snprintf(b, sizeof(b), "%.1f", eb);
         std::snprintf(p, sizeof(p), "%.1f", ep);
         std::snprintf(d, sizeof(d), "%.1f", ed);
-        std::snprintf(po, sizeof(po), "%+.2f%%", (ep / eb - 1.0) * 100.0);
-        std::snprintf(dd, sizeof(dd), "%+.2f%%", (ed / eb - 1.0) * 100.0);
-        table.print_row({spec.name, b, p, d, po, dd});
+        table.print_row({roster[w].name, b, p, d, format_pct(ep / eb - 1.0),
+                         format_pct(ed / eb - 1.0)});
     }
     if (n > 0) {
         std::printf("\nmean energy overhead vs Discard PGC: Permit "
@@ -66,5 +70,5 @@ main(int argc, char **argv)
     }
     std::printf("Expected: DRIPPER's overhead well below Permit PGC's "
                 "(useless walks + fills filtered).\n");
-    return 0;
+    return matrix_exit_status(report);
 }

@@ -8,13 +8,13 @@
  * cc.road, MIS, vips, ...), others lose a lot (sphinx3, fotonik3d_s,
  * bc.web, ...); no static policy wins everywhere.
  *
- * Flags: --full --workloads N --insts N --warmup N --seed N
+ * Flags: --full --workloads N --insts N --warmup N --seed N. Cells run
+ * through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
-#include "filter/policies.h"
+#include "common/stats.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -24,11 +24,14 @@ main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
+    // Column 2k is prefetcher k's Discard baseline, 2k+1 its Permit.
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "permit"}, {"berti", "bop", "ipcp"},
+                    args.run),
+        args);
+    const std::size_t R = roster.size();
 
     std::printf("== Fig. 2: IPC gain of Permit PGC over Discard PGC ==\n");
-    const L1dPrefetcherKind kinds[] = {L1dPrefetcherKind::kBerti,
-                                       L1dPrefetcherKind::kBop,
-                                       L1dPrefetcherKind::kIpcp};
     const char *names[] = {"Berti", "BOP", "IPCP"};
 
     for (std::size_t k = 0; k < 3; ++k) {
@@ -38,22 +41,19 @@ main(int argc, char **argv)
         table.print_header();
         SuiteAggregator agg;
         unsigned gainers = 0, losers = 0;
-        for (const WorkloadSpec &spec : roster) {
-            const RunMetrics base = run_single(
-                make_config(kinds[k], scheme_discard()), spec, args.run);
-            const RunMetrics permit = run_single(
-                make_config(kinds[k], scheme_permit()), spec, args.run);
-            const double s = speedup(permit, base);
-            agg.add(spec.suite, s);
+        for (std::size_t w = 0; w < R; ++w) {
+            const RunMetrics *base = cell_metrics(report, R, 2 * k, w);
+            const RunMetrics *permit = cell_metrics(report, R, 2 * k + 1, w);
+            if (base == nullptr || permit == nullptr) {
+                continue;
+            }
+            const double s = speedup(*permit, *base);
+            agg.add(roster[w].suite, s);
             if (s > 1.005) ++gainers;
             if (s < 0.995) ++losers;
-            char gain[32], useful[32], useless[32];
-            std::snprintf(gain, sizeof(gain), "%+.2f%%", (s - 1.0) * 100.0);
-            std::snprintf(useful, sizeof(useful), "%llu",
-                          (unsigned long long)permit.pgc_useful);
-            std::snprintf(useless, sizeof(useless), "%llu",
-                          (unsigned long long)permit.pgc_useless);
-            table.print_row({spec.name, gain, useful, useless});
+            table.print_row({roster[w].name, format_pct(s - 1.0),
+                             std::to_string(permit->pgc_useful),
+                             std::to_string(permit->pgc_useless)});
         }
         std::printf("%s geomean Permit/Discard: %+.2f%%  "
                     "(gainers: %u, losers: %u of %zu)\n",
@@ -62,5 +62,5 @@ main(int argc, char **argv)
     }
     std::printf("\nTakeaway check (paper): both gainers and losers exist "
                 "for every prefetcher;\nno static policy dominates.\n");
-    return 0;
+    return matrix_exit_status(report);
 }

@@ -7,13 +7,13 @@
  * Paper shape: the full spectrum exists (workloads at ~100% useful,
  * ~100% useless, and mixtures); on average roughly half of the issued
  * page-cross prefetches are useful for every prefetcher.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
 #include "common/histogram.h"
-#include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -24,12 +24,14 @@ main(int argc, char **argv)
     const BenchArgs args = parse_bench_args(argc, argv);
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
 
+    // Column k: Permit PGC under prefetcher k.
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"permit"}, {"berti", "bop", "ipcp"}, args.run),
+        args);
+    const std::size_t R = roster.size();
+
     std::printf("== Fig. 3: usefulness of page-cross prefetches "
                 "(Permit PGC) ==\n");
-
-    const L1dPrefetcherKind kinds[] = {L1dPrefetcherKind::kBerti,
-                                       L1dPrefetcherKind::kBop,
-                                       L1dPrefetcherKind::kIpcp};
     const char *names[] = {"Berti", "BOP", "IPCP"};
 
     for (std::size_t k = 0; k < 3; ++k) {
@@ -38,20 +40,22 @@ main(int argc, char **argv)
         std::size_t counted = 0;
         std::printf("\n--- %s: %% useful page-cross prefetches per "
                     "workload ---\n", names[k]);
-        for (const WorkloadSpec &spec : roster) {
-            const RunMetrics m = run_single(
-                make_config(kinds[k], scheme_permit()), spec, args.run);
-            const std::uint64_t resolved = m.pgc_useful + m.pgc_useless;
+        for (std::size_t w = 0; w < R; ++w) {
+            const RunMetrics *m = cell_metrics(report, R, k, w);
+            if (m == nullptr) {
+                continue;
+            }
+            const std::uint64_t resolved = m->pgc_useful + m->pgc_useless;
             if (resolved < 50) {
                 continue;  // too few PGC prefetches to classify
             }
-            const double pct = 100.0 * m.pgc_accuracy();
+            const double pct = 100.0 * m->pgc_accuracy();
             dist.add(pct);
             sum_useful_pct += pct;
             ++counted;
             std::printf("  %-24s useful %6.1f%%  useless %6.1f%%  "
                         "(%llu resolved)\n",
-                        spec.name.c_str(), pct, 100.0 - pct,
+                        roster[w].name.c_str(), pct, 100.0 - pct,
                         (unsigned long long)resolved);
         }
         std::printf("distribution (10%% bins): ");
@@ -62,5 +66,5 @@ main(int argc, char **argv)
                     names[k],
                     counted ? sum_useful_pct / double(counted) : 0.0);
     }
-    return 0;
+    return matrix_exit_status(report);
 }

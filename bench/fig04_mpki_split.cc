@@ -7,12 +7,13 @@
  * Paper shape: (a) where Permit wins, dTLB and L1D MPKI drop
  * substantially (dTLB more than sTLB, L1D feeding into LLC);
  * (b) where Discard wins, all four MPKIs increase.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
-#include "filter/policies.h"
+#include "common/stats.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -22,6 +23,9 @@ main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "permit"}, {"berti"}, args.run),
+        args);
 
     std::printf("== Fig. 4: MPKI impact of Permit PGC over Discard PGC "
                 "(Berti), split by winner ==\n");
@@ -34,15 +38,16 @@ main(int argc, char **argv)
     };
     std::vector<Row> wins, losses;
 
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics base = run_single(
-            make_config(L1dPrefetcherKind::kBerti, scheme_discard()), spec,
-            args.run);
-        const RunMetrics permit = run_single(
-            make_config(L1dPrefetcherKind::kBerti, scheme_permit()), spec,
-            args.run);
+    const std::size_t R = roster.size();
+    for (std::size_t w = 0; w < R; ++w) {
+        const RunMetrics *bp = cell_metrics(report, R, 0, w);
+        const RunMetrics *pp = cell_metrics(report, R, 1, w);
+        if (bp == nullptr || pp == nullptr) {
+            continue;
+        }
+        const RunMetrics &base = *bp, &permit = *pp;
         Row r;
-        r.name = spec.name;
+        r.name = roster[w].name;
         r.speedup = speedup(permit, base);
         r.d_dtlb = permit.dtlb_mpki() - base.dtlb_mpki();
         r.d_stlb = permit.stlb_mpki() - base.stlb_mpki();
@@ -58,14 +63,12 @@ main(int argc, char **argv)
         table.print_header();
         double s_dtlb = 0, s_stlb = 0, s_l1d = 0, s_llc = 0;
         for (const Row &r : rows) {
-            char spd[32], a[32], b[32], c[32], d[32];
-            std::snprintf(spd, sizeof(spd), "%+.2f%%",
-                          (r.speedup - 1.0) * 100.0);
+            char a[32], b[32], c[32], d[32];
             std::snprintf(a, sizeof(a), "%+.2f", r.d_dtlb);
             std::snprintf(b, sizeof(b), "%+.2f", r.d_stlb);
             std::snprintf(c, sizeof(c), "%+.2f", r.d_l1d);
             std::snprintf(d, sizeof(d), "%+.2f", r.d_llc);
-            table.print_row({r.name, spd, a, b, c, d});
+            table.print_row({r.name, format_pct(r.speedup - 1.0), a, b, c, d});
             s_dtlb += r.d_dtlb;
             s_stlb += r.d_stlb;
             s_l1d += r.d_l1d;
@@ -82,5 +85,5 @@ main(int argc, char **argv)
     std::printf("\nExpected: group (a) shows MPKI reductions "
                 "(dTLB > sTLB, L1D -> LLC);\ngroup (b) shows MPKI "
                 "increases across the board.\n");
-    return 0;
+    return matrix_exit_status(report);
 }

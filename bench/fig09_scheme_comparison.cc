@@ -10,15 +10,11 @@
  * (e.g. +1.7% over Permit... see Fig. 10 for Berti detail), beating
  * PPF by 2.4%/1.4%/1.6% on Berti/BOP/IPCP.
  *
- * Runs the full (workload, scheme, prefetcher) matrix through the job
- * engine; accepts --jobs/--fail-fast and --shard-dir/--lease-ttl: a
- * rerun over the same --shard-dir resumes, and processes sharing one
- * split the matrix, each printing the whole figure. Failed jobs are
- * dropped from the aggregates and reported on stderr.
+ * Cells run through run_matrix: the engine and store flags apply.
  */
-#include <cmath>
 #include <cstdio>
 
+#include "common/stats.h"
 #include "sim/experiment.h"
 #include "trace/suites.h"
 
@@ -40,12 +36,8 @@ main(int argc, char **argv)
     const std::vector<std::string> pfs = {"berti", "bop", "ipcp"};
     const char *names[] = {"Berti", "BOP", "IPCP"};
 
-    const std::vector<JobSpec> matrix =
-        make_matrix(roster, schemes, pfs, args.run);
-    const EngineReport report = run_matrix(matrix, args);
-    if (!report.all_completed()) {
-        std::fputs(report.summary().c_str(), stderr);
-    }
+    const EngineReport report =
+        run_matrix(make_matrix(roster, schemes, pfs, args.run), args);
 
     std::printf("== Fig. 9: scheme comparison, geomean speedup over "
                 "Discard PGC ==\n\n");
@@ -54,31 +46,21 @@ main(int argc, char **argv)
     table.print_header();
 
     const std::size_t S = schemes.size();
-    const std::size_t R = roster.size();
     double dripper_geo[3] = {0, 0, 0};
     double ppf_geo[3] = {0, 0, 0};
     for (std::size_t s = 1; s < S; ++s) {
         std::vector<std::string> cells = {labels[s]};
         for (std::size_t p = 0; p < pfs.size(); ++p) {
-            SuiteAggregator agg;
-            for (std::size_t w = 0; w < R; ++w) {
-                const double base = matrix_ipc(report, S, R, p, 0, w);
-                const double ipc = matrix_ipc(report, S, R, p, s, w);
-                if (std::isnan(base) || std::isnan(ipc) || base <= 0.0) {
-                    continue;  // failed job: degrade to partial geomean
-                }
-                agg.add(roster[w].suite, ipc / base);
-            }
-            const double g = agg.overall_geomean();
+            const double g =
+                column_speedups(report, roster, p * S + s, p * S)
+                    .overall_geomean();
             if (schemes[s] == "dripper") {
                 dripper_geo[p] = g;
             }
             if (schemes[s] == "ppf") {
                 ppf_geo[p] = g;
             }
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%+.2f%%", (g - 1.0) * 100.0);
-            cells.push_back(buf);
+            cells.push_back(format_pct(g - 1.0));
         }
         table.print_row(cells);
     }
@@ -91,5 +73,5 @@ main(int argc, char **argv)
         }
     }
     std::printf("(paper: +2.4%% / +1.4%% / +1.6%%)\n");
-    return report.all_completed() ? 0 : 1;
+    return matrix_exit_status(report);
 }

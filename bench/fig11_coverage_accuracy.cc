@@ -8,12 +8,12 @@
  * Paper shape: DRIPPER matches Permit PGC's coverage gains (avg
  * +4.1% vs +4.2%) while *increasing* accuracy (+1.2%) where Permit
  * PGC loses accuracy (-2.6%).
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
-#include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -23,7 +23,10 @@ main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
-    const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "permit", "dripper"}, {"berti"},
+                    args.run),
+        args);
 
     std::printf("== Fig. 11: coverage (top) and accuracy (bottom), "
                 "Berti ==\n\n");
@@ -37,16 +40,18 @@ main(int argc, char **argv)
     std::map<std::string, SuiteAcc> by_suite;
     std::vector<std::string> order;
 
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics base =
-            run_single(make_config(k, scheme_discard()), spec, args.run);
-        const RunMetrics permit =
-            run_single(make_config(k, scheme_permit()), spec, args.run);
-        const RunMetrics dripper =
-            run_single(make_config(k, scheme_dripper(k)), spec, args.run);
-        auto [it, inserted] = by_suite.try_emplace(spec.suite);
+    const std::size_t R = roster.size();
+    for (std::size_t w = 0; w < R; ++w) {
+        const RunMetrics *bp = cell_metrics(report, R, 0, w);
+        const RunMetrics *pp = cell_metrics(report, R, 1, w);
+        const RunMetrics *dp = cell_metrics(report, R, 2, w);
+        if (bp == nullptr || pp == nullptr || dp == nullptr) {
+            continue;
+        }
+        const RunMetrics &base = *bp, &permit = *pp, &dripper = *dp;
+        auto [it, inserted] = by_suite.try_emplace(roster[w].suite);
         if (inserted) {
-            order.push_back(spec.suite);
+            order.push_back(roster[w].suite);
         }
         SuiteAcc &a = it->second;
         a.cov_permit += coverage_gain(permit, base);
@@ -86,5 +91,5 @@ main(int argc, char **argv)
                 "DRIPPER %+.2f%% (paper: -2.6%% / +1.2%%)\n",
                 100.0 * (total.acc_permit - total.acc_base) / n,
                 100.0 * (total.acc_dripper - total.acc_base) / n);
-    return 0;
+    return matrix_exit_status(report);
 }

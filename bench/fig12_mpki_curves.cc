@@ -8,13 +8,14 @@
  * (avg absolute reductions ~0.6 dTLB / 0.1 sTLB / 2.1 L1D / 0.2
  * LLC); Permit PGC reduces them for some workloads and inflates them
  * for others.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <algorithm>
 #include <cstdio>
 
-#include "filter/policies.h"
+#include "common/stats.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -24,32 +25,12 @@ main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
-    const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "permit", "dripper"}, {"berti"},
+                    args.run),
+        args);
 
     std::printf("== Fig. 12: MPKI deltas over Discard PGC (Berti) ==\n");
-
-    struct Deltas
-    {
-        std::vector<double> dtlb, stlb, l1d, llc;
-    };
-    Deltas permit, dripper;
-
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics base =
-            run_single(make_config(k, scheme_discard()), spec, args.run);
-        const RunMetrics mp =
-            run_single(make_config(k, scheme_permit()), spec, args.run);
-        const RunMetrics md =
-            run_single(make_config(k, scheme_dripper(k)), spec, args.run);
-        permit.dtlb.push_back(mp.dtlb_mpki() - base.dtlb_mpki());
-        permit.stlb.push_back(mp.stlb_mpki() - base.stlb_mpki());
-        permit.l1d.push_back(mp.l1d_mpki() - base.l1d_mpki());
-        permit.llc.push_back(mp.llc_mpki() - base.llc_mpki());
-        dripper.dtlb.push_back(md.dtlb_mpki() - base.dtlb_mpki());
-        dripper.stlb.push_back(md.stlb_mpki() - base.stlb_mpki());
-        dripper.l1d.push_back(md.l1d_mpki() - base.l1d_mpki());
-        dripper.llc.push_back(md.llc_mpki() - base.llc_mpki());
-    }
 
     auto curve = [](const char *label, std::vector<double> v) {
         std::sort(v.begin(), v.end());
@@ -59,18 +40,31 @@ main(int argc, char **argv)
         }
         std::printf("   (mean %+.3f)\n", mean(v));
     };
+    // Sorted per-workload MPKI deltas of column c over Discard PGC.
+    auto curves = [&](std::size_t c) {
+        std::vector<double> dtlb, stlb, l1d, llc;
+        const std::size_t R = roster.size();
+        for (std::size_t w = 0; w < R; ++w) {
+            const RunMetrics *base = cell_metrics(report, R, 0, w);
+            const RunMetrics *m = cell_metrics(report, R, c, w);
+            if (base != nullptr && m != nullptr) {
+                dtlb.push_back(m->dtlb_mpki() - base->dtlb_mpki());
+                stlb.push_back(m->stlb_mpki() - base->stlb_mpki());
+                l1d.push_back(m->l1d_mpki() - base->l1d_mpki());
+                llc.push_back(m->llc_mpki() - base->llc_mpki());
+            }
+        }
+        curve("dTLB", dtlb);
+        curve("sTLB", stlb);
+        curve("L1D", l1d);
+        curve("LLC", llc);
+    };
     std::printf("\nPermit PGC (sorted per-workload MPKI delta; lower is "
                 "better):\n");
-    curve("dTLB", permit.dtlb);
-    curve("sTLB", permit.stlb);
-    curve("L1D", permit.l1d);
-    curve("LLC", permit.llc);
+    curves(1);
     std::printf("\nDRIPPER:\n");
-    curve("dTLB", dripper.dtlb);
-    curve("sTLB", dripper.stlb);
-    curve("L1D", dripper.l1d);
-    curve("LLC", dripper.llc);
+    curves(2);
     std::printf("\npaper average DRIPPER reductions: dTLB 0.6, sTLB 0.1, "
                 "L1D 2.1, LLC 0.2 (absolute MPKI)\n");
-    return 0;
+    return matrix_exit_status(report);
 }

@@ -7,13 +7,14 @@
  * nearly coincide (same hits), while DRIPPER's useless-PGC
  * distribution is concentrated at ~0 and Permit's reaches large
  * values.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <algorithm>
 #include <cstdio>
 
-#include "filter/policies.h"
+#include "common/stats.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -23,25 +24,26 @@ main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
-    const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"permit", "dripper"}, {"berti"}, args.run),
+        args);
 
     std::printf("== Fig. 13: useful/useless page-cross prefetches per "
                 "kilo-instruction (Berti) ==\n");
 
-    std::vector<double> up, ud, wp, wd;  // useful/useless, permit/dripper
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics mp =
-            run_single(make_config(k, scheme_permit()), spec, args.run);
-        const RunMetrics md =
-            run_single(make_config(k, scheme_dripper(k)), spec, args.run);
-        const double ki_p = double(mp.instructions) / 1000.0;
-        const double ki_d = double(md.instructions) / 1000.0;
-        up.push_back(double(mp.pgc_useful) / ki_p);
-        wp.push_back(double(mp.pgc_useless) / ki_p);
-        ud.push_back(double(md.pgc_useful) / ki_d);
-        wd.push_back(double(md.pgc_useless) / ki_d);
-    }
-
+    // Useful (or useless) page-cross prefetches per kilo-instruction
+    // of column c (0: Permit PGC, 1: DRIPPER), one per workload.
+    auto pki = [&](std::size_t c, bool useful) {
+        std::vector<double> v;
+        for (std::size_t w = 0; w < roster.size(); ++w) {
+            const RunMetrics *m = cell_metrics(report, roster.size(), c, w);
+            if (m != nullptr) {
+                v.push_back(double(useful ? m->pgc_useful : m->pgc_useless) /
+                            (double(m->instructions) / 1000.0));
+            }
+        }
+        return v;
+    };
     auto curve = [](const char *label, std::vector<double> v) {
         std::sort(v.begin(), v.end());
         std::printf("  %-22s:", label);
@@ -52,11 +54,11 @@ main(int argc, char **argv)
                     percentile(v, 90));
     };
     std::printf("\nsorted per-workload PKI values:\n");
-    curve("useful PGC (Permit)", up);
-    curve("useful PGC (DRIPPER)", ud);
-    curve("useless PGC (Permit)", wp);
-    curve("useless PGC (DRIPPER)", wd);
+    curve("useful PGC (Permit)", pki(0, true));
+    curve("useful PGC (DRIPPER)", pki(1, true));
+    curve("useless PGC (Permit)", pki(0, false));
+    curve("useless PGC (DRIPPER)", pki(1, false));
     std::printf("\nExpected: useful distributions nearly identical; "
                 "DRIPPER's useless PKI concentrated near zero.\n");
-    return 0;
+    return matrix_exit_status(report);
 }

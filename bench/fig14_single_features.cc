@@ -6,13 +6,14 @@
  *
  * Paper shape: DRIPPER above each single-feature filter for the vast
  * majority of workloads — it combines their benefits.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <algorithm>
 #include <cstdio>
 
 #include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -24,36 +25,32 @@ main(int argc, char **argv)
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
     const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
 
-    std::printf("== Fig. 14: DRIPPER vs its constituent single-feature "
-                "filters (Berti) ==\n\n");
-
     const SchemeConfig schemes[] = {
         scheme_single_program(ProgramFeatureId::kDelta),
         scheme_single_system(SystemFeatureId::kStlbMpki),
         scheme_single_system(SystemFeatureId::kStlbMissRate),
         scheme_dripper(k),
     };
-
-    std::vector<std::vector<double>> curves(4);
-    std::vector<SuiteAggregator> aggs(4);
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics base =
-            run_single(make_config(k, scheme_discard()), spec, args.run);
-        for (std::size_t s = 0; s < 4; ++s) {
-            const RunMetrics m =
-                run_single(make_config(k, schemes[s]), spec, args.run);
-            const double sp = speedup(m, base);
-            curves[s].push_back(sp);
-            aggs[s].add(spec.suite, sp);
-        }
+    // Column 0 is the Discard baseline, column s + 1 schemes[s].
+    std::vector<MatrixColumn> columns = {{"discard"}};
+    for (std::size_t s = 0; s < 3; ++s) {
+        columns.push_back(
+            machine_column(schemes[s].name, make_config(k, schemes[s])));
     }
+    columns.push_back({"dripper"});
+    const EngineReport report =
+        run_matrix(make_matrix(roster, columns, args.run), args, columns);
+
+    std::printf("== Fig. 14: DRIPPER vs its constituent single-feature "
+                "filters (Berti) ==\n\n");
 
     for (std::size_t s = 0; s < 4; ++s) {
-        std::vector<double> v = curves[s];
+        const SuiteAggregator agg = column_speedups(report, roster, s + 1);
+        std::vector<double> v = agg.ratios();
         std::sort(v.begin(), v.end());
         std::printf("%-22s geomean %+.2f%%  S-curve:",
                     schemes[s].name.c_str(),
-                    (aggs[s].overall_geomean() - 1.0) * 100.0);
+                    (agg.overall_geomean() - 1.0) * 100.0);
         for (double x : v) {
             std::printf(" %+.1f", (x - 1.0) * 100.0);
         }
@@ -61,5 +58,5 @@ main(int argc, char **argv)
     }
     std::printf("\nExpected: DRIPPER's geomean above every "
                 "single-feature filter.\n");
-    return 0;
+    return matrix_exit_status(report);
 }

@@ -7,12 +7,13 @@
  * Paper shape: trends unchanged — Permit PGC below the baseline,
  * DRIPPER best regardless of L2C prefetcher; DRIPPER's margin is
  * slightly larger with no L2C prefetcher.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
 #include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -24,41 +25,41 @@ main(int argc, char **argv)
     const std::vector<WorkloadSpec> roster = args.select(seen_workloads());
     const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
 
-    std::printf("== Fig. 17: L2C prefetcher sweep (Berti at L1D) ==\n\n");
-
     const L2PrefetcherKind l2s[] = {L2PrefetcherKind::kNone,
                                     L2PrefetcherKind::kSpp,
                                     L2PrefetcherKind::kIpcp,
                                     L2PrefetcherKind::kBop};
     const char *l2names[] = {"NoL2Pref", "SPP", "IPCP", "BOP"};
+    const char *schemes[] = {"discard", "permit", "dripper"};
+
+    // Columns 3i, 3i+1, 3i+2: Discard, Permit and DRIPPER with L2C
+    // prefetcher i.
+    std::vector<MatrixColumn> columns;
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (const char *scheme : schemes) {
+            if (l2s[i] == L2PrefetcherKind::kNone) {
+                columns.push_back({scheme});  // the default: registry cell
+                continue;
+            }
+            MachineConfig cfg = make_config(k, scheme_by_name(scheme, k));
+            cfg.l2_prefetcher = l2s[i];
+            columns.push_back(machine_column(
+                std::string(scheme) + "+L2:" + l2names[i], cfg));
+        }
+    }
+    const EngineReport report =
+        run_matrix(make_matrix(roster, columns, args.run), args, columns);
+
+    std::printf("== Fig. 17: L2C prefetcher sweep (Berti at L1D) ==\n\n");
 
     TablePrinter table({"L2C prefetcher", "Permit PGC", "DRIPPER"});
     table.print_header();
     for (std::size_t i = 0; i < 4; ++i) {
-        SuiteAggregator agg_permit, agg_dripper;
-        for (const WorkloadSpec &spec : roster) {
-            auto with_l2 = [&](const SchemeConfig &scheme) {
-                MachineConfig cfg = make_config(k, scheme);
-                cfg.l2_prefetcher = l2s[i];
-                return cfg;
-            };
-            const RunMetrics base =
-                run_single(with_l2(scheme_discard()), spec, args.run);
-            const RunMetrics mp =
-                run_single(with_l2(scheme_permit()), spec, args.run);
-            const RunMetrics md =
-                run_single(with_l2(scheme_dripper(k)), spec, args.run);
-            agg_permit.add(spec.suite, speedup(mp, base));
-            agg_dripper.add(spec.suite, speedup(md, base));
-        }
-        char a[32], b[32];
-        std::snprintf(a, sizeof(a), "%+.2f%%",
-                      (agg_permit.overall_geomean() - 1.0) * 100.0);
-        std::snprintf(b, sizeof(b), "%+.2f%%",
-                      (agg_dripper.overall_geomean() - 1.0) * 100.0);
-        table.print_row({l2names[i], a, b});
+        table.print_row({l2names[i],
+                         geomean_gain(report, roster, 3 * i + 1, 3 * i),
+                         geomean_gain(report, roster, 3 * i + 2, 3 * i)});
     }
     std::printf("\nExpected: DRIPPER positive and best in every column; "
                 "Permit PGC negative.\n");
-    return 0;
+    return matrix_exit_status(report);
 }

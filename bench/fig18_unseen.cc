@@ -6,13 +6,13 @@
  *
  * Paper shape: same trends as the seen set — DRIPPER +1.2% over
  * Discard and +2.1% over Permit in geomean.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <algorithm>
 #include <cstdio>
 
-#include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -23,24 +23,15 @@ main(int argc, char **argv)
     const BenchArgs args = parse_bench_args(argc, argv);
     const std::vector<WorkloadSpec> roster =
         args.select(unseen_workloads());
-    const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "permit", "dripper"}, {"berti"},
+                    args.run),
+        args);
 
     std::printf("== Fig. 18: unseen workloads (Berti) ==\n\n");
 
-    SuiteAggregator agg_permit, agg_dripper;
-    std::vector<double> sp, sd;
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics base =
-            run_single(make_config(k, scheme_discard()), spec, args.run);
-        const RunMetrics mp =
-            run_single(make_config(k, scheme_permit()), spec, args.run);
-        const RunMetrics md =
-            run_single(make_config(k, scheme_dripper(k)), spec, args.run);
-        sp.push_back(speedup(mp, base));
-        sd.push_back(speedup(md, base));
-        agg_permit.add(spec.suite, sp.back());
-        agg_dripper.add(spec.suite, sd.back());
-    }
+    const SuiteAggregator agg_permit = column_speedups(report, roster, 1);
+    const SuiteAggregator agg_dripper = column_speedups(report, roster, 2);
     auto curve = [](const char *label, std::vector<double> v) {
         std::sort(v.begin(), v.end());
         std::printf("%-10s S-curve:", label);
@@ -49,8 +40,8 @@ main(int argc, char **argv)
         }
         std::printf("\n");
     };
-    curve("Permit", sp);
-    curve("DRIPPER", sd);
+    curve("Permit", agg_permit.ratios());
+    curve("DRIPPER", agg_dripper.ratios());
     const double gp = agg_permit.overall_geomean();
     const double gd = agg_dripper.overall_geomean();
     std::printf("\nGEOMEAN (unseen): Permit %+.2f%%  DRIPPER %+.2f%%  "
@@ -59,5 +50,5 @@ main(int argc, char **argv)
                 (gd / gp - 1.0) * 100.0);
     std::printf("paper: DRIPPER +1.2%% over Discard, +2.1%% over "
                 "Permit\n");
-    return 0;
+    return matrix_exit_status(report);
 }

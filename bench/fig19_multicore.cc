@@ -113,9 +113,6 @@ main(int argc, char **argv)
             return out;
         },
         telemetry.get());
-    if (!report.all_completed()) {
-        std::fputs(report.summary().c_str(), stderr);
-    }
 
     std::vector<double> sp, sd;
     for (const JobResult &res : report.results) {
@@ -160,5 +157,5 @@ main(int argc, char **argv)
                         telemetry->dir().c_str());
         }
     }
-    return report.all_completed() ? 0 : 1;
+    return matrix_exit_status(report);
 }

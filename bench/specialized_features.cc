@@ -7,12 +7,12 @@
  * Paper hypothesis: "crafting specialized features that exploit
  * metadata of specific prefetchers has the potential to further
  * improve the effectiveness of a Page-Cross Filter."
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
 #include <cstdio>
 
-#include "filter/policies.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -22,38 +22,25 @@ main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
     const auto roster = args.select(seen_workloads());
+    // Columns 3k, 3k+1, 3k+2: prefetcher k's Discard, DRIPPER and
+    // DRIPPER+Meta.
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "dripper", "dripper-meta"},
+                    {"berti", "bop", "ipcp"}, args.run),
+        args);
 
     std::printf("== Extension: prefetcher-specialized features ==\n\n");
 
-    const L1dPrefetcherKind kinds[] = {L1dPrefetcherKind::kBerti,
-                                       L1dPrefetcherKind::kBop,
-                                       L1dPrefetcherKind::kIpcp};
     const char *names[] = {"Berti", "BOP", "IPCP"};
 
     TablePrinter table({"prefetcher", "DRIPPER", "DRIPPER+Meta"});
     table.print_header();
     for (std::size_t k = 0; k < 3; ++k) {
-        SuiteAggregator agg_base, agg_meta;
-        for (const WorkloadSpec &spec : roster) {
-            const RunMetrics base = run_single(
-                make_config(kinds[k], scheme_discard()), spec, args.run);
-            const RunMetrics md = run_single(
-                make_config(kinds[k], scheme_dripper(kinds[k])), spec,
-                args.run);
-            const RunMetrics mm = run_single(
-                make_config(kinds[k], scheme_dripper_specialized(kinds[k])),
-                spec, args.run);
-            agg_base.add(spec.suite, speedup(md, base));
-            agg_meta.add(spec.suite, speedup(mm, base));
-        }
-        char a[32], b[32];
-        std::snprintf(a, sizeof(a), "%+.2f%%",
-                      (agg_base.overall_geomean() - 1.0) * 100.0);
-        std::snprintf(b, sizeof(b), "%+.2f%%",
-                      (agg_meta.overall_geomean() - 1.0) * 100.0);
-        table.print_row({names[k], a, b});
+        table.print_row({names[k],
+                         geomean_gain(report, roster, 3 * k + 1, 3 * k),
+                         geomean_gain(report, roster, 3 * k + 2, 3 * k)});
     }
     std::printf("\nNote: the specialized variant costs two extra weight "
                 "tables (~1.28KB).\n");
-    return 0;
+    return matrix_exit_status(report);
 }

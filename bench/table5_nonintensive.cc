@@ -7,88 +7,68 @@
  * Paper values: Permit -0.8% / -0.9% / -0.6%; DRIPPER +1.7% / +1.2%
  * / +0.4% — DRIPPER helps intensive workloads without hurting the
  * non-intensive ones.
+ *
+ * Cells run through run_matrix: the engine and store flags apply.
  */
+#include <algorithm>
 #include <cstdio>
 
-#include "filter/policies.h"
+#include "common/stats.h"
 #include "sim/experiment.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
-
-namespace {
-
-struct Pair
-{
-    double permit;
-    double dripper;
-    std::vector<double> sp, sd;
-};
-
-Pair
-evaluate(const std::vector<WorkloadSpec> &roster, const RunConfig &run)
-{
-    const L1dPrefetcherKind k = L1dPrefetcherKind::kBerti;
-    Pair out;
-    for (const WorkloadSpec &spec : roster) {
-        const RunMetrics base =
-            run_single(make_config(k, scheme_discard()), spec, run);
-        const RunMetrics mp =
-            run_single(make_config(k, scheme_permit()), spec, run);
-        const RunMetrics md =
-            run_single(make_config(k, scheme_dripper(k)), spec, run);
-        out.sp.push_back(speedup(mp, base));
-        out.sd.push_back(speedup(md, base));
-    }
-    out.permit = geomean(out.sp);
-    out.dripper = geomean(out.sd);
-    return out;
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
 {
     const BenchArgs args = parse_bench_args(argc, argv);
 
+    // One matrix over the three rosters. `parts` is the same roster
+    // with each suite renamed after its roster, so the speedups
+    // aggregate by roster. sample(..., 0) means the whole roster, so
+    // the non-intensive sample asks for at least one.
+    const std::pair<const char *, std::vector<WorkloadSpec>> rosters[] = {
+        {"seen", args.select(seen_workloads())},
+        {"unseen", args.select(unseen_workloads())},
+        {"non-intensive",
+         args.full ? non_intensive_workloads()
+                   : sample(non_intensive_workloads(),
+                            std::max<std::size_t>(1, args.workloads / 2))},
+    };
+    std::vector<WorkloadSpec> roster, parts;
+    for (const auto &[part, specs] : rosters) {
+        for (WorkloadSpec spec : specs) {
+            roster.push_back(spec);
+            spec.suite = part;
+            parts.push_back(spec);
+        }
+    }
+    const EngineReport report = run_matrix(
+        make_matrix(roster, {"discard", "permit", "dripper"}, {"berti"},
+                    args.run),
+        args);
+    const SuiteAggregator permit = column_speedups(report, parts, 1);
+    const SuiteAggregator dripper = column_speedups(report, parts, 2);
+
     std::printf("== Table V: seen / unseen / all (incl. non-intensive), "
                 "Berti ==\n\n");
 
-    const auto seen = args.select(seen_workloads());
-    const auto unseen = args.select(unseen_workloads());
-    const auto nonint =
-        args.full ? non_intensive_workloads()
-                  : sample(non_intensive_workloads(), args.workloads / 2);
-
-    const Pair ps = evaluate(seen, args.run);
-    const Pair pu = evaluate(unseen, args.run);
-    const Pair pn = evaluate(nonint, args.run);
-
     // "All" pools every per-workload ratio.
-    std::vector<double> all_p = ps.sp, all_d = ps.sd;
-    all_p.insert(all_p.end(), pu.sp.begin(), pu.sp.end());
-    all_p.insert(all_p.end(), pn.sp.begin(), pn.sp.end());
-    all_d.insert(all_d.end(), pu.sd.begin(), pu.sd.end());
-    all_d.insert(all_d.end(), pn.sd.begin(), pn.sd.end());
-
     TablePrinter table({"scheme", "Seen", "Unseen", "All"});
     table.print_header();
-    char a[32], b[32], c[32];
-    std::snprintf(a, sizeof(a), "%+.2f%%", (ps.permit - 1.0) * 100.0);
-    std::snprintf(b, sizeof(b), "%+.2f%%", (pu.permit - 1.0) * 100.0);
-    std::snprintf(c, sizeof(c), "%+.2f%%", (geomean(all_p) - 1.0) * 100.0);
-    table.print_row({"Berti+Permit PGC", a, b, c});
-    std::snprintf(a, sizeof(a), "%+.2f%%", (ps.dripper - 1.0) * 100.0);
-    std::snprintf(b, sizeof(b), "%+.2f%%", (pu.dripper - 1.0) * 100.0);
-    std::snprintf(c, sizeof(c), "%+.2f%%", (geomean(all_d) - 1.0) * 100.0);
-    table.print_row({"Berti+DRIPPER", a, b, c});
+    for (const auto &[label, agg] : {std::pair{"Berti+Permit PGC", &permit},
+                                     std::pair{"Berti+DRIPPER", &dripper}}) {
+        table.print_row({label, format_pct(agg->suite_geomean("seen") - 1.0),
+                         format_pct(agg->suite_geomean("unseen") - 1.0),
+                         format_pct(geomean(agg->ratios()) - 1.0)});
+    }
 
     std::printf("\nnon-intensive only: Permit %+.2f%%  DRIPPER %+.2f%% "
                 "(expected: both ~0, DRIPPER not harmful)\n",
-                (pn.permit - 1.0) * 100.0, (pn.dripper - 1.0) * 100.0);
+                (permit.suite_geomean("non-intensive") - 1.0) * 100.0,
+                (dripper.suite_geomean("non-intensive") - 1.0) * 100.0);
     std::printf("paper: Permit -0.8/-0.9/-0.6%%  DRIPPER "
                 "+1.7/+1.2/+0.4%%\n");
-    return 0;
+    return matrix_exit_status(report);
 }

@@ -34,9 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "filter/policies.h"
+#include "sim/experiment.h"
 #include "sim/machine.h"
-#include "sim/runner.h"
 #include "trace/suites.h"
 
 using namespace moka;
@@ -86,21 +85,6 @@ spec_of(const std::string &name)
     std::exit(2);
 }
 
-SchemeConfig
-scheme_of(const std::string &name)
-{
-    if (name == "dripper") {
-        return scheme_dripper(L1dPrefetcherKind::kBerti);
-    }
-    if (name == "permit") {
-        return scheme_permit();
-    }
-    if (name == "ppf") {
-        return scheme_ppf(false);
-    }
-    return scheme_discard();
-}
-
 /** What one timed simulation of a cell did. */
 struct Timing
 {
@@ -114,7 +98,7 @@ run_cell(const Cell &cell)
 {
     const unsigned cores = static_cast<unsigned>(cell.workloads.size());
     MachineConfig cfg = default_config(cores);
-    cfg.scheme = scheme_of(cell.scheme);
+    cfg.scheme = scheme_by_name(cell.scheme, L1dPrefetcherKind::kBerti);
     cfg.l1d_prefetcher = L1dPrefetcherKind::kBerti;
     std::vector<WorkloadPtr> wl;
     for (const char *name : cell.workloads) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,6 +73,22 @@ require_double(const std::string &flag, const char *value)
         std::exit(2);
     }
     return parsed;
+}
+
+std::string
+require_name(const std::string &flag, const std::string &value,
+             const std::vector<std::string> &known)
+{
+    if (std::find(known.begin(), known.end(), value) != known.end()) {
+        return value;
+    }
+    std::string names;
+    for (const std::string &k : known) {
+        names += " " + k;
+    }
+    std::fprintf(stderr, "usage: %s: unknown name '%s' (known:%s)\n",  // LINT_LOG_OK: usage error
+                 flag.c_str(), value.c_str(), names.c_str());
+    std::exit(2);
 }
 
 BenchArgs
@@ -221,39 +236,67 @@ prefetcher_by_name(const std::string &name)
 
 }  // namespace
 
+MatrixColumn
+machine_column(const std::string &label, const MachineConfig &cfg)
+{
+    char fingerprint[17];
+    std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                  static_cast<unsigned long long>(config_fingerprint(cfg, 1)));
+    MatrixColumn col;
+    col.scheme = label + "@" + fingerprint;
+    for (const std::string &name : known_prefetcher_names()) {
+        if (parse_l1d_kind(name) == cfg.l1d_prefetcher) {
+            col.prefetcher = name;
+        }
+    }
+    col.large_page_fraction = cfg.vmem.large_page_fraction;
+    col.machine = cfg;
+    return col;
+}
+
+std::vector<JobSpec>
+make_matrix(const std::vector<WorkloadSpec> &roster,
+            const std::vector<MatrixColumn> &columns, const RunConfig &run)
+{
+    std::vector<JobSpec> jobs;
+    jobs.reserve(roster.size() * columns.size());
+    for (const MatrixColumn &col : columns) {
+        for (const WorkloadSpec &spec : roster) {
+            JobSpec job;
+            job.id = jobs.size();
+            job.workload = spec;
+            job.scheme = col.scheme;
+            job.prefetcher = col.prefetcher;
+            job.run = run;
+            job.large_page_fraction = col.large_page_fraction;
+            // A single-core run retires warmup+measure instructions in
+            // exactly that many steps; 8x slack accommodates replay
+            // variance with headroom while still catching runaway
+            // loops.
+            job.watchdog_steps = 8 * (run.warmup_insts + run.measure_insts);
+            // Uniform single-core cells: equal cost keeps the engine's
+            // cost-ordered dispatch in plain id order.
+            job.estimated_cost =
+                static_cast<double>(run.warmup_insts + run.measure_insts);
+            jobs.push_back(std::move(job));
+        }
+    }
+    return jobs;
+}
+
 std::vector<JobSpec>
 make_matrix(const std::vector<WorkloadSpec> &roster,
             const std::vector<std::string> &schemes,
             const std::vector<std::string> &prefetchers,
             const RunConfig &run, double large_page_fraction)
 {
-    std::vector<JobSpec> jobs;
-    jobs.reserve(roster.size() * schemes.size() * prefetchers.size());
+    std::vector<MatrixColumn> columns;
     for (const std::string &pf : prefetchers) {
         for (const std::string &scheme : schemes) {
-            for (const WorkloadSpec &spec : roster) {
-                JobSpec job;
-                job.id = jobs.size();
-                job.workload = spec;
-                job.scheme = scheme;
-                job.prefetcher = pf;
-                job.run = run;
-                job.large_page_fraction = large_page_fraction;
-                // A single-core run retires warmup+measure
-                // instructions in exactly that many steps; 8x slack
-                // accommodates replay variance with headroom while
-                // still catching runaway loops.
-                job.watchdog_steps =
-                    8 * (run.warmup_insts + run.measure_insts);
-                // Uniform single-core cells: equal cost keeps the
-                // engine's cost-ordered dispatch in plain id order.
-                job.estimated_cost = static_cast<double>(
-                    run.warmup_insts + run.measure_insts);
-                jobs.push_back(std::move(job));
-            }
+            columns.push_back({scheme, pf, large_page_fraction});
         }
     }
-    return jobs;
+    return make_matrix(roster, columns, run);
 }
 
 namespace {
@@ -276,15 +319,14 @@ workload_identity(const JobSpec &spec)
     return hash_combine(key, w.seed);
 }
 
-}  // namespace
-
+/**
+ * Run @p spec's workload on @p cfg: everything a cell does once its
+ * machine is resolved.
+ */
 JobOutput
-run_sim_job(const JobSpec &spec, JobContext &ctx)
+simulate_cell(const MachineConfig &cfg, const JobSpec &spec,
+              JobContext &ctx)
 {
-    const L1dPrefetcherKind kind = prefetcher_by_name(spec.prefetcher);
-    MachineConfig cfg = make_config(kind, scheme_by_name(spec.scheme, kind));
-    cfg.vmem.large_page_fraction = spec.large_page_fraction;
-
     WorkloadPtr workload;
     JobOutput out;
     WorkloadFactory factory;
@@ -340,6 +382,17 @@ run_sim_job(const JobSpec &spec, JobContext &ctx)
     return out;
 }
 
+}  // namespace
+
+JobOutput
+run_sim_job(const JobSpec &spec, JobContext &ctx)
+{
+    const L1dPrefetcherKind kind = prefetcher_by_name(spec.prefetcher);
+    MachineConfig cfg = make_config(kind, scheme_by_name(spec.scheme, kind));
+    cfg.vmem.large_page_fraction = spec.large_page_fraction;
+    return simulate_cell(cfg, spec, ctx);
+}
+
 EngineReport
 run_engine(const std::vector<JobSpec> &jobs, const BenchArgs &args,
            const JobFn &fn, TelemetrySession *telemetry)
@@ -385,22 +438,27 @@ run_engine(const std::vector<JobSpec> &jobs, const BenchArgs &args,
 
 EngineReport
 run_matrix(const std::vector<JobSpec> &jobs, const BenchArgs &args,
+           const std::vector<MatrixColumn> &columns,
            TelemetrySession *telemetry)
 {
-    return run_engine(jobs, args, run_sim_job, telemetry);
+    const JobFn body = [&columns](const JobSpec &spec, JobContext &ctx) {
+        for (const MatrixColumn &col : columns) {
+            if (col.machine.has_value() && col.scheme == spec.scheme) {
+                return simulate_cell(*col.machine, spec, ctx);
+            }
+        }
+        return run_sim_job(spec, ctx);
+    };
+    return run_engine(jobs, args, body, telemetry);
 }
 
-double
-matrix_ipc(const EngineReport &report, std::size_t schemes,
-           std::size_t roster, std::size_t p, std::size_t s,
-           std::size_t w)
+const RunMetrics *
+cell_metrics(const EngineReport &report, std::size_t roster, std::size_t c,
+             std::size_t w)
 {
-    const std::size_t id = (p * schemes + s) * roster + w;
-    const JobResult &res = report.results[id];
-    if (res.status != JobStatus::kCompleted) {
-        return std::nan("");
-    }
-    return res.output.row.metrics.ipc();
+    const JobResult &res = report.results[c * roster + w];
+    return res.status == JobStatus::kCompleted ? &res.output.row.metrics
+                                               : nullptr;
 }
 
 void
@@ -411,6 +469,7 @@ SuiteAggregator::add(const std::string &suite, double ratio)
         order_.push_back(suite);
     }
     it->second.push_back(ratio);
+    ratios_.push_back(ratio);
 }
 
 double
@@ -431,6 +490,41 @@ SuiteAggregator::overall_geomean() const
         all.insert(all.end(), ratios.begin(), ratios.end());
     }
     return all.empty() ? 1.0 : geomean(all);
+}
+
+SuiteAggregator
+column_speedups(const EngineReport &report,
+                const std::vector<WorkloadSpec> &roster, std::size_t c,
+                std::size_t base)
+{
+    SuiteAggregator agg;
+    for (std::size_t w = 0; w < roster.size(); ++w) {
+        const RunMetrics *b = cell_metrics(report, roster.size(), base, w);
+        const RunMetrics *m = cell_metrics(report, roster.size(), c, w);
+        if (b != nullptr && m != nullptr) {
+            agg.add(roster[w].suite, speedup(*m, *b));
+        }
+    }
+    return agg;
+}
+
+std::string
+geomean_gain(const EngineReport &report,
+             const std::vector<WorkloadSpec> &roster, std::size_t c,
+             std::size_t base)
+{
+    return format_pct(
+        column_speedups(report, roster, c, base).overall_geomean() - 1.0);
+}
+
+int
+matrix_exit_status(const EngineReport &report)
+{
+    if (report.all_completed()) {
+        return 0;
+    }
+    std::fputs(report.summary().c_str(), stderr);  // LINT_LOG_OK: report
+    return 1;
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)

@@ -3,15 +3,18 @@
  * Shared helpers for the figure/table benchmark harnesses: derived
  * metrics (speedup, coverage), per-suite aggregation, table printing,
  * common CLI flags (--full, --workloads, --insts, --warmup, plus the
- * engine flags --jobs/--fail-fast/--inject-faults and the result-store
- * flags --shard-dir/--lease-ttl/--inject-kill), and the engine-backed
- * matrix runner every ported harness and sweep_tool share.
+ * engine flags --jobs/--fail-fast/--inject-faults, the result-store
+ * flags --shard-dir/--lease-ttl/--inject-kill and --snapshot-dir), and
+ * the one execution path for single-core cells: every figure and table
+ * harness, and sweep_tool, builds them with make_matrix and runs them
+ * with run_matrix, so one --shard-dir serves a cell to all of them.
  */
 #ifndef MOKASIM_SIM_EXPERIMENT_H
 #define MOKASIM_SIM_EXPERIMENT_H
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +91,9 @@ const char *require_value(const std::string &flag, int &i, int argc,
                           char **argv);
 std::uint64_t require_u64(const std::string &flag, const char *value);
 double require_double(const std::string &flag, const char *value);
+/** @p value when it is one of @p known, else a usage error listing them. */
+std::string require_name(const std::string &flag, const std::string &value,
+                         const std::vector<std::string> &known);
 
 /** Engine configuration implied by the common bench flags. */
 EngineConfig engine_config(const BenchArgs &args);
@@ -116,10 +122,42 @@ const std::vector<std::string> &known_scheme_names();
 const std::vector<std::string> &known_prefetcher_names();
 
 /**
- * Build the dense (prefetcher-major, then scheme, then workload) job
- * matrix: id = (p * |schemes| + s) * |roster| + w, which is also the
- * CSV emission order. Every job carries @p run budgets and a
- * watchdog step budget derived from them.
+ * One column of a bench matrix: a registry cell (a scheme_by_name name
+ * with a prefetcher and large-page fraction, keyed as the name-based
+ * make_matrix keys it) or a bench-defined machine (machine_column).
+ * Use a registry cell wherever a column is one, so baselines are
+ * shared.
+ */
+struct MatrixColumn
+{
+    std::string scheme;                //!< registry name, or label@fingerprint
+    std::string prefetcher = "berti";  //!< L1D prefetcher name
+    double large_page_fraction = 0.0;
+    std::optional<MachineConfig> machine = std::nullopt;  //!< bench-defined
+};
+
+/**
+ * Bench-defined machine column @p label on @p cfg. Its jobs' scheme is
+ * "<label>@<16 hex digits of config_fingerprint(cfg, 1)>", so job_key
+ * covers every MachineConfig leaf. The fingerprint cannot see inside
+ * the filter closure: cfg.scheme.name stands in for the filter's
+ * parameters and must identify them.
+ */
+MatrixColumn machine_column(const std::string &label,
+                            const MachineConfig &cfg);
+
+/**
+ * The dense job matrix of @p columns over @p roster: id = c * |roster|
+ * + w. Every job carries @p run budgets and a watchdog step budget
+ * derived from them.
+ */
+std::vector<JobSpec> make_matrix(const std::vector<WorkloadSpec> &roster,
+                                 const std::vector<MatrixColumn> &columns,
+                                 const RunConfig &run);
+
+/**
+ * The registry-cell matrix of every (prefetcher, scheme) pair:
+ * column p * |schemes| + s, which is also the CSV emission order.
  */
 std::vector<JobSpec>
 make_matrix(const std::vector<WorkloadSpec> &roster,
@@ -128,10 +166,11 @@ make_matrix(const std::vector<WorkloadSpec> &roster,
             const RunConfig &run, double large_page_fraction = 0.0);
 
 /**
- * The default single-core simulation job body: loads the workload
- * (roster generator or trace file), runs it under the job's scheme
- * and prefetcher with the engine's watchdog/fault hook, surfaces
- * audit findings, and returns the labelled row.
+ * The single-core job body for registry cells: resolves the job's
+ * scheme and prefetcher names (an unknown one fails the job as
+ * kConfigInvalid), loads the workload (roster generator or trace
+ * file), runs it with the engine's watchdog/fault hook, surfaces audit
+ * findings, and returns the labelled row.
  */
 JobOutput run_sim_job(const JobSpec &spec, JobContext &ctx);
 
@@ -153,18 +192,24 @@ EngineReport run_engine(const std::vector<JobSpec> &jobs,
                         const BenchArgs &args, const JobFn &fn,
                         TelemetrySession *telemetry = nullptr);
 
-/** run_engine with the default single-core sim body (run_sim_job). */
+/**
+ * run_engine with the single-core cell body: the jobs of a
+ * bench-defined machine among @p columns run its MachineConfig, every
+ * other job resolves as run_sim_job does, and both then run the same
+ * code.
+ */
 EngineReport run_matrix(const std::vector<JobSpec> &jobs,
                         const BenchArgs &args,
+                        const std::vector<MatrixColumn> &columns = {},
                         TelemetrySession *telemetry = nullptr);
 
 /**
- * Completed-job IPC for matrix cell (p, s, w) of @p report (layout
- * from make_matrix), or a quiet NaN when that job failed/was skipped.
+ * Metrics of cell (column @p c, workload @p w) of a matrix over
+ * @p roster workloads, or null when that job failed or was skipped.
  */
-double matrix_ipc(const EngineReport &report, std::size_t schemes,
-                  std::size_t roster, std::size_t p, std::size_t s,
-                  std::size_t w);
+const RunMetrics *cell_metrics(const EngineReport &report,
+                               std::size_t roster, std::size_t c,
+                               std::size_t w);
 
 /** Accumulates per-workload speedups and reports suite geomeans. */
 class SuiteAggregator
@@ -182,10 +227,33 @@ class SuiteAggregator
     /** Suites recorded, in first-seen order. */
     const std::vector<std::string> &suites() const { return order_; }
 
+    /** Every recorded ratio, in add() order. */
+    const std::vector<double> &ratios() const { return ratios_; }
+
   private:
     std::map<std::string, std::vector<double>> by_suite_;
     std::vector<std::string> order_;
+    std::vector<double> ratios_;
 };
+
+/**
+ * Speedups of column @p c over column @p base of a matrix over
+ * @p roster, one per workload whose two cells both completed.
+ */
+SuiteAggregator column_speedups(const EngineReport &report,
+                                const std::vector<WorkloadSpec> &roster,
+                                std::size_t c, std::size_t base = 0);
+
+/** column_speedups' overall geomean as a signed percent gain. */
+std::string geomean_gain(const EngineReport &report,
+                         const std::vector<WorkloadSpec> &roster,
+                         std::size_t c, std::size_t base = 0);
+
+/**
+ * A harness's exit status for @p report: 0 when every job completed;
+ * otherwise the engine summary goes to stderr and the status is 1.
+ */
+int matrix_exit_status(const EngineReport &report);
 
 /** Fixed-width table printer for the bench harnesses. */
 class TablePrinter

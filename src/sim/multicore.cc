@@ -110,17 +110,4 @@ weighted_ipc(L1dPrefetcherKind prefetcher, const SchemeConfig &scheme,
     return sum;
 }
 
-double
-weighted_speedup(L1dPrefetcherKind prefetcher, const SchemeConfig &scheme,
-                 const SchemeConfig &baseline,
-                 const std::vector<WorkloadSpec> &mix,
-                 const MulticoreConfig &mc, IsolationCache &iso,
-                 RunTickHook *hook)
-{
-    const double ws = weighted_ipc(prefetcher, scheme, mix, mc, iso, hook);
-    const double wb =
-        weighted_ipc(prefetcher, baseline, mix, mc, iso, hook);
-    return wb > 0.0 ? ws / wb : 0.0;
-}
-
 }  // namespace moka

@@ -86,17 +86,6 @@ double weighted_ipc(L1dPrefetcherKind prefetcher,
                     const std::string &label = "",
                     std::uint32_t trace_pid = 0);
 
-/**
- * Weighted speedup of @p scheme over @p baseline for @p mix
- * (both normalized with the same isolation IPCs).
- */
-double weighted_speedup(L1dPrefetcherKind prefetcher,
-                        const SchemeConfig &scheme,
-                        const SchemeConfig &baseline,
-                        const std::vector<WorkloadSpec> &mix,
-                        const MulticoreConfig &mc, IsolationCache &iso,
-                        RunTickHook *hook = nullptr);
-
 }  // namespace moka
 
 #endif  // MOKASIM_SIM_MULTICORE_H

@@ -1,7 +1,11 @@
 /** @file Unit tests for the experiment helpers. */
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "filter/policies.h"
 #include "sim/experiment.h"
+#include "sim/jobs/store.h"
 
 namespace moka {
 namespace {
@@ -84,6 +88,88 @@ TEST(Experiment, SuiteAggregator)
     const double overall = agg.overall_geomean();
     EXPECT_GT(overall, 1.0);
     EXPECT_LT(overall, 1.1);
+}
+
+MachineConfig
+berti_dripper()
+{
+    return make_config(L1dPrefetcherKind::kBerti,
+                       scheme_dripper(L1dPrefetcherKind::kBerti));
+}
+
+/** Store key of bench-defined machine @p cfg's first job. */
+std::uint64_t
+machine_key(const std::string &label, const MachineConfig &cfg)
+{
+    return job_key(make_matrix({seen_workloads().front()},
+                               {machine_column(label, cfg)},
+                               RunConfig())[0]);
+}
+
+TEST(MatrixColumn, MachineKeyCoversTheMachine)
+{
+    const std::uint64_t key = machine_key("dripper", berti_dripper());
+    // Two builds of one column share a key, which is not the key of
+    // the registry cell with the same label.
+    EXPECT_EQ(machine_key("dripper", berti_dripper()), key);
+    EXPECT_NE(job_key(make_matrix({seen_workloads().front()}, {"dripper"},
+                                  {"berti"}, RunConfig())[0]),
+              key);
+
+    const std::vector<std::function<void(MachineConfig &)>> mutations = {
+        [](MachineConfig &c) { c.l2_prefetcher = L2PrefetcherKind::kSpp; },
+        [](MachineConfig &c) { c.l1i.replacement = ReplacementKind::kSrrip; },
+        [](MachineConfig &c) { c.l1d.replacement = ReplacementKind::kSrrip; },
+        [](MachineConfig &c) { c.l2.replacement = ReplacementKind::kSrrip; },
+        [](MachineConfig &c) { c.llc.replacement = ReplacementKind::kSrrip; },
+        [](MachineConfig &c) { c.epoch_insts = 8192; },
+        [](MachineConfig &c) { c.interval_insts = 2048; },
+        [](MachineConfig &c) { c.vmem.large_page_fraction = 0.5; },
+        [](MachineConfig &c) { c.scheme.name = "DRIPPER@T=0"; },
+    };
+    std::vector<std::uint64_t> keys = {key};
+    for (const auto &mutate : mutations) {
+        MachineConfig cfg = berti_dripper();
+        mutate(cfg);
+        keys.push_back(machine_key("dripper", cfg));
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::size_t j = i + 1; j < keys.size(); ++j) {
+            EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+        }
+    }
+}
+
+TEST(MatrixColumn, MachinesRunOnlyWhereRunMatrixKnowsThem)
+{
+    RunConfig run;
+    run.warmup_insts = 1000;
+    run.measure_insts = 3000;
+    const std::vector<WorkloadSpec> roster = {seen_workloads().front()};
+    // Column 1 is column 2's machine, bench-defined.
+    const std::vector<MatrixColumn> columns = {
+        {"discard"}, machine_column("copy", berti_dripper()), {"dripper"}};
+    const std::vector<JobSpec> jobs = make_matrix(roster, columns, run);
+
+    const EngineReport report = run_matrix(jobs, BenchArgs(), columns);
+    ASSERT_TRUE(report.all_completed());
+    const RunMetrics *copy = cell_metrics(report, 1, 1, 0);
+    const RunMetrics *registry = cell_metrics(report, 1, 2, 0);
+    ASSERT_NE(copy, nullptr);
+    ASSERT_NE(registry, nullptr);
+    EXPECT_EQ(copy->instructions, registry->instructions);
+    EXPECT_EQ(copy->cycles, registry->cycles);
+    EXPECT_EQ(copy->l1d.misses, registry->l1d.misses);
+    EXPECT_EQ(copy->pgc_issued, registry->pgc_issued);
+
+    // Plain run_matrix resolves names only: the machine's job fails as
+    // a bad config and drops out; the registry cells still run.
+    const EngineReport plain = run_matrix(jobs, BenchArgs());
+    EXPECT_EQ(plain.results[1].status, JobStatus::kFailed);
+    EXPECT_EQ(plain.results[1].error, JobErrorCode::kConfigInvalid);
+    EXPECT_EQ(cell_metrics(plain, 1, 1, 0), nullptr);
+    ASSERT_NE(cell_metrics(plain, 1, 2, 0), nullptr);
+    EXPECT_EQ(cell_metrics(plain, 1, 2, 0)->cycles, registry->cycles);
 }
 
 }  // namespace

@@ -9,7 +9,15 @@
 #      warmup must be served from the cache (>= 1 hit, 0 misses);
 #   4. both snapshot runs' CSVs must be byte-identical to the cold
 #      reference -- restoring a warmed machine may not perturb the
-#      measured region by even one bit.
+#      measured region by even one bit;
+#   5. cross-harness reuse: fig10, fig11, ablation_threshold and
+#      sweep_tool, in that order, share one fresh --shard-dir and one
+#      fresh --snapshot-dir. Each must print what it prints with
+#      neither directory, and the store must serve every cell an
+#      earlier command already ran.
+#
+# The harnesses are taken from the bench/ directory next to the
+# sweep_tool's tools/ directory in the same build tree.
 #
 # Usage: ci_snapshot_reuse.sh <path-to-sweep_tool> [workdir]
 set -u
@@ -81,3 +89,45 @@ for run in first second; do
 done
 echo "PASS: snapshot-reuse sweeps reproduced the cold CSV byte-for-byte" \
      "($saves snapshot(s) published, $hits warm hit(s))"
+
+echo "== cross-harness reuse (one shared --shard-dir and --snapshot-dir) =="
+BENCH=$(dirname "$SWEEP")/../bench
+XWORK="$WORK/cross"
+mkdir -p "$XWORK"
+XARGS=(--workloads 4 --insts 100000 --warmup 100000 --jobs 4)
+
+cross_leg() { # args: name, expected "N found, M published", command...
+    local name=$1 want=$2
+    shift 2
+    "$@" "${XARGS[@]}" > "$XWORK/$name.ref" 2> "$XWORK/$name.ref.err" || {
+        echo "FAIL: $name without directories exited non-zero:" >&2
+        cat "$XWORK/$name.ref.err" >&2
+        exit 1
+    }
+    "$@" "${XARGS[@]}" --shard-dir "$XWORK/store" \
+        --snapshot-dir "$XWORK/snaps" \
+        > "$XWORK/$name.out" 2> "$XWORK/$name.err" || {
+        echo "FAIL: $name on the shared directories exited non-zero:" >&2
+        cat "$XWORK/$name.err" >&2
+        exit 1
+    }
+    grep '^result store:' "$XWORK/$name.err"
+    if ! grep -q "^result store: $want, 0 invalid" "$XWORK/$name.err"; then
+        echo "FAIL: $name: expected result store: $want" >&2
+        exit 1
+    fi
+    if ! diff -q "$XWORK/$name.ref" "$XWORK/$name.out"; then
+        echo "FAIL: $name prints other output on the shared directories" >&2
+        diff "$XWORK/$name.ref" "$XWORK/$name.out" | head -20 >&2
+        exit 1
+    fi
+}
+
+cross_leg fig10 "0 found, 12 published" "$BENCH/fig10_berti_scurve"
+cross_leg fig11 "12 found, 0 published" "$BENCH/fig11_coverage_accuracy"
+cross_leg ablation_threshold "8 found, 24 published" \
+    "$BENCH/ablation_threshold"
+cross_leg sweep_tool "12 found, 0 published" \
+    "$SWEEP" --schemes discard,permit,dripper
+echo "PASS: fig10, fig11, ablation_threshold and sweep_tool shared one" \
+     "store, each printing its cold output"

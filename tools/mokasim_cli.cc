@@ -16,7 +16,12 @@
  *   mokasim_cli --list
  *
  * Schemes: discard | permit | discard-ptw | iso | ppf | ppf-dthr |
- *          dripper | dripper-sf | dripper-2mb
+ *          dripper | dripper-sf | dripper-meta | dripper-2mb
+ * Prefetchers: berti | ipcp | bop | stride | nl
+ * L2 prefetchers: none | spp | ipcp | bop
+ *
+ * An unknown flag or name, a missing value or a malformed number is a
+ * usage error: one line on stderr, exit status 2.
  */
 #include <cstdio>
 #include <cstring>
@@ -26,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "filter/policies.h"
+#include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "telemetry/timeseries.h"
@@ -36,20 +41,6 @@
 using namespace moka;
 
 namespace {
-
-SchemeConfig
-parse_scheme(const std::string &s, L1dPrefetcherKind kind)
-{
-    if (s == "permit") return scheme_permit();
-    if (s == "discard-ptw") return scheme_discard_ptw();
-    if (s == "iso") return scheme_iso_storage();
-    if (s == "ppf") return scheme_ppf(false);
-    if (s == "ppf-dthr") return scheme_ppf(true);
-    if (s == "dripper") return scheme_dripper(kind);
-    if (s == "dripper-sf") return scheme_dripper_sf(kind);
-    if (s == "dripper-2mb") return scheme_dripper_filter_2mb(kind);
-    return scheme_discard();
-}
 
 const WorkloadSpec *
 find_spec(const std::vector<WorkloadSpec> &roster, const std::string &name)
@@ -125,29 +116,31 @@ main(int argc, char **argv)
     bool json = false, csv = false, list = false;
     std::string telemetry_dir, trace_events;
 
+    const std::vector<std::string> l2_names = {"none", "spp", "ipcp", "bop"};
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            return i + 1 < argc ? argv[++i] : "";
-        };
+        auto next = [&]() { return require_value(a, i, argc, argv); };
         if (a == "--workload") workload_name = next();
         else if (a == "--trace") trace_path = next();
         else if (a == "--mix") mix_arg = next();
-        else if (a == "--scheme") scheme_name = next();
-        else if (a == "--prefetcher") pf_name = next();
-        else if (a == "--l2-prefetcher") l2pf_name = next();
-        else if (a == "--insts") insts = std::stoull(next());
-        else if (a == "--warmup") warmup = std::stoull(next());
-        else if (a == "--large-pages") large_pages = std::stod(next());
+        else if (a == "--scheme")
+            scheme_name = require_name(a, next(), known_scheme_names());
+        else if (a == "--prefetcher")
+            pf_name = require_name(a, next(), known_prefetcher_names());
+        else if (a == "--l2-prefetcher")
+            l2pf_name = require_name(a, next(), l2_names);
+        else if (a == "--insts") insts = require_u64(a, next());
+        else if (a == "--warmup") warmup = require_u64(a, next());
+        else if (a == "--large-pages") large_pages = require_double(a, next());
         else if (a == "--telemetry-dir") telemetry_dir = next();
         else if (a == "--trace-events") trace_events = next();
         else if (a == "--json") json = true;
         else if (a == "--csv") csv = true;
         else if (a == "--list") list = true;
         else {
-            std::fprintf(stderr, "unknown flag %s (see file header)\n",
+            std::fprintf(stderr, "usage: unknown flag %s (see file header)\n",
                          a.c_str());
-            return 1;
+            return 2;
         }
     }
 
@@ -166,7 +159,7 @@ main(int argc, char **argv)
 
     MachineConfig cfg = default_config(cores);
     cfg.l1d_prefetcher = kind;
-    cfg.scheme = parse_scheme(scheme_name, kind);
+    cfg.scheme = scheme_by_name(scheme_name, kind);
     cfg.vmem.large_page_fraction = large_pages;
     if (l2pf_name == "spp") cfg.l2_prefetcher = L2PrefetcherKind::kSpp;
     if (l2pf_name == "ipcp") cfg.l2_prefetcher = L2PrefetcherKind::kIpcp;
@@ -189,8 +182,10 @@ main(int argc, char **argv)
         for (const std::string &n : split(mix_arg, ',')) {
             const WorkloadSpec *spec = find_spec(roster, n);
             if (spec == nullptr) {
-                std::fprintf(stderr, "unknown workload %s\n", n.c_str());
-                return 1;
+                std::fprintf(stderr,
+                             "usage: unknown workload %s (try --list)\n",
+                             n.c_str());
+                return 2;
             }
             names.push_back(spec->name);
             suites.push_back(spec->suite);
@@ -199,9 +194,9 @@ main(int argc, char **argv)
     } else {
         const WorkloadSpec *spec = find_spec(roster, workload_name);
         if (spec == nullptr) {
-            std::fprintf(stderr, "unknown workload %s (try --list)\n",
+            std::fprintf(stderr, "usage: unknown workload %s (try --list)\n",
                          workload_name.c_str());
-            return 1;
+            return 2;
         }
         names.push_back(spec->name);
         suites.push_back(spec->suite);

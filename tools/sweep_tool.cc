@@ -37,7 +37,6 @@
  * a cold sweep (see snapshot/cache.h). --no-snapshot-reuse forces
  * cold warmups even when a directory is given.
  */
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -126,28 +125,10 @@ main(int argc, char **argv)
     // Validate names up front: a typo is a usage error, not a sweep
     // of uniformly failed jobs.
     const std::vector<std::string> schemes = split(schemes_arg, ',');
-    const std::vector<std::string> &known = known_scheme_names();
     for (const std::string &name : schemes) {
-        if (std::find(known.begin(), known.end(), name) == known.end()) {
-            std::fprintf(stderr, "usage: unknown scheme '%s' (known:",
-                         name.c_str());
-            for (const std::string &k : known) {
-                std::fprintf(stderr, " %s", k.c_str());
-            }
-            std::fprintf(stderr, ")\n");
-            return 2;
-        }
+        require_name("--schemes", name, known_scheme_names());
     }
-    const std::vector<std::string> &pfs = known_prefetcher_names();
-    if (std::find(pfs.begin(), pfs.end(), pf_name) == pfs.end()) {
-        std::fprintf(stderr, "usage: unknown prefetcher '%s' (known:",
-                     pf_name.c_str());
-        for (const std::string &k : pfs) {
-            std::fprintf(stderr, " %s", k.c_str());
-        }
-        std::fprintf(stderr, ")\n");
-        return 2;
-    }
+    require_name("--prefetcher", pf_name, known_prefetcher_names());
     try {
         const std::vector<WorkloadSpec> roster = sample(
             unseen ? unseen_workloads() : seen_workloads(), args.workloads);
@@ -156,7 +137,7 @@ main(int argc, char **argv)
         const std::unique_ptr<TelemetrySession> telemetry =
             make_telemetry(args);
         const EngineReport report =
-            run_matrix(matrix, args, telemetry.get());
+            run_matrix(matrix, args, {}, telemetry.get());
 
         std::printf("%s\n", csv_header().c_str());
         for (const JobResult &res : report.results) {
