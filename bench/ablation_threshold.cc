@@ -67,13 +67,11 @@ main(int argc, char **argv)
     table.print_header();
     for (std::size_t s = 0; s < labels.size(); ++s) {
         const SuiteAggregator agg = column_speedups(report, roster, s + 1);
-        double lo = 1e9, hi = -1e9;
-        for (const double sp : agg.ratios()) {
-            lo = std::min(lo, sp);
-            hi = std::max(hi, sp);
-        }
+        const std::vector<double> &r = agg.ratios();
+        const auto [lo, hi] = std::minmax_element(r.begin(), r.end());
         table.print_row({labels[s], format_pct(agg.overall_geomean() - 1.0),
-                         format_pct(lo - 1.0), format_pct(hi - 1.0)});
+                         r.empty() ? "-" : format_pct(*lo - 1.0),
+                         r.empty() ? "-" : format_pct(*hi - 1.0)});
     }
     return matrix_exit_status(report);
 }

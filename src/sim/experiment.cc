@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 
 #include "common/hashing.h"
 #include "common/stats.h"
@@ -97,53 +98,75 @@ parse_bench_args(int argc, char **argv)
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next_u64 = [&]() {
-            return require_u64(a, require_value(a, i, argc, argv));
-        };
         if (a == "--full") {
             args.full = true;
             args.run = args.run.scaled(4.0);
             args.mixes = 300;
-        } else if (a == "--workloads") {
-            args.workloads = next_u64();
-        } else if (a == "--insts") {
-            args.run.measure_insts = next_u64();
-        } else if (a == "--warmup") {
-            args.run.warmup_insts = next_u64();
         } else if (a == "--mixes") {
-            args.mixes = next_u64();
+            args.mixes = require_u64(a, require_value(a, i, argc, argv));
         } else if (a == "--seed") {
-            args.seed = next_u64();
-        } else if (a == "--jobs") {
-            args.jobs = next_u64();
-        } else if (a == "--fail-fast") {
-            args.fail_fast = true;
-        } else if (a == "--inject-faults") {
-            args.fault_rate =
-                require_double(a, require_value(a, i, argc, argv));
-        } else if (a == "--fault-seed") {
-            args.fault_seed = next_u64();
-        } else if (a == "--shard-dir") {
-            args.shard_dir = require_value(a, i, argc, argv);
-        } else if (a == "--lease-ttl") {
-            args.lease_ttl_ms = next_u64();
-        } else if (a == "--inject-kill") {
-            args.kill_rate =
-                require_double(a, require_value(a, i, argc, argv));
-        } else if (a == "--telemetry-dir") {
-            args.telemetry_dir = require_value(a, i, argc, argv);
-        } else if (a == "--trace-events") {
-            args.trace_events = require_value(a, i, argc, argv);
-        } else if (a == "--snapshot-dir") {
-            args.snapshot_dir = require_value(a, i, argc, argv);
-        } else if (a == "--no-snapshot-reuse") {
-            args.no_snapshot_reuse = true;
-        } else {
+            args.seed = require_u64(a, require_value(a, i, argc, argv));
+        } else if (!parse_engine_flag(args, i, argc, argv)) {
             std::fprintf(stderr, "warning: ignoring unknown flag %s\n",  // LINT_LOG_OK: usage warning
                          a.c_str());
         }
     }
     return args;
+}
+
+bool
+parse_engine_flag(BenchArgs &args, int &i, int argc, char **argv)
+{
+    const std::string a = argv[i];
+    auto next_u64 = [&]() {
+        return require_u64(a, require_value(a, i, argc, argv));
+    };
+    if (a == "--workloads") {
+        args.workloads = next_u64();
+    } else if (a == "--insts") {
+        args.run.measure_insts = next_u64();
+    } else if (a == "--warmup") {
+        args.run.warmup_insts = next_u64();
+    } else if (a == "--jobs") {
+        args.jobs = next_u64();
+    } else if (a == "--fail-fast") {
+        args.fail_fast = true;
+    } else if (a == "--inject-faults") {
+        args.fault_rate = require_double(a, require_value(a, i, argc, argv));
+    } else if (a == "--fault-seed") {
+        args.fault_seed = next_u64();
+    } else if (a == "--shard-dir") {
+        args.shard_dir = require_value(a, i, argc, argv);
+    } else if (a == "--lease-ttl") {
+        args.lease_ttl_ms = next_u64();
+    } else if (a == "--inject-kill") {
+        args.kill_rate = require_double(a, require_value(a, i, argc, argv));
+    } else if (a == "--telemetry-dir") {
+        args.telemetry_dir = require_value(a, i, argc, argv);
+    } else if (a == "--trace-events") {
+        args.trace_events = require_value(a, i, argc, argv);
+    } else if (a == "--snapshot-dir") {
+        args.snapshot_dir = require_value(a, i, argc, argv);
+    } else if (a == "--no-snapshot-reuse") {
+        args.no_snapshot_reuse = true;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+std::vector<std::string>
+split_list(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string item;
+    while (std::getline(ss, item, sep)) {
+        if (!item.empty()) {
+            out.push_back(item);
+        }
+    }
+    return out;
 }
 
 EngineConfig
@@ -327,39 +350,28 @@ JobOutput
 simulate_cell(const MachineConfig &cfg, const JobSpec &spec,
               JobContext &ctx)
 {
-    WorkloadPtr workload;
-    JobOutput out;
-    WorkloadFactory factory;
-    if (!spec.trace_path.empty()) {
-        TraceOpenResult open = open_trace_checked(spec.trace_path);
-        if (!open.ok()) {
-            // Missing file is an operator error; damaged bytes are
-            // data corruption. Both isolate to this one job.
-            throw JobError(open.status == TraceIoStatus::kFileMissing
-                               ? JobErrorCode::kConfigInvalid
-                               : JobErrorCode::kTraceCorrupt,
-                           open.message);
-        }
-        workload = std::move(open.workload);
-        out.row.workload = workload->name();
-        out.row.suite = "trace";
+    const bool trace = !spec.trace_path.empty();
+    WorkloadFactory factory = [w = spec.workload]() {
+        return make_workload(w);
+    };
+    if (trace) {
         factory = [path = spec.trace_path]() {
-            TraceOpenResult reopen = open_trace_checked(path);
-            if (!reopen.ok()) {
-                throw JobError(
-                    reopen.status == TraceIoStatus::kFileMissing
-                        ? JobErrorCode::kConfigInvalid
-                        : JobErrorCode::kTraceCorrupt,
-                    reopen.message);
+            TraceOpenResult open = open_trace_checked(path);
+            if (!open.ok()) {
+                // Missing file is an operator error; damaged bytes are
+                // data corruption. Both isolate to this one job.
+                throw JobError(open.status == TraceIoStatus::kFileMissing
+                                   ? JobErrorCode::kConfigInvalid
+                                   : JobErrorCode::kTraceCorrupt,
+                               open.message);
             }
-            return std::move(reopen.workload);
+            return std::move(open.workload);
         };
-    } else {
-        workload = make_workload(spec.workload);
-        out.row.workload = spec.workload.name;
-        out.row.suite = spec.workload.suite;
-        factory = [w = spec.workload]() { return make_workload(w); };
     }
+    WorkloadPtr workload = factory();
+    JobOutput out;
+    out.row.workload = trace ? workload->name() : spec.workload.name;
+    out.row.suite = trace ? "trace" : spec.workload.suite;
     out.row.scheme = spec.scheme;
     out.row.prefetcher = spec.prefetcher;
 

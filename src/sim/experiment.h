@@ -5,9 +5,8 @@
  * common CLI flags (--full, --workloads, --insts, --warmup, plus the
  * engine flags --jobs/--fail-fast/--inject-faults, the result-store
  * flags --shard-dir/--lease-ttl/--inject-kill and --snapshot-dir), and
- * the one execution path for single-core cells: every figure and table
- * harness, and sweep_tool, builds them with make_matrix and runs them
- * with run_matrix, so one --shard-dir serves a cell to all of them.
+ * make_matrix/run_matrix, the one execution path for the single-core
+ * cells of every figure and table harness and of sweep_tool.
  */
 #ifndef MOKASIM_SIM_EXPERIMENT_H
 #define MOKASIM_SIM_EXPERIMENT_H
@@ -84,6 +83,12 @@ struct BenchArgs
 BenchArgs parse_bench_args(int argc, char **argv);
 
 /**
+ * Parse argv[@p i] and its value into @p args when it is one of the
+ * flags sweep_tool shares with the harnesses. @return false if not.
+ */
+bool parse_engine_flag(BenchArgs &args, int &i, int argc, char **argv);
+
+/**
  * CLI parsing helpers shared with the tools: each prints a one-line
  * usage error and exits(2) on a missing or malformed value.
  */
@@ -94,6 +99,8 @@ double require_double(const std::string &flag, const char *value);
 /** @p value when it is one of @p known, else a usage error listing them. */
 std::string require_name(const std::string &flag, const std::string &value,
                          const std::vector<std::string> &known);
+/** The non-empty items of the @p sep-separated list @p s. */
+std::vector<std::string> split_list(const std::string &s, char sep);
 
 /** Engine configuration implied by the common bench flags. */
 EngineConfig engine_config(const BenchArgs &args);
@@ -122,11 +129,9 @@ const std::vector<std::string> &known_scheme_names();
 const std::vector<std::string> &known_prefetcher_names();
 
 /**
- * One column of a bench matrix: a registry cell (a scheme_by_name name
- * with a prefetcher and large-page fraction, keyed as the name-based
- * make_matrix keys it) or a bench-defined machine (machine_column).
- * Use a registry cell wherever a column is one, so baselines are
- * shared.
+ * One matrix column: a registry cell (scheme_by_name name, prefetcher,
+ * large-page fraction; keyed as the name-based make_matrix keys it) or
+ * a bench-defined machine (machine_column).
  */
 struct MatrixColumn
 {
@@ -137,11 +142,10 @@ struct MatrixColumn
 };
 
 /**
- * Bench-defined machine column @p label on @p cfg. Its jobs' scheme is
+ * Bench-defined column @p label on @p cfg: its jobs' scheme is
  * "<label>@<16 hex digits of config_fingerprint(cfg, 1)>", so job_key
- * covers every MachineConfig leaf. The fingerprint cannot see inside
- * the filter closure: cfg.scheme.name stands in for the filter's
- * parameters and must identify them.
+ * covers every MachineConfig leaf; cfg.scheme.name must identify the
+ * filter's parameters, which the fingerprint cannot see.
  */
 MatrixColumn machine_column(const std::string &label,
                             const MachineConfig &cfg);
@@ -193,10 +197,8 @@ EngineReport run_engine(const std::vector<JobSpec> &jobs,
                         TelemetrySession *telemetry = nullptr);
 
 /**
- * run_engine with the single-core cell body: the jobs of a
- * bench-defined machine among @p columns run its MachineConfig, every
- * other job resolves as run_sim_job does, and both then run the same
- * code.
+ * run_engine with the single-core cell body: jobs of a bench-defined
+ * machine in @p columns run its MachineConfig, the rest as run_sim_job.
  */
 EngineReport run_matrix(const std::vector<JobSpec> &jobs,
                         const BenchArgs &args,

@@ -1,11 +1,13 @@
 /** @file Unit tests for the experiment helpers. */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 
 #include "filter/policies.h"
 #include "sim/experiment.h"
 #include "sim/jobs/store.h"
+#include "trace/trace_io.h"
 
 namespace moka {
 namespace {
@@ -170,6 +172,40 @@ TEST(MatrixColumn, MachinesRunOnlyWhereRunMatrixKnowsThem)
     EXPECT_EQ(cell_metrics(plain, 1, 1, 0), nullptr);
     ASSERT_NE(cell_metrics(plain, 1, 2, 0), nullptr);
     EXPECT_EQ(cell_metrics(plain, 1, 2, 0)->cycles, registry->cycles);
+}
+
+TEST(MatrixColumn, TraceCellsLoadThroughTheirFactory)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string good = dir + "moka_matrix_cell.trc";
+    const std::string bad = dir + "moka_matrix_cell_bad.trc";
+    WorkloadPtr source = make_workload(seen_workloads().front());
+    ASSERT_TRUE(record_trace(good, *source, 5000));
+    std::FILE *f = std::fopen(bad.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a trace", f);
+    std::fclose(f);
+
+    RunConfig run;
+    run.warmup_insts = 1000;
+    run.measure_insts = 3000;
+    std::vector<JobSpec> jobs =
+        make_matrix({seen_workloads().front()}, {"discard"}, {"berti"}, run);
+    jobs.resize(3, jobs[0]);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].id = i;
+    }
+    jobs[0].trace_path = good;
+    jobs[1].trace_path = dir + "moka_matrix_cell_missing.trc";
+    jobs[2].trace_path = bad;
+    const EngineReport report = run_matrix(jobs, BenchArgs());
+    ASSERT_EQ(report.results[0].status, JobStatus::kCompleted);
+    EXPECT_EQ(report.results[0].output.row.suite, "trace");
+    EXPECT_EQ(report.results[0].output.row.workload, open_trace(good)->name());
+    EXPECT_EQ(report.results[1].error, JobErrorCode::kConfigInvalid);
+    EXPECT_EQ(report.results[2].error, JobErrorCode::kTraceCorrupt);
+    std::remove(good.c_str());
+    std::remove(bad.c_str());
 }
 
 }  // namespace

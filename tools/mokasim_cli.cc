@@ -27,7 +27,6 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,20 +50,6 @@ find_spec(const std::vector<WorkloadSpec> &roster, const std::string &name)
         }
     }
     return nullptr;
-}
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, sep)) {
-        if (!item.empty()) {
-            out.push_back(item);
-        }
-    }
-    return out;
 }
 
 void
@@ -154,8 +139,9 @@ main(int argc, char **argv)
 
     const L1dPrefetcherKind kind = parse_l1d_kind(pf_name);
     const unsigned cores =
-        mix_arg.empty() ? 1
-                        : static_cast<unsigned>(split(mix_arg, ',').size());
+        mix_arg.empty()
+            ? 1
+            : static_cast<unsigned>(split_list(mix_arg, ',').size());
 
     MachineConfig cfg = default_config(cores);
     cfg.l1d_prefetcher = kind;
@@ -179,7 +165,7 @@ main(int argc, char **argv)
         suites.push_back("TRACE");
         workloads.push_back(std::move(t));
     } else if (!mix_arg.empty()) {
-        for (const std::string &n : split(mix_arg, ',')) {
+        for (const std::string &n : split_list(mix_arg, ',')) {
             const WorkloadSpec *spec = find_spec(roster, n);
             if (spec == nullptr) {
                 std::fprintf(stderr,

@@ -39,7 +39,6 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,24 +48,6 @@
 #include "trace/suites.h"
 
 using namespace moka;
-
-namespace {
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, sep)) {
-        if (!item.empty()) {
-            out.push_back(item);
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 int
 main(int argc, char **argv)
@@ -80,13 +61,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() { return require_value(a, i, argc, argv); };
-        if (a == "--workloads") {
-            args.workloads = require_u64(a, next());
-        } else if (a == "--insts") {
-            args.run.measure_insts = require_u64(a, next());
-        } else if (a == "--warmup") {
-            args.run.warmup_insts = require_u64(a, next());
-        } else if (a == "--prefetcher") {
+        if (a == "--prefetcher") {
             pf_name = next();
         } else if (a == "--schemes") {
             schemes_arg = next();
@@ -94,29 +69,7 @@ main(int argc, char **argv)
             unseen = true;
         } else if (a == "--large-pages") {
             large_pages = require_double(a, next());
-        } else if (a == "--jobs") {
-            args.jobs = require_u64(a, next());
-        } else if (a == "--fail-fast") {
-            args.fail_fast = true;
-        } else if (a == "--inject-faults") {
-            args.fault_rate = require_double(a, next());
-        } else if (a == "--fault-seed") {
-            args.fault_seed = require_u64(a, next());
-        } else if (a == "--shard-dir") {
-            args.shard_dir = next();
-        } else if (a == "--lease-ttl") {
-            args.lease_ttl_ms = require_u64(a, next());
-        } else if (a == "--inject-kill") {
-            args.kill_rate = require_double(a, next());
-        } else if (a == "--telemetry-dir") {
-            args.telemetry_dir = next();
-        } else if (a == "--trace-events") {
-            args.trace_events = next();
-        } else if (a == "--snapshot-dir") {
-            args.snapshot_dir = next();
-        } else if (a == "--no-snapshot-reuse") {
-            args.no_snapshot_reuse = true;
-        } else {
+        } else if (!parse_engine_flag(args, i, argc, argv)) {
             std::fprintf(stderr, "usage: unknown flag %s\n", a.c_str());
             return 2;
         }
@@ -124,7 +77,7 @@ main(int argc, char **argv)
 
     // Validate names up front: a typo is a usage error, not a sweep
     // of uniformly failed jobs.
-    const std::vector<std::string> schemes = split(schemes_arg, ',');
+    const std::vector<std::string> schemes = split_list(schemes_arg, ',');
     for (const std::string &name : schemes) {
         require_name("--schemes", name, known_scheme_names());
     }
