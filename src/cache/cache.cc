@@ -254,38 +254,28 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
     return r;
 }
 
+template <class Self, class IO>
 void
-Cache::save_state(SnapshotWriter &w) const
+Cache::serialize(Self &self, IO &io)
 {
-    put_vec(w, tags_);
-    put_vec(w, flags_);
-    put_vec(w, fill_done_);
-    put_vec(w, inflight_);
-    w.put_u64(next_port_free_);
-    repl_->save_state(w);
-    put_fields(w, stats_);
-}
-
-void
-Cache::restore_state(SnapshotReader &r)
-{
-    get_vec(r, tags_);
-    get_vec(r, flags_);
+    field(io, self.tags_);
+    field(io, self.flags_);
     std::uint8_t any = 0;
-    for (const std::uint8_t f : flags_) {
+    for (const std::uint8_t f : self.flags_) {
         any |= f;
     }
-    if ((any & ~kFlagMask) != 0) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "cache block flags outside kFlag*");
-    }
-    get_vec(r, fill_done_);
+    require(io, (any & ~kFlagMask) == 0, "cache block flags outside kFlag*");
+    field(io, self.fill_done_);
     // The MSHR list length is runtime state (outstanding fills at
-    // snapshot time), not configuration — accept the saved length.
-    get_vec(r, inflight_, /*fixed_size=*/false);
-    next_port_free_ = r.get_u64();
-    repl_->restore_state(r);
-    get_fields(r, stats_);
+    // snapshot time), bounded by the configured entries.
+    field(io, self.inflight_, self.cfg_.mshr_entries,
+          "MSHR list longer than its entries");
+    field(io, self.next_port_free_);
+    field(io, *self.repl_);
+    field(io, self.stats_);
 }
+
+template void Cache::serialize(const Cache &, SnapshotWriter &);
+template void Cache::serialize(Cache &, SnapshotReader &);
 
 }  // namespace moka

@@ -137,12 +137,16 @@ class Cache final : public MemoryLevel
     const CacheConfig &config() const { return cfg_; }
 
     /** Serialize tags, MSHRs, port state, replacement and stats. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     // Structure-of-arrays block store. The lookup scan touches ONE
     // contiguous Addr array: the valid bit lives in bit 63 of the tag

@@ -1,5 +1,7 @@
 #include "cache/replacement.h"
 
+#include <algorithm>
+
 #include "snapshot/snapshot.h"
 
 namespace moka {
@@ -17,19 +19,16 @@ LruPolicy::audit_state(std::string &why) const
     return true;
 }
 
+template <class Self, class IO>
 void
-LruPolicy::save_state(SnapshotWriter &w) const
+LruPolicy::serialize(Self &self, IO &io)
 {
-    put_vec(w, stamps_);
-    w.put_u64(clock_);
+    field(io, self.stamps_);
+    field(io, self.clock_);
 }
 
-void
-LruPolicy::restore_state(SnapshotReader &r)
-{
-    get_vec(r, stamps_);
-    clock_ = r.get_u64();
-}
+template void LruPolicy::serialize(const LruPolicy &, SnapshotWriter &);
+template void LruPolicy::serialize(LruPolicy &, SnapshotReader &);
 
 namespace {
 
@@ -88,19 +87,21 @@ class SrripPolicy : public ReplacementPolicy
         return true;
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        put_vec(w, rrpv_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        get_vec(r, rrpv_);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        field(io, self.rrpv_);
+        require(io,
+                std::all_of(self.rrpv_.begin(), self.rrpv_.end(),
+                            [](std::uint8_t v) { return v <= kMaxRrpv; }),
+                "srrip rrpv above the 2-bit rail");
+    }
+
     std::uint32_t ways_;  // LINT_SNAPSHOT_OK: geometry, not state
     std::vector<std::uint8_t> rrpv_;
 };
@@ -125,19 +126,17 @@ class RandomPolicy : public ReplacementPolicy
 
     const char *name() const override { return "random"; }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        SnapshotAccess::save(w, rng_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        SnapshotAccess::restore(r, rng_);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        field(io, self.rng_);
+    }
+
     std::uint32_t ways_;  // LINT_SNAPSHOT_OK: geometry, not state
     Rng rng_;
 };

@@ -110,10 +110,13 @@ class LruPolicy final : public ReplacementPolicy
     const char *name() const override { return "lru"; }
 
     bool audit_state(std::string &why) const override;
-    void save_state(SnapshotWriter &w) const override;
-    void restore_state(SnapshotReader &r) override;
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     std::uint32_t ways_;  // LINT_SNAPSHOT_OK: geometry, not state
     std::vector<std::uint64_t> stamps_;
     std::uint64_t clock_ = 0;

@@ -83,32 +83,25 @@ BranchPredictor::update(Addr pc, bool taken)
     history_ = (history_ << 1) | (taken ? 1 : 0);
 }
 
+template <class Self, class IO>
 void
-BranchPredictor::save_state(SnapshotWriter &w) const
+BranchPredictor::serialize(Self &self, IO &io)
 {
-    for (const std::int16_t v : weights_) {
-        w.put_u16(static_cast<std::uint16_t>(v));
+    for (auto &v : self.weights_) {
+        field_as<std::uint16_t>(io, v);
+        require(io, v >= self.wmin_ && v <= self.wmax_,
+                "signed counter outside its rails");
     }
-    w.put_u64(history_);
-    w.put_u64(lookups_);
-    w.put_u64(mispredicts_);
+    field(io, self.history_);
+    field(io, self.lookups_);
+    field(io, self.mispredicts_);
+    if constexpr (kRestoring<IO>) {
+        self.memo_valid_ = false;
+    }
 }
 
-void
-BranchPredictor::restore_state(SnapshotReader &r)
-{
-    for (std::int16_t &v : weights_) {
-        const auto got = static_cast<std::int16_t>(r.get_u16());
-        if (got < wmin_ || got > wmax_) {
-            throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "signed counter outside its rails");
-        }
-        v = got;
-    }
-    history_ = r.get_u64();
-    lookups_ = r.get_u64();
-    mispredicts_ = r.get_u64();
-    memo_valid_ = false;
-}
+template void BranchPredictor::serialize(const BranchPredictor &,
+                                         SnapshotWriter &);
+template void BranchPredictor::serialize(BranchPredictor &, SnapshotReader &);
 
 }  // namespace moka

@@ -55,11 +55,15 @@ class BranchPredictor
     std::uint64_t mispredicts() const { return mispredicts_; }
 
     /** Serialize weight tables, history and counters. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     static constexpr unsigned kMaxTables = 16;
     using IndexArray = std::array<std::uint32_t, kMaxTables>;
 

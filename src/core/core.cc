@@ -65,28 +65,22 @@ Core::reset_pressure_window()
     window_rob_stalls_ = 0;
 }
 
+template <class Self, class IO>
 void
-Core::save_state(SnapshotWriter &w) const
+Core::serialize(Self &self, IO &io)
 {
-    put_vec(w, retire_ring_);
-    w.put_u64(ring_head_);
-    w.put_u64(last_retire_);
-    w.put_u32(retire_slot_used_);
-    w.put_u64(retired_);
-    w.put_u64(window_dispatches_);
-    w.put_u64(window_rob_stalls_);
+    field(io, self.retire_ring_);
+    field(io, self.ring_head_);
+    require(io, self.ring_head_ < self.retire_ring_.size(),
+            "ROB ring head past the ring");
+    field(io, self.last_retire_);
+    field(io, self.retire_slot_used_);
+    field(io, self.retired_);
+    field(io, self.window_dispatches_);
+    field(io, self.window_rob_stalls_);
 }
 
-void
-Core::restore_state(SnapshotReader &r)
-{
-    get_vec(r, retire_ring_);
-    ring_head_ = r.get_u64();
-    last_retire_ = r.get_u64();
-    retire_slot_used_ = r.get_u32();
-    retired_ = r.get_u64();
-    window_dispatches_ = r.get_u64();
-    window_rob_stalls_ = r.get_u64();
-}
+template void Core::serialize(const Core &, SnapshotWriter &);
+template void Core::serialize(Core &, SnapshotReader &);
 
 }  // namespace moka

@@ -77,11 +77,15 @@ class Core
     void reset_pressure_window();
 
     /** Serialize the retire ring and counters. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     CoreConfig cfg_;  // LINT_SNAPSHOT_OK: config, rebuilt from MachineConfig
     std::vector<Cycle> retire_ring_;  //!< retire cycles, ROB-size deep
     std::size_t ring_head_ = 0;

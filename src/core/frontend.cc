@@ -94,20 +94,16 @@ Frontend::redirect(Cycle resolve_cycle)
     group_used_ = 0;
 }
 
+template <class Self, class IO>
 void
-Frontend::save_state(SnapshotWriter &w) const
+Frontend::serialize(Self &self, IO &io)
 {
-    w.put_u64(fetch_cycle_);
-    w.put_u32(group_used_);
-    w.put_u64(cur_block_);
+    field(io, self.fetch_cycle_);
+    field(io, self.group_used_);
+    field(io, self.cur_block_);
 }
 
-void
-Frontend::restore_state(SnapshotReader &r)
-{
-    fetch_cycle_ = r.get_u64();
-    group_used_ = r.get_u32();
-    cur_block_ = r.get_u64();
-}
+template void Frontend::serialize(const Frontend &, SnapshotWriter &);
+template void Frontend::serialize(Frontend &, SnapshotReader &);
 
 }  // namespace moka

@@ -62,11 +62,15 @@ class Frontend
     void redirect(Cycle resolve_cycle);
 
     /** Serialize fetch-stream state (collaborators snapshot separately). */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     /** iTLB -> sTLB -> walk; returns {paddr, done}. */
     std::pair<PhysAddr, Cycle> translate(VirtAddr vaddr, Cycle now);
 

@@ -75,32 +75,22 @@ Dram::access(PhysAddr paddr, AccessType type, Cycle now,
     return r;
 }
 
+template <class Self, class IO>
 void
-Dram::save_state(SnapshotWriter &w) const
+Dram::serialize(Self &self, IO &io)
 {
-    for (const Bank &bank : banks_) {
-        w.put_u64(bank.open_row);
-        w.put_u64(bank.next_free);
+    for (auto &bank : self.banks_) {
+        field(io, bank.open_row);
+        field(io, bank.next_free);
     }
-    put_vec(w, channel_next_free_);
-    w.put_u64(accesses_);
-    w.put_u64(row_hits_);
-    w.put_u64(prefetch_accesses_);
-    w.put_u64(walk_accesses_);
+    field(io, self.channel_next_free_);
+    field(io, self.accesses_);
+    field(io, self.row_hits_);
+    field(io, self.prefetch_accesses_);
+    field(io, self.walk_accesses_);
 }
 
-void
-Dram::restore_state(SnapshotReader &r)
-{
-    for (Bank &bank : banks_) {
-        bank.open_row = r.get_u64();
-        bank.next_free = r.get_u64();
-    }
-    get_vec(r, channel_next_free_);
-    accesses_ = r.get_u64();
-    row_hits_ = r.get_u64();
-    prefetch_accesses_ = r.get_u64();
-    walk_accesses_ = r.get_u64();
-}
+template void Dram::serialize(const Dram &, SnapshotWriter &);
+template void Dram::serialize(Dram &, SnapshotReader &);
 
 }  // namespace moka

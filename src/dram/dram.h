@@ -68,12 +68,16 @@ class Dram : public MemoryLevel
     static constexpr std::uint64_t kNoOpenRow = ~std::uint64_t{0};
 
     /** Serialize open rows, availabilities and counters. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     struct Bank
     {

@@ -121,24 +121,21 @@ AdaptiveThreshold::on_epoch(const EpochInfo &info)
     have_prev_ = true;
 }
 
-void AdaptiveThreshold::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+AdaptiveThreshold::serialize(Self &self, IO &io)
 {
-    w.begin_section("filter.threshold");
-    w.put_i64(ta_);
-    w.put_bool(pgc_disabled_);
-    w.put_bool(have_prev_);
-    put_fields(w, prev_);
-    put_fields(w, tel_);
+    io.begin_section("filter.threshold");
+    field_as<std::int64_t>(io, self.ta_);
+    field(io, self.pgc_disabled_);
+    field(io, self.have_prev_);
+    field(io, self.prev_);
+    field(io, self.tel_);
 }
 
-void AdaptiveThreshold::restore_state(SnapshotReader &r)
-{
-    r.begin_section("filter.threshold");
-    ta_ = static_cast<int>(r.get_i64());
-    pgc_disabled_ = r.get_bool();
-    have_prev_ = r.get_bool();
-    get_fields(r, prev_);
-    get_fields(r, tel_);
-}
+template void AdaptiveThreshold::serialize(const AdaptiveThreshold &,
+                                           SnapshotWriter &);
+template void AdaptiveThreshold::serialize(AdaptiveThreshold &,
+                                           SnapshotReader &);
 
 }  // namespace moka

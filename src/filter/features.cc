@@ -136,30 +136,21 @@ FeatureExtractor::make_input(Addr trigger_pc, VirtAddr trigger_vaddr,
     return in;
 }
 
-void FeatureExtractor::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+FeatureExtractor::serialize(Self &self, IO &io)
 {
-    w.begin_section("filter.extractor");
-    put_addr(w, va_hist_[0]);
-    put_addr(w, va_hist_[1]);
-    w.put_u64(pc_hist_[0]);
-    w.put_u64(pc_hist_[1]);
-    for (const FpaEntry &e : fpa_) {
-        w.put_u64(e.page);
-        w.put_u64(e.first_line);
+    io.begin_section("filter.extractor");
+    field(io, self.va_hist_);
+    field(io, self.pc_hist_);
+    for (auto &e : self.fpa_) {
+        field(io, e.page);
+        field(io, e.first_line);
     }
 }
 
-void FeatureExtractor::restore_state(SnapshotReader &r)
-{
-    r.begin_section("filter.extractor");
-    get_addr(r, va_hist_[0]);
-    get_addr(r, va_hist_[1]);
-    pc_hist_[0] = r.get_u64();
-    pc_hist_[1] = r.get_u64();
-    for (FpaEntry &e : fpa_) {
-        e.page = r.get_u64();
-        e.first_line = r.get_u64();
-    }
-}
+template void FeatureExtractor::serialize(const FeatureExtractor &,
+                                          SnapshotWriter &);
+template void FeatureExtractor::serialize(FeatureExtractor &, SnapshotReader &);
 
 }  // namespace moka

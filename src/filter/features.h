@@ -193,11 +193,15 @@ class FeatureExtractor
                             std::uint64_t meta = 0) const;
 
     /** Serialize the VA/PC history and the first-page-access table. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     static constexpr std::size_t kFpaEntries = 64;
 
     struct FpaEntry

@@ -1,5 +1,6 @@
 #include "filter/moka.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/bitops.h"
@@ -251,109 +252,58 @@ MokaFilter::storage_bits() const
     return bits;
 }
 
-namespace {
-
+template <class Self, class IO>
 void
-put_record(SnapshotWriter &w, const VirtDecisionRecord &rec)
+MokaFilter::serialize(Self &self, IO &io)
 {
-    put_addr(w, rec.block);
-    w.put_u8(rec.num_features);
-    for (std::uint32_t idx : rec.indexes) {
-        w.put_u32(idx);
-    }
-    w.put_u8(rec.system_mask);
-}
-
-void
-get_record(SnapshotReader &r, VirtDecisionRecord &rec)
-{
-    get_addr(r, rec.block);
-    rec.num_features = r.get_u8();
-    for (std::uint32_t &idx : rec.indexes) {
-        idx = r.get_u32();
-    }
-    rec.system_mask = r.get_u8();
-}
-
-}  // namespace
-
-void
-MokaFilter::save_state(SnapshotWriter &w) const
-{
-    extractor_.save_state(w);
-    w.begin_section("filter.moka");
+    field(io, self.extractor_);
+    io.begin_section("filter.moka");
     // Same byte stream as the per-table layout: one u16 per weight,
     // table-major — exactly the arena's storage order.
-    for (std::int16_t v : weights_) {
-        w.put_u16(static_cast<std::uint16_t>(v));
+    for (auto &v : self.weights_) {
+        field_as<std::uint16_t>(io, v);
+        require(io, v >= self.wmin_ && v <= self.wmax_,
+                "signed counter outside its rails");
     }
-    for (const SystemFeature &f : system_) {
-        f.save_state(w);
+    for (auto &f : self.system_) {
+        field(io, f);
     }
-    vub_.save_state(w);
-    pub_.save_state(w);
-    put_record(w, pending_);
-    w.put_bool(pending_valid_);
-    w.put_bool(tel_.valid);
-    w.put_i64(tel_.t_a);
-    w.put_i64(tel_.level);
-    w.put_bool(tel_.pgc_disabled);
-    w.put_u64(tel_.decisions);
-    w.put_u64(tel_.permits);
-    w.put_u64(tel_.vub_rewards);
-    w.put_u64(tel_.pub_rewards);
-    w.put_u64(tel_.pub_punishes);
-    w.put_i64(tel_.sum_total);
-    for (std::uint64_t v : tel_.sum_hist) {
-        w.put_u64(v);
-    }
-    w.put_u64(tel_.num_features);
-    for (std::uint64_t v : tel_.feature_abs) {
-        w.put_u64(v);
-    }
-    put_fields(w, tel_.threshold);
-    thresholds_.save_state(w);
+    field(io, self.vub_);
+    field(io, self.pub_);
+    field(io, self.pending_);
+    // train() indexes the weight arena with each record's indexes.
+    const auto in_tables = [&self](const auto &rec) {
+        return rec.num_features <= self.slots_.size() &&
+               std::all_of(rec.indexes.begin(),
+                           rec.indexes.begin() + rec.num_features,
+                           [&self](std::uint32_t i) {
+                               return i < self.cfg_.wt_entries;
+                           });
+    };
+    require(io,
+            in_tables(self.pending_) && self.vub_.all_records(in_tables) &&
+                self.pub_.all_records(in_tables),
+            "decision record outside the weight tables");
+    field(io, self.pending_valid_);
+    auto &tel = self.tel_;
+    field(io, tel.valid);
+    field_as<std::int64_t>(io, tel.t_a);
+    field_as<std::int64_t>(io, tel.level);
+    field(io, tel.pgc_disabled);
+    field(io, tel.decisions);
+    field(io, tel.permits);
+    field(io, tel.vub_rewards);
+    field(io, tel.pub_rewards);
+    field(io, tel.pub_punishes);
+    field(io, tel.sum_total);
+    field(io, tel.sum_hist);
+    field(io, tel.num_features);
+    field(io, tel.feature_abs);
+    field(io, tel.threshold);
+    field(io, self.thresholds_);
 }
 
-void
-MokaFilter::restore_state(SnapshotReader &r)
-{
-    extractor_.restore_state(r);
-    r.begin_section("filter.moka");
-    for (std::int16_t &v : weights_) {
-        const auto x = static_cast<std::int16_t>(r.get_u16());
-        if (x < wmin_ || x > wmax_) {
-            throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "signed counter outside its rails");
-        }
-        v = x;
-    }
-    for (SystemFeature &f : system_) {
-        f.restore_state(r);
-    }
-    vub_.restore_state(r);
-    pub_.restore_state(r);
-    get_record(r, pending_);
-    pending_valid_ = r.get_bool();
-    tel_.valid = r.get_bool();
-    tel_.t_a = static_cast<int>(r.get_i64());
-    tel_.level = static_cast<int>(r.get_i64());
-    tel_.pgc_disabled = r.get_bool();
-    tel_.decisions = r.get_u64();
-    tel_.permits = r.get_u64();
-    tel_.vub_rewards = r.get_u64();
-    tel_.pub_rewards = r.get_u64();
-    tel_.pub_punishes = r.get_u64();
-    tel_.sum_total = r.get_i64();
-    for (std::uint64_t &v : tel_.sum_hist) {
-        v = r.get_u64();
-    }
-    tel_.num_features = r.get_u64();
-    for (std::uint64_t &v : tel_.feature_abs) {
-        v = r.get_u64();
-    }
-    get_fields(r, tel_.threshold);
-    thresholds_.restore_state(r);
-}
+template void MokaFilter::serialize(const MokaFilter &, SnapshotWriter &);
+template void MokaFilter::serialize(MokaFilter &, SnapshotReader &);
 
 }  // namespace moka

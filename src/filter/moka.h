@@ -206,11 +206,15 @@ class MokaFilter : public PageCrossFilter
 
     FilterTelemetry telemetry() const override;
 
-    void save_state(SnapshotWriter &w) const override;
-    void restore_state(SnapshotReader &r) override;
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     /**
      * One entry of the feature-slot plan, precomputed at config time:

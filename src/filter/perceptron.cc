@@ -43,18 +43,16 @@ WeightTable::decrement(std::uint32_t index)
     weights_[index].decrement();
 }
 
-void WeightTable::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+WeightTable::serialize(Self &self, IO &io)
 {
-    for (const SignedSatCounter &c : weights_) {
-        SnapshotAccess::save(w, c);
+    for (auto &c : self.weights_) {
+        field(io, c);
     }
 }
 
-void WeightTable::restore_state(SnapshotReader &r)
-{
-    for (SignedSatCounter &c : weights_) {
-        SnapshotAccess::restore(r, c);
-    }
-}
+template void WeightTable::serialize(const WeightTable &, SnapshotWriter &);
+template void WeightTable::serialize(WeightTable &, SnapshotReader &);
 
 }  // namespace moka

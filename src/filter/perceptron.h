@@ -53,12 +53,16 @@ class WeightTable
     }
 
     /** Serialize every weight. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     std::vector<SignedSatCounter> weights_;
     unsigned weight_bits_;  // LINT_SNAPSHOT_OK: config

@@ -83,14 +83,14 @@ SystemFeature::active(const SystemSnapshot &snap) const
                                   : (value < cfg_.threshold);
 }
 
-void SystemFeature::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+SystemFeature::serialize(Self &self, IO &io)
 {
-    SnapshotAccess::save(w, weight_);
+    field(io, self.weight_);
 }
 
-void SystemFeature::restore_state(SnapshotReader &r)
-{
-    SnapshotAccess::restore(r, weight_);
-}
+template void SystemFeature::serialize(const SystemFeature &, SnapshotWriter &);
+template void SystemFeature::serialize(SystemFeature &, SnapshotReader &);
 
 }  // namespace moka

@@ -116,12 +116,16 @@ class SystemFeature
     std::uint64_t storage_bits() const { return cfg_.weight_bits; }
 
     /** Serialize the trained weight. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     SystemFeatureConfig cfg_;  // LINT_SNAPSHOT_OK: config
     SignedSatCounter weight_;

@@ -11,78 +11,44 @@
 
 namespace moka {
 
-namespace {
-
 template <class AddrT>
+template <class Self, class IO>
 void
-put_record(SnapshotWriter &w, const DecisionRecordT<AddrT> &rec)
+UpdateBuffer<AddrT>::serialize(Self &self, IO &io)
 {
-    put_addr(w, rec.block);
-    w.put_u8(rec.num_features);
-    for (std::uint32_t idx : rec.indexes) {
-        w.put_u32(idx);
+    for (auto &s : self.ring_) {
+        field(io, s.rec);
+        field(io, s.seq);
+        field(io, s.live);
     }
-    w.put_u8(rec.system_mask);
-}
-
-template <class AddrT>
-void
-get_record(SnapshotReader &r, DecisionRecordT<AddrT> &rec)
-{
-    get_addr(r, rec.block);
-    rec.num_features = r.get_u8();
-    for (std::uint32_t &idx : rec.indexes) {
-        idx = r.get_u32();
-    }
-    rec.system_mask = r.get_u8();
-}
-
-}  // namespace
-
-template <class AddrT>
-void
-UpdateBuffer<AddrT>::save_state(SnapshotWriter &w) const
-{
-    for (const Slot &s : ring_) {
-        put_record(w, s.rec);
-        w.put_u64(s.seq);
-        w.put_bool(s.live);
-    }
-    put_vec(w, table_);
-    w.put_u64(head_);
-    w.put_u64(count_);
-    w.put_u64(live_);
-    w.put_u64(stale_);
-    w.put_u64(tombstones_);
-    w.put_u64(next_seq_);
-    w.put_u64(overflow_evictions_);
-}
-
-template <class AddrT>
-void
-UpdateBuffer<AddrT>::restore_state(SnapshotReader &r)
-{
-    for (Slot &s : ring_) {
-        get_record(r, s.rec);
-        s.seq = r.get_u64();
-        s.live = r.get_bool();
-    }
-    get_vec(r, table_);
-    head_ = r.get_u64();
-    count_ = r.get_u64();
-    live_ = r.get_u64();
-    stale_ = r.get_u64();
-    tombstones_ = r.get_u64();
-    next_seq_ = r.get_u64();
-    overflow_evictions_ = r.get_u64();
-    if (head_ >= ring_.size() || count_ > ring_.size() ||
-        live_ > capacity_) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "update buffer occupancy out of range");
-    }
+    field(io, self.table_);
+    require(io,
+            std::all_of(self.table_.begin(), self.table_.end(),
+                        [&self](std::uint32_t e) {
+                            return e >= kTomb || e < self.ring_.size();
+                        }),
+            "update buffer table entry outside the ring");
+    field(io, self.head_);
+    field(io, self.count_);
+    field(io, self.live_);
+    field(io, self.stale_);
+    field(io, self.tombstones_);
+    field(io, self.next_seq_);
+    field(io, self.overflow_evictions_);
+    require(io,
+            self.head_ < self.ring_.size() &&
+                self.count_ <= self.ring_.size() &&
+                self.live_ <= self.capacity_,
+            "update buffer occupancy out of range");
 }
 
 template class UpdateBuffer<VirtAddr>;
 template class UpdateBuffer<PhysAddr>;
+template void VirtUpdateBuffer::serialize(const VirtUpdateBuffer &,
+                                          SnapshotWriter &);
+template void VirtUpdateBuffer::serialize(VirtUpdateBuffer &, SnapshotReader &);
+template void PhysUpdateBuffer::serialize(const PhysUpdateBuffer &,
+                                          SnapshotWriter &);
+template void PhysUpdateBuffer::serialize(PhysUpdateBuffer &, SnapshotReader &);
 
 }  // namespace moka

@@ -12,6 +12,7 @@
 #ifndef MOKASIM_FILTER_UPDATE_BUFFER_H
 #define MOKASIM_FILTER_UPDATE_BUFFER_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -42,6 +43,15 @@ struct DecisionRecordT
     std::uint8_t num_features = 0;              //!< valid prefix length
     std::array<std::uint32_t, kMaxFeatures> indexes{};  //!< WT hash indexes
     std::uint8_t system_mask = 0;               //!< active system features
+
+    template <class V, class... S>
+    static constexpr void visit_fields(V &&v, S &...s)
+    {
+        v("block", s.block...);
+        v("num_features", s.num_features...);
+        v("indexes", s.indexes...);
+        v("system_mask", s.system_mask...);
+    }
 };
 
 /** vUB record: keyed by the virtual prefetch-target block. */
@@ -189,17 +199,29 @@ class UpdateBuffer
         return static_cast<std::uint64_t>(capacity_) * (36 + 12);
     }
 
+    /** True when @p ok holds for the record of every ring slot. */
+    template <class Pred>
+    bool all_records(Pred ok) const
+    {
+        return std::all_of(ring_.begin(), ring_.end(),
+                           [&ok](const Slot &s) { return ok(s.rec); });
+    }
+
     /**
      * Serialize the ring, hash table and bookkeeping verbatim — the
      * probe layout depends on insertion order, so rebuilding it on
      * restore would diverge from the straight-through run.
      */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     //! table_ sentinel: slot never used
     static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
@@ -341,9 +363,9 @@ using VirtUpdateBuffer = UpdateBuffer<VirtAddr>;
 /** The Physical Update Buffer: issued candidates, physical keys. */
 using PhysUpdateBuffer = UpdateBuffer<PhysAddr>;
 
-// save_state/restore_state are defined (and the two space
-// instantiations emitted) in update_buffer.cc, keeping the snapshot
-// machinery out of this hot-path header.
+// serialize is defined (and the two space instantiations emitted) in
+// update_buffer.cc, keeping the snapshot machinery out of this
+// hot-path header.
 extern template class UpdateBuffer<VirtAddr>;
 extern template class UpdateBuffer<PhysAddr>;
 

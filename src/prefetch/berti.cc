@@ -200,75 +200,45 @@ Berti::on_access(const PrefetchContext &ctx,
     }
 }
 
-void Berti::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+Berti::serialize(Self &self, IO &io)
 {
-    w.begin_section("pf.berti");
-    for (std::size_t i = 0; i < ips_.size(); ++i) {
-        const IpEntry &e = ips_[i];
-        w.put_u64(ip_tags_[i]);
-        w.put_bool(ip_valid_[i] != 0);
-        w.put_u64(ip_lru_[i]);
-        for (const HistoryItem &h : e.history) {
-            w.put_u64(h.line);
-            w.put_u64(h.cycle);
+    io.begin_section("pf.berti");
+    for (std::size_t i = 0; i < self.ips_.size(); ++i) {
+        auto &e = self.ips_[i];
+        field(io, self.ip_tags_[i]);
+        field_as<bool>(io, self.ip_valid_[i]);
+        field(io, self.ip_lru_[i]);
+        for (auto &h : e.history) {
+            field(io, h.line);
+            field(io, h.cycle);
         }
-        w.put_u32(e.history_head);
-        w.put_u32(static_cast<std::uint32_t>(e.delta_vals.size()));
+        field(io, e.history_head);
+        require(io, e.history_head < e.history.size(),
+                "berti history head past the history");
+        list_length<std::uint32_t>(io, self.cfg_.deltas_per_ip,
+                                   "berti delta count above capacity",
+                                   e.delta_vals, e.delta_occ,
+                                   e.delta_timely);
         for (std::size_t d = 0; d < e.delta_vals.size(); ++d) {
-            w.put_i64(e.delta_vals[d]);
-            w.put_u16(e.delta_occ[d]);
-            w.put_u16(e.delta_timely[d]);
+            field(io, e.delta_vals[d]);
+            field(io, e.delta_occ[d]);
+            field(io, e.delta_timely[d]);
         }
-        w.put_u32(static_cast<std::uint32_t>(e.selected.size()));
+        list_length<std::uint32_t>(io, self.cfg_.max_degree,
+                                   "berti selection count above capacity",
+                                   e.selected, e.selected_timely);
         for (std::size_t s = 0; s < e.selected.size(); ++s) {
-            w.put_i64(e.selected[s]);
-            w.put_u16(e.selected_timely[s]);
+            field(io, e.selected[s]);
+            field(io, e.selected_timely[s]);
         }
-        w.put_u32(e.window_count);
+        field(io, e.window_count);
     }
-    w.put_u64(lru_stamp_);
+    field(io, self.lru_stamp_);
 }
 
-void Berti::restore_state(SnapshotReader &r)
-{
-    r.begin_section("pf.berti");
-    for (std::size_t i = 0; i < ips_.size(); ++i) {
-        IpEntry &e = ips_[i];
-        ip_tags_[i] = r.get_u64();
-        ip_valid_[i] = r.get_bool() ? 1 : 0;
-        ip_lru_[i] = r.get_u64();
-        for (HistoryItem &h : e.history) {
-            h.line = r.get_u64();
-            h.cycle = r.get_u64();
-        }
-        e.history_head = r.get_u32();
-        const std::uint32_t ndeltas = r.get_u32();
-        if (ndeltas > cfg_.deltas_per_ip) {
-            throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "berti delta count above capacity");
-        }
-        e.delta_vals.clear();
-        e.delta_occ.clear();
-        e.delta_timely.clear();
-        for (std::uint32_t d = 0; d < ndeltas; ++d) {
-            e.delta_vals.push_back(r.get_i64());
-            e.delta_occ.push_back(r.get_u16());
-            e.delta_timely.push_back(r.get_u16());
-        }
-        const std::uint32_t nsel = r.get_u32();
-        if (nsel > cfg_.max_degree) {
-            throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "berti selection count above capacity");
-        }
-        e.selected.clear();
-        e.selected_timely.clear();
-        for (std::uint32_t s = 0; s < nsel; ++s) {
-            e.selected.push_back(r.get_i64());
-            e.selected_timely.push_back(r.get_u16());
-        }
-        e.window_count = r.get_u32();
-    }
-    lru_stamp_ = r.get_u64();
-}
+template void Berti::serialize(const Berti &, SnapshotWriter &);
+template void Berti::serialize(Berti &, SnapshotReader &);
 
 }  // namespace moka

@@ -109,30 +109,24 @@ Bop::on_access(const PrefetchContext &ctx,
     out.push_back(req);
 }
 
-void Bop::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+Bop::serialize(Self &self, IO &io)
 {
-    w.begin_section("pf.bop");
-    put_vec(w, rr_);
-    for (int s : scores_) {
-        w.put_i64(s);
+    io.begin_section("pf.bop");
+    field(io, self.rr_);
+    for (auto &s : self.scores_) {
+        field_as<std::int64_t>(io, s);
     }
-    w.put_u32(test_index_);
-    w.put_i64(round_);
-    w.put_i64(best_);
-    w.put_bool(active_);
+    field(io, self.test_index_);
+    require(io, self.test_index_ < self.cfg_.offsets.size(),
+            "bop test index past the offset list");
+    field_as<std::int64_t>(io, self.round_);
+    field(io, self.best_);
+    field(io, self.active_);
 }
 
-void Bop::restore_state(SnapshotReader &r)
-{
-    r.begin_section("pf.bop");
-    get_vec(r, rr_);
-    for (int &s : scores_) {
-        s = static_cast<int>(r.get_i64());
-    }
-    test_index_ = r.get_u32();
-    round_ = static_cast<int>(r.get_i64());
-    best_ = r.get_i64();
-    active_ = r.get_bool();
-}
+template void Bop::serialize(const Bop &, SnapshotWriter &);
+template void Bop::serialize(Bop &, SnapshotReader &);
 
 }  // namespace moka

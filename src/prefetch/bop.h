@@ -43,10 +43,14 @@ class Bop : public Prefetcher
     /** Currently selected offset (0 when prefetching is off). */
     std::int64_t best_offset() const { return active_ ? best_ : 0; }
 
-    void save_state(SnapshotWriter &w) const override;
-    void restore_state(SnapshotReader &r) override;
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     std::size_t rr_index(Addr line) const;
     bool rr_contains(Addr line) const;
     void rr_insert(Addr line);

@@ -181,58 +181,36 @@ Ipcp::on_access(const PrefetchContext &ctx,
     }
 }
 
-void Ipcp::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+Ipcp::serialize(Self &self, IO &io)
 {
-    w.begin_section("pf.ipcp");
-    for (const IpEntry &e : ips_) {
-        w.put_u16(e.tag);
-        w.put_bool(e.valid);
-        w.put_u64(e.last_line);
-        w.put_i64(e.stride);
-        SnapshotAccess::save(w, e.conf);
-        w.put_u16(e.signature);
-        w.put_bool(e.stream);
+    io.begin_section("pf.ipcp");
+    for (auto &e : self.ips_) {
+        field(io, e.tag);
+        field(io, e.valid);
+        field(io, e.last_line);
+        field(io, e.stride);
+        field(io, e.conf);
+        field(io, e.signature);
+        field(io, e.stream);
     }
-    for (const CsptEntry &e : cspt_) {
-        w.put_i64(e.stride);
-        SnapshotAccess::save(w, e.conf);
+    for (auto &e : self.cspt_) {
+        field(io, e.stride);
+        field(io, e.conf);
     }
-    for (const Region &rg : regions_) {
-        w.put_u64(rg.tag);
-        w.put_bool(rg.valid);
-        w.put_u64(rg.touched);
-        w.put_u32(rg.count);
-        w.put_bool(rg.dense);
-        w.put_u64(rg.lru);
+    for (auto &rg : self.regions_) {
+        field(io, rg.tag);
+        field(io, rg.valid);
+        field(io, rg.touched);
+        field(io, rg.count);
+        field(io, rg.dense);
+        field(io, rg.lru);
     }
-    w.put_u64(lru_stamp_);
+    field(io, self.lru_stamp_);
 }
 
-void Ipcp::restore_state(SnapshotReader &r)
-{
-    r.begin_section("pf.ipcp");
-    for (IpEntry &e : ips_) {
-        e.tag = r.get_u16();
-        e.valid = r.get_bool();
-        e.last_line = r.get_u64();
-        e.stride = r.get_i64();
-        SnapshotAccess::restore(r, e.conf);
-        e.signature = r.get_u16();
-        e.stream = r.get_bool();
-    }
-    for (CsptEntry &e : cspt_) {
-        e.stride = r.get_i64();
-        SnapshotAccess::restore(r, e.conf);
-    }
-    for (Region &rg : regions_) {
-        rg.tag = r.get_u64();
-        rg.valid = r.get_bool();
-        rg.touched = r.get_u64();
-        rg.count = r.get_u32();
-        rg.dense = r.get_bool();
-        rg.lru = r.get_u64();
-    }
-    lru_stamp_ = r.get_u64();
-}
+template void Ipcp::serialize(const Ipcp &, SnapshotWriter &);
+template void Ipcp::serialize(Ipcp &, SnapshotReader &);
 
 }  // namespace moka

@@ -40,10 +40,14 @@ class Ipcp : public Prefetcher
 
     const std::string &name() const override { return name_; }
 
-    void save_state(SnapshotWriter &w) const override;
-    void restore_state(SnapshotReader &r) override;
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     struct IpEntry
     {
         std::uint16_t tag = 0;

@@ -119,53 +119,32 @@ Spp::on_access(const PrefetchContext &ctx,
     }
 }
 
-void Spp::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+Spp::serialize(Self &self, IO &io)
 {
-    w.begin_section("pf.spp");
-    for (const StEntry &e : st_) {
-        w.put_u64(e.page_tag);
-        w.put_bool(e.valid);
-        w.put_i64(e.last_offset);
-        w.put_u16(e.signature);
-        w.put_u64(e.lru);
+    io.begin_section("pf.spp");
+    for (auto &e : self.st_) {
+        field(io, e.page_tag);
+        field(io, e.valid);
+        field_as<std::int64_t>(io, e.last_offset);
+        field(io, e.signature);
+        field(io, e.lru);
     }
-    for (const PtEntry &e : pt_) {
-        w.put_u32(static_cast<std::uint32_t>(e.slots.size()));
-        for (const DeltaSlot &s : e.slots) {
-            w.put_i64(s.delta);
-            w.put_u16(s.count);
+    for (auto &e : self.pt_) {
+        list_length<std::uint32_t>(io, self.cfg_.deltas_per_sig,
+                                   "spp slot count above capacity",
+                                   e.slots);
+        for (auto &s : e.slots) {
+            field_as<std::int64_t>(io, s.delta);
+            field(io, s.count);
         }
-        w.put_u16(e.total);
+        field(io, e.total);
     }
-    w.put_u64(lru_stamp_);
+    field(io, self.lru_stamp_);
 }
 
-void Spp::restore_state(SnapshotReader &r)
-{
-    r.begin_section("pf.spp");
-    for (StEntry &e : st_) {
-        e.page_tag = r.get_u64();
-        e.valid = r.get_bool();
-        e.last_offset = static_cast<std::int32_t>(r.get_i64());
-        e.signature = r.get_u16();
-        e.lru = r.get_u64();
-    }
-    for (PtEntry &e : pt_) {
-        const std::uint32_t nslots = r.get_u32();
-        if (nslots > cfg_.deltas_per_sig) {
-            throw SnapshotError(SnapshotErrorKind::kMalformed,
-                                "spp slot count above capacity");
-        }
-        e.slots.clear();
-        for (std::uint32_t i = 0; i < nslots; ++i) {
-            DeltaSlot s;
-            s.delta = static_cast<std::int32_t>(r.get_i64());
-            s.count = r.get_u16();
-            e.slots.push_back(s);
-        }
-        e.total = r.get_u16();
-    }
-    lru_stamp_ = r.get_u64();
-}
+template void Spp::serialize(const Spp &, SnapshotWriter &);
+template void Spp::serialize(Spp &, SnapshotReader &);
 
 }  // namespace moka

@@ -37,10 +37,14 @@ class Spp : public Prefetcher
 
     const std::string &name() const override { return name_; }
 
-    void save_state(SnapshotWriter &w) const override;
-    void restore_state(SnapshotReader &r) override;
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     struct StEntry
     {
         Addr page_tag = 0;

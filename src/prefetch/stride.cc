@@ -66,28 +66,22 @@ StridePrefetcher::on_access(const PrefetchContext &ctx,
     }
 }
 
-void StridePrefetcher::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+StridePrefetcher::serialize(Self &self, IO &io)
 {
-    w.begin_section("pf.stride");
-    for (const Entry &e : table_) {
-        w.put_u16(e.tag);
-        w.put_bool(e.valid);
-        w.put_u64(e.last_line);
-        w.put_i64(e.stride);
-        SnapshotAccess::save(w, e.conf);
+    io.begin_section("pf.stride");
+    for (auto &e : self.table_) {
+        field(io, e.tag);
+        field(io, e.valid);
+        field(io, e.last_line);
+        field(io, e.stride);
+        field(io, e.conf);
     }
 }
 
-void StridePrefetcher::restore_state(SnapshotReader &r)
-{
-    r.begin_section("pf.stride");
-    for (Entry &e : table_) {
-        e.tag = r.get_u16();
-        e.valid = r.get_bool();
-        e.last_line = r.get_u64();
-        e.stride = r.get_i64();
-        SnapshotAccess::restore(r, e.conf);
-    }
-}
+template void StridePrefetcher::serialize(const StridePrefetcher &,
+                                          SnapshotWriter &);
+template void StridePrefetcher::serialize(StridePrefetcher &, SnapshotReader &);
 
 }  // namespace moka

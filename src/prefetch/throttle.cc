@@ -74,26 +74,22 @@ ThrottledPrefetcher::end_interval()
     window_fills_ = 0;
 }
 
-void ThrottledPrefetcher::save_state(SnapshotWriter &w) const
+template <class Self, class IO>
+void
+ThrottledPrefetcher::serialize(Self &self, IO &io)
 {
-    w.begin_section("pf.throttle");
-    w.put_u32(level_);
-    w.put_u64(window_useful_);
-    w.put_u64(window_useless_);
-    w.put_u64(window_late_);
-    w.put_u64(window_fills_);
-    inner_->save_state(w);
+    io.begin_section("pf.throttle");
+    field(io, self.level_);
+    field(io, self.window_useful_);
+    field(io, self.window_useless_);
+    field(io, self.window_late_);
+    field(io, self.window_fills_);
+    field(io, *self.inner_);
 }
 
-void ThrottledPrefetcher::restore_state(SnapshotReader &r)
-{
-    r.begin_section("pf.throttle");
-    level_ = r.get_u32();
-    window_useful_ = r.get_u64();
-    window_useless_ = r.get_u64();
-    window_late_ = r.get_u64();
-    window_fills_ = r.get_u64();
-    inner_->restore_state(r);
-}
+template void ThrottledPrefetcher::serialize(const ThrottledPrefetcher &,
+                                             SnapshotWriter &);
+template void ThrottledPrefetcher::serialize(ThrottledPrefetcher &,
+                                             SnapshotReader &);
 
 }  // namespace moka

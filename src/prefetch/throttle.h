@@ -62,13 +62,16 @@ class ThrottledPrefetcher : public Prefetcher
     /** Inner prefetcher (diagnostics). */
     const Prefetcher &inner() const { return *inner_; }
 
-    void save_state(SnapshotWriter &w) const override;
-    void restore_state(SnapshotReader &r) override;
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     void end_interval();
 
-    // LINT_SNAPSHOT_OK: serialized by delegation, inner_->save_state
     PrefetcherPtr inner_;
     ThrottleConfig cfg_;  // LINT_SNAPSHOT_OK: config
     unsigned level_;

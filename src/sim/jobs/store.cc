@@ -12,42 +12,28 @@
 namespace moka {
 namespace {
 
+/** The one field list of a stored result record (encode, decode). */
+template <class IO, class Result>
 void
-put_string(SnapshotWriter &w, const std::string &s)
+serialize_result(IO &io, Result &res)
 {
-    w.put_u64(s.size());
-    w.put_bytes(s.data(), s.size());
-}
-
-std::string
-get_string(SnapshotReader &r)
-{
-    const std::uint64_t n = r.get_u64();
-    if (n > r.remaining()) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "string longer than its section");
-    }
-    std::string s(n, '\0');
-    r.get_bytes(s.data(), n);
-    return s;
+    io.begin_section("result");
+    field_as<std::uint32_t>(io, res.attempts);
+    auto &row = res.output.row;
+    field(io, row.workload);
+    field(io, row.suite);
+    field(io, row.scheme);
+    field(io, row.prefetcher);
+    field(io, row.metrics);
+    field(io, res.output.aux, section_room(io, sizeof(double)),
+          "aux longer than its section");
 }
 
 std::string
 encode(std::uint64_t key, const JobResult &res)
 {
     SnapshotWriter w(key);
-    w.begin_section("result");
-    w.put_u32(static_cast<std::uint32_t>(res.attempts));
-    const ResultRow &row = res.output.row;
-    put_string(w, row.workload);
-    put_string(w, row.suite);
-    put_string(w, row.scheme);
-    put_string(w, row.prefetcher);
-    put_fields(w, row.metrics);
-    w.put_u64(res.output.aux.size());
-    for (const double v : res.output.aux) {
-        w.put_f64(v);
-    }
+    serialize_result(w, res);
     return w.finish();
 }
 
@@ -61,23 +47,7 @@ decode(std::uint64_t key, std::string bytes, JobResult &res)
                             "record key differs from its file name");
     }
     SnapshotReader r(image);
-    r.begin_section("result");
-    res.attempts = static_cast<int>(r.get_u32());
-    ResultRow &row = res.output.row;
-    row.workload = get_string(r);
-    row.suite = get_string(r);
-    row.scheme = get_string(r);
-    row.prefetcher = get_string(r);
-    get_fields(r, row.metrics);
-    const std::uint64_t n = r.get_u64();
-    if (n > r.remaining() / sizeof(double)) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "aux longer than its section");
-    }
-    res.output.aux.resize(n);
-    for (double &v : res.output.aux) {
-        v = r.get_f64();
-    }
+    serialize_result(r, res);
     r.finish();
 }
 

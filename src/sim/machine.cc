@@ -578,114 +578,93 @@ config_fingerprint(const MachineConfig &cfg, std::size_t cores)
     return h;
 }
 
+template <class Self, class IO>
 void
-CoreComplex::save_state(SnapshotWriter &w) const
+CoreComplex::serialize(Self &self, IO &io)
 {
-    w.begin_section("core.mem");
-    l2_->save_state(w);
-    l1i_->save_state(w);
-    l1d_->save_state(w);
-    page_table_->save_state(w);
-    itlb_->save_state(w);
-    dtlb_->save_state(w);
-    stlb_->save_state(w);
-    walker_->save_state(w);
-    w.begin_section("core.cpu");
-    bp_.save_state(w);
-    core_.save_state(w);
-    frontend_.save_state(w);
+    io.begin_section("core.mem");
+    field(io, *self.l2_);
+    field(io, *self.l1i_);
+    field(io, *self.l1d_);
+    field(io, *self.page_table_);
+    field(io, *self.itlb_);
+    field(io, *self.dtlb_);
+    field(io, *self.stlb_);
+    field(io, *self.walker_);
+    io.begin_section("core.cpu");
+    field(io, self.bp_);
+    field(io, self.core_);
+    field(io, self.frontend_);
     // Prefetchers/filters open their own sections (or none when
     // stateless); presence is configuration-determined, so save and
     // restore agree structurally.
-    l1d_pf_->save_state(w);
-    if (l2_pf_ != nullptr) {
-        l2_pf_->save_state(w);
+    field(io, *self.l1d_pf_);
+    if (self.l2_pf_ != nullptr) {
+        field(io, *self.l2_pf_);
     }
-    if (filter_ != nullptr) {
-        filter_->save_state(w);
+    if (self.filter_ != nullptr) {
+        field(io, *self.filter_);
     }
-    w.begin_section("core.state");
-    w.put_u64(last_load_complete_);
-    w.put_u64(pgc_candidates_);
-    w.put_u64(pgc_dropped_);
-    w.put_u64(epoch_pgc_useful_);
-    w.put_u64(epoch_pgc_useless_);
-    w.put_u64(next_interval_);
-    w.put_u64(next_epoch_);
-    put_fields(w, window_start_);
-    w.put_u64(epoch_start_cycle_);
-    w.put_u64(epoch_start_insts_);
-    put_fields(w, last_snapshot_);
-    w.begin_section("core.workload");
-    workload_->save_state(w);
+    io.begin_section("core.state");
+    field(io, self.last_load_complete_);
+    field(io, self.pgc_candidates_);
+    field(io, self.pgc_dropped_);
+    field(io, self.epoch_pgc_useful_);
+    field(io, self.epoch_pgc_useless_);
+    field(io, self.next_interval_);
+    field(io, self.next_epoch_);
+    field(io, self.window_start_);
+    field(io, self.epoch_start_cycle_);
+    field(io, self.epoch_start_insts_);
+    field(io, self.last_snapshot_);
+    io.begin_section("core.workload");
+    if constexpr (kRestoring<IO>) {
+        // step() consumes exactly one workload instruction per
+        // retirement, so the retired count is the stream position. A
+        // generator restores its saved state; a workload that saved
+        // none replays to the position (trace files seek there in
+        // O(1)).
+        self.workload_->restore_state(io, self.core_.retired());
+        // The audit cadence is derived, not saved, so that
+        // audit-enabled and audit-off builds write the same snapshot
+        // bytes.
+        const InstCount every = self.cfg_.audit_interval_insts;
+        self.next_audit_ =
+            every == 0 ? 0 : (self.core_.retired() / every + 1) * every;
+    } else {
+        self.workload_->save_state(io);
+    }
 }
 
+template void CoreComplex::serialize(const CoreComplex &, SnapshotWriter &);
+template void CoreComplex::serialize(CoreComplex &, SnapshotReader &);
+
+template <class Self, class IO>
 void
-CoreComplex::restore_state(SnapshotReader &r)
+Machine::serialize(Self &self, IO &io)
 {
-    r.begin_section("core.mem");
-    l2_->restore_state(r);
-    l1i_->restore_state(r);
-    l1d_->restore_state(r);
-    page_table_->restore_state(r);
-    itlb_->restore_state(r);
-    dtlb_->restore_state(r);
-    stlb_->restore_state(r);
-    walker_->restore_state(r);
-    r.begin_section("core.cpu");
-    bp_.restore_state(r);
-    core_.restore_state(r);
-    frontend_.restore_state(r);
-    l1d_pf_->restore_state(r);
-    if (l2_pf_ != nullptr) {
-        l2_pf_->restore_state(r);
+    io.begin_section("machine");
+    field(io, self.steps_);
+    for (auto &m : self.measure_start_) {
+        field(io, m);
     }
-    if (filter_ != nullptr) {
-        filter_->restore_state(r);
+    for (auto &m : self.at_budget_) {
+        field(io, m);
     }
-    r.begin_section("core.state");
-    last_load_complete_ = r.get_u64();
-    pgc_candidates_ = r.get_u64();
-    pgc_dropped_ = r.get_u64();
-    epoch_pgc_useful_ = r.get_u64();
-    epoch_pgc_useless_ = r.get_u64();
-    next_interval_ = r.get_u64();
-    next_epoch_ = r.get_u64();
-    get_fields(r, window_start_);
-    epoch_start_cycle_ = r.get_u64();
-    epoch_start_insts_ = r.get_u64();
-    get_fields(r, last_snapshot_);
-    // step() consumes exactly one workload instruction per
-    // retirement, so the retired count is the stream position. A
-    // generator restores its saved state; a workload that saved none
-    // replays to the position (trace files seek there in O(1)).
-    r.begin_section("core.workload");
-    workload_->restore_state(r, core_.retired());
-    // The audit cadence is derived, not saved, so that audit-enabled
-    // and audit-off builds write the same snapshot bytes.
-    const InstCount every = cfg_.audit_interval_insts;
-    next_audit_ = every == 0 ? 0 : (core_.retired() / every + 1) * every;
+    io.begin_section("dram");
+    field(io, *self.dram_);
+    io.begin_section("llc");
+    field(io, *self.llc_);
+    for (const auto &core : self.cores_) {
+        field(io, *core);
+    }
 }
 
 std::string
 Machine::save_snapshot() const
 {
     SnapshotWriter w(config_fingerprint(cfg_, cores_.size()));
-    w.begin_section("machine");
-    w.put_u64(steps_);
-    for (const RunMetrics &m : measure_start_) {
-        put_fields(w, m);
-    }
-    for (const RunMetrics &m : at_budget_) {
-        put_fields(w, m);
-    }
-    w.begin_section("dram");
-    dram_->save_state(w);
-    w.begin_section("llc");
-    llc_->save_state(w);
-    for (const auto &core : cores_) {
-        core->save_state(w);
-    }
+    serialize(*this, w);
     return w.finish();
 }
 
@@ -705,21 +684,7 @@ Machine::restore_snapshot(const SnapshotImage &image)
                             "snapshot was taken on a different machine "
                             "configuration");
     }
-    r.begin_section("machine");
-    steps_ = r.get_u64();
-    for (RunMetrics &m : measure_start_) {
-        get_fields(r, m);
-    }
-    for (RunMetrics &m : at_budget_) {
-        get_fields(r, m);
-    }
-    r.begin_section("dram");
-    dram_->restore_state(r);
-    r.begin_section("llc");
-    llc_->restore_state(r);
-    for (const auto &core : cores_) {
-        core->restore_state(r);
-    }
+    serialize(*this, r);
     r.finish();
 }
 

@@ -231,12 +231,17 @@ class CoreComplex : public CacheListener
      * (CoreComplex::step consumes exactly one workload instruction
      * per retirement).
      */
-    SIM_COLD void save_state(SnapshotWriter &w) const;
+    SIM_COLD void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    SIM_COLD void restore_state(SnapshotReader &r);
+    SIM_COLD void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
     struct Translated
     {
         PhysAddr paddr{};
@@ -276,7 +281,6 @@ class CoreComplex : public CacheListener
     BranchPredictor bp_;
     Core core_;
     Frontend frontend_;
-    // LINT_SNAPSHOT_OK: replayed, fast-forwarded to core_.retired()
     WorkloadPtr workload_;
 
     PrefetcherPtr l1d_pf_;
@@ -454,6 +458,11 @@ class Machine
     SIM_COLD void restore_snapshot(const std::string &bytes);
 
   private:
+    /** The section list save_snapshot and restore_snapshot share. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
+
+    // LINT_SNAPSHOT_OK: config, checked via the snapshot fingerprint
     MachineConfig cfg_;
     std::unique_ptr<Dram> dram_;
     std::unique_ptr<Cache> llc_;
@@ -461,11 +470,11 @@ class Machine
     std::vector<RunMetrics> measure_start_;
     std::vector<RunMetrics> at_budget_;  //!< metrics at own crossing
     //! run() scratch, sized once at construction (rule L10)
-    std::vector<InstCount> run_target_;
+    std::vector<InstCount> run_target_;  // LINT_SNAPSHOT_OK: scratch
     // uint8_t, not the bit-packed vector<bool>: the run loop reads
     // this per step and the proxy-object bit math costs more than the
     // byte it saves (rule L19)
-    std::vector<std::uint8_t> run_crossed_;
+    std::vector<std::uint8_t> run_crossed_;  // LINT_SNAPSHOT_OK: scratch
     std::uint64_t steps_ = 0;            //!< lifetime step count (hooks)
 };
 

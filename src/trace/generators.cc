@@ -25,36 +25,32 @@ enum class KernelKind : std::uint8_t {
     kBursty,
 };
 
-/** Reject saved workload state that does not fit the built kernel. */
-[[noreturn]] void
-malformed(const char *what)
-{
-    throw SnapshotError(SnapshotErrorKind::kMalformed, what);
-}
-
-/** Save a kernel's kind tag and state record. */
-template <Record S>
-void
-save_kernel(SnapshotWriter &w, KernelKind kind, const S &state)
-{
-    put_int(w, kind);
-    put_fields(w, state);
-}
-
 /**
- * Read back what save_kernel wrote for a kernel of @p kind. The
- * caller range-checks the record before it adopts it.
+ * A kernel's kind tag and state record @p st. On restore the tag must
+ * be @p kind's, and the record is read into the copy returned, which
+ * the caller range-checks before it adopt()s it.
  */
-template <Record S>
+template <class IO, Record S>
 S
-restore_kernel(SnapshotReader &r, KernelKind kind)
+kernel_state(IO &io, KernelKind kind, const S &st)
 {
-    if (r.get_u8() != static_cast<std::uint8_t>(kind)) {
-        malformed("workload kernel kind differs from the built kernel");
+    KernelKind saved = kind;
+    field(io, saved);
+    require(io, saved == kind,
+            "workload kernel kind differs from the built kernel");
+    S copy = st;
+    field(io, copy);
+    return copy;
+}
+
+/** On restore, replace @p st with the checked record @p from. */
+template <class S>
+void
+adopt(S &st, const std::remove_const_t<S> &from)
+{
+    if constexpr (!std::is_const_v<S>) {
+        st = from;
     }
-    S state{};
-    get_fields(r, state);
-    return state;
 }
 
 /** Sequential multi-stream sweep (see make_stream_kernel). */
@@ -88,25 +84,21 @@ class StreamKernel : public AccessKernel
         return {a, 0x4000 + s * 16, rng.chance(p_.store_frac)};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kStream, st_);
-        put_vec(w, cursors_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        const State st = restore_kernel<State>(r, KernelKind::kStream);
-        if (st.next_stream >= p_.streams) {
-            malformed("stream index past the configured streams");
-        }
-        get_vec(r, cursors_);
-        st_ = st;
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        const State st = kernel_state(io, KernelKind::kStream, self.st_);
+        require(io, st.next_stream < self.p_.streams,
+                "stream index past the configured streams");
+        field(io, self.cursors_);
+        adopt(self.st_, st);
+    }
+
     struct State
     {
         unsigned next_stream = 0;
@@ -144,19 +136,17 @@ class TileKernel : public AccessKernel
         return {a, 0x5000, rng.chance(p_.store_frac)};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kTile, st_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        st_ = restore_kernel<State>(r, KernelKind::kTile);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        adopt(self.st_, kernel_state(io, KernelKind::kTile, self.st_));
+    }
+
     struct State
     {
         Addr row = 0;
@@ -237,24 +227,22 @@ class CsrGraphKernel : public AccessKernel
         }
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kCsrGraph, st_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        const State st = restore_kernel<State>(r, KernelKind::kCsrGraph);
-        if (st.stage != Stage::kOffset && st.stage != Stage::kEdges &&
-            st.stage != Stage::kGather) {
-            malformed("CSR kernel stage outside its enum");
-        }
-        st_ = st;
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        const State st = kernel_state(io, KernelKind::kCsrGraph, self.st_);
+        require(io,
+                st.stage == Stage::kOffset || st.stage == Stage::kEdges ||
+                    st.stage == Stage::kGather,
+                "CSR kernel stage outside its enum");
+        adopt(self.st_, st);
+    }
+
     enum class Stage : std::uint8_t { kOffset, kEdges, kGather };
 
     struct State
@@ -307,19 +295,17 @@ class SeqChaseKernel : public AccessKernel
         return {a, 0x7800, false, /*dependent=*/true};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kSeqChase, st_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        st_ = restore_kernel<State>(r, KernelKind::kSeqChase);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        adopt(self.st_, kernel_state(io, KernelKind::kSeqChase, self.st_));
+    }
+
     struct State
     {
         Addr cursor = 0;
@@ -365,26 +351,22 @@ class PointerChaseKernel : public AccessKernel
         return {a, 0x7000 + c * 16, false, true};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kPointerChase, st_);
-        put_vec(w, cursors_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        const State st =
-            restore_kernel<State>(r, KernelKind::kPointerChase);
-        if (st.next_chain >= p_.chains) {
-            malformed("chase index past the configured chains");
-        }
-        get_vec(r, cursors_);
-        st_ = st;
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        const State st =
+            kernel_state(io, KernelKind::kPointerChase, self.st_);
+        require(io, st.next_chain < self.p_.chains,
+                "chase index past the configured chains");
+        field(io, self.cursors_);
+        adopt(self.st_, st);
+    }
+
     struct State
     {
         unsigned next_chain = 0;
@@ -424,19 +406,17 @@ class HashProbeKernel : public AccessKernel
         return {a, 0x8000, rng.chance(p_.store_frac)};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kHashProbe, st_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        st_ = restore_kernel<State>(r, KernelKind::kHashProbe);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        adopt(self.st_, kernel_state(io, KernelKind::kHashProbe, self.st_));
+    }
+
     struct State
     {
         Addr cursor = 0;
@@ -479,19 +459,17 @@ class GatherKernel : public AccessKernel
         return {a, 0x9000, false};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kGather, st_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        st_ = restore_kernel<State>(r, KernelKind::kGather);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        adopt(self.st_, kernel_state(io, KernelKind::kGather, self.st_));
+    }
+
     struct State
     {
         Addr index_cursor = 0;
@@ -550,19 +528,17 @@ class DualStrideKernel : public AccessKernel
         return {a, 0xB000, false};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kDualStride, st_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        st_ = restore_kernel<State>(r, KernelKind::kDualStride);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        adopt(self.st_, kernel_state(io, KernelKind::kDualStride, self.st_));
+    }
+
     void
     start_run(Rng &rng)
     {
@@ -619,29 +595,23 @@ class PhaseMixKernel : public AccessKernel
     }
 
     /** The mixer's record, then every child in order. */
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kPhaseMix, st_);
-        for (const KernelPtr &child : children_) {
-            child->save_state(w);
-        }
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        const State st = restore_kernel<State>(r, KernelKind::kPhaseMix);
-        if (st.active >= children_.size()) {
-            malformed("phase index past the configured children");
-        }
-        for (const KernelPtr &child : children_) {
-            child->restore_state(r);
-        }
-        st_ = st;
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        const State st = kernel_state(io, KernelKind::kPhaseMix, self.st_);
+        require(io, st.active < self.children_.size(),
+                "phase index past the configured children");
+        for (const KernelPtr &child : self.children_) {
+            field(io, *child);
+        }
+        adopt(self.st_, st);
+    }
+
     struct State
     {
         std::uint64_t count = 0;
@@ -695,19 +665,17 @@ class BurstyKernel : public AccessKernel
                 true};
     }
 
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        save_kernel(w, KernelKind::kBursty, st_);
-    }
-
-    void
-    restore_state(SnapshotReader &r) override
-    {
-        st_ = restore_kernel<State>(r, KernelKind::kBursty);
-    }
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
+    void restore_state(SnapshotReader &r) override { serialize(*this, r); }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        adopt(self.st_, kernel_state(io, KernelKind::kBursty, self.st_));
+    }
+
     struct State
     {
         std::uint64_t left = 0;
@@ -785,31 +753,30 @@ class SyntheticWorkload : public Workload
         return inst;
     }
 
-    /** RNG lanes, the interleaver's counters, then the kernel. */
-    void
-    save_state(SnapshotWriter &w) const override
-    {
-        SnapshotAccess::save(w, rng_);
-        put_fields(w, st_);
-        kernel_->save_state(w);
-    }
-
     /**
-     * The saved state is the position, so @p position is not
-     * replayed: restoring costs the state's size, not the warmup's
-     * length.
+     * RNG lanes, the interleaver's counters, then the kernel. The
+     * saved state is the position, so @p position is not replayed:
+     * restoring costs the state's size, not the warmup's length.
      */
+    void save_state(SnapshotWriter &w) const override { serialize(*this, w); }
     void
     restore_state(SnapshotReader &r, std::uint64_t /*position*/) override
     {
-        SnapshotAccess::restore(r, rng_);
-        get_fields(r, st_);
-        kernel_->restore_state(r);
+        serialize(*this, r);
     }
 
     const std::string &name() const override { return name_; }
 
   private:
+    template <class Self, class IO>
+    static void
+    serialize(Self &self, IO &io)
+    {
+        field(io, self.rng_);
+        field(io, self.st_);
+        field(io, *self.kernel_);
+    }
+
     static constexpr Addr kCodeBase = 0x400000;
     static constexpr Addr kBranchBase = kCodeBase + 0x2000;
     static constexpr Addr kLoopTop = kCodeBase + 0x1000;

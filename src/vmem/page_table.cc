@@ -135,32 +135,20 @@ PageTable::walk_addresses(VirtAddr vaddr, std::array<PhysAddr, 5> &out)
 }
 
 
+template <class Self, class IO>
 void
-PageTable::save_state(SnapshotWriter &w) const
+PageTable::serialize(Self &self, IO &io)
 {
-    SnapshotAccess::save(w, rng_);
-    w.put_u64(root_);
-    for (const FlatAddrMap &m : tables_) {
-        SnapshotAccess::save(w, m);
-    }
-    SnapshotAccess::save(w, page_map_);
-    SnapshotAccess::save(w, large_page_map_);
-    SnapshotAccess::save(w, used_frames_);
-    SnapshotAccess::save(w, used_large_frames_);
+    field(io, self.rng_);
+    field(io, self.root_);
+    field(io, self.tables_);
+    field(io, self.page_map_);
+    field(io, self.large_page_map_);
+    field(io, self.used_frames_);
+    field(io, self.used_large_frames_);
 }
 
-void
-PageTable::restore_state(SnapshotReader &r)
-{
-    SnapshotAccess::restore(r, rng_);
-    root_ = r.get_u64();
-    for (FlatAddrMap &m : tables_) {
-        SnapshotAccess::restore(r, m);
-    }
-    SnapshotAccess::restore(r, page_map_);
-    SnapshotAccess::restore(r, large_page_map_);
-    SnapshotAccess::restore(r, used_frames_);
-    SnapshotAccess::restore(r, used_large_frames_);
-}
+template void PageTable::serialize(const PageTable &, SnapshotWriter &);
+template void PageTable::serialize(PageTable &, SnapshotReader &);
 
 }  // namespace moka

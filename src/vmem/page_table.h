@@ -89,12 +89,16 @@ class PageTable
     bool is_large_region(VirtAddr vaddr) const;
 
     /** Serialize mappings, table frames, frame sets and the RNG. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     Addr alloc_frame();        //!< unique random 4KB frame
     Addr alloc_large_frame();  //!< unique random 2MB-aligned frame

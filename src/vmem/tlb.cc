@@ -104,32 +104,22 @@ Tlb::fill(VirtAddr vaddr, PhysAddr page_base, bool large,
 }
 
 
+template <class Self, class IO>
 void
-Tlb::save_state(SnapshotWriter &w) const
+Tlb::serialize(Self &self, IO &io)
 {
-    for (const EntryArray *arr : {&small_, &large_}) {
-        put_vec(w, arr->vpn);
-        put_vec(w, arr->page_base);
-        put_vec(w, arr->lru);
+    for (auto *arr : {&self.small_, &self.large_}) {
+        field(io, arr->vpn);
+        field(io, arr->page_base);
+        field(io, arr->lru);
     }
-    w.put_u64(lru_stamp_);
-    put_fields(w, demand_);
-    put_fields(w, probe_);
-    w.put_u64(prefetch_fills_);
+    field(io, self.lru_stamp_);
+    field(io, self.demand_);
+    field(io, self.probe_);
+    field(io, self.prefetch_fills_);
 }
 
-void
-Tlb::restore_state(SnapshotReader &r)
-{
-    for (EntryArray *arr : {&small_, &large_}) {
-        get_vec(r, arr->vpn);
-        get_vec(r, arr->page_base);
-        get_vec(r, arr->lru);
-    }
-    lru_stamp_ = r.get_u64();
-    get_fields(r, demand_);
-    get_fields(r, probe_);
-    prefetch_fills_ = r.get_u64();
-}
+template void Tlb::serialize(const Tlb &, SnapshotWriter &);
+template void Tlb::serialize(Tlb &, SnapshotReader &);
 
 }  // namespace moka

@@ -92,12 +92,16 @@ class Tlb
     const TlbConfig &config() const { return cfg_; }
 
     /** Serialize both entry arrays, the LRU clock and counters. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     // Structure-of-arrays entry store, mirroring the cache layout:
     // the lookup scan reads only the vpn array, whose bit 63 carries

@@ -115,63 +115,41 @@ PageWalker::walk(VirtAddr vaddr, Cycle now, bool speculative)
 }
 
 
+template <class Self, class IO>
 void
-StructureCache::save_state(SnapshotWriter &w) const
+StructureCache::serialize(Self &self, IO &io)
 {
-    w.put_u64(data_.size());
-    for (const Entry &e : data_) {
-        w.put_u64(e.prefix);
-        w.put_u64(e.lru);
+    list_length<std::uint64_t>(io, self.entries_,
+                               "PSC occupancy above its capacity",
+                               self.data_);
+    for (auto &e : self.data_) {
+        field(io, e.prefix);
+        field(io, e.lru);
     }
-    w.put_u64(lru_stamp_);
-    w.put_u64(hits_);
-    w.put_u64(lookups_);
+    field(io, self.lru_stamp_);
+    field(io, self.hits_);
+    field(io, self.lookups_);
 }
 
+template void StructureCache::serialize(const StructureCache &,
+                                        SnapshotWriter &);
+template void StructureCache::serialize(StructureCache &, SnapshotReader &);
+
+template <class Self, class IO>
 void
-StructureCache::restore_state(SnapshotReader &r)
+PageWalker::serialize(Self &self, IO &io)
 {
-    const std::uint64_t n = r.get_u64();
-    if (n > entries_) {
-        throw SnapshotError(SnapshotErrorKind::kMalformed,
-                            "PSC occupancy above its capacity");
-    }
-    data_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Entry e;
-        e.prefix = r.get_u64();
-        e.lru = r.get_u64();
-        data_.push_back(e);
-    }
-    lru_stamp_ = r.get_u64();
-    hits_ = r.get_u64();
-    lookups_ = r.get_u64();
+    field(io, self.psc_pml5_);
+    field(io, self.psc_pml4_);
+    field(io, self.psc_pdpte_);
+    field(io, self.psc_pde_);
+    field(io, self.walker_free_);
+    field(io, self.demand_walks_);
+    field(io, self.spec_walks_);
+    field(io, self.total_mem_refs_);
 }
 
-void
-PageWalker::save_state(SnapshotWriter &w) const
-{
-    psc_pml5_.save_state(w);
-    psc_pml4_.save_state(w);
-    psc_pdpte_.save_state(w);
-    psc_pde_.save_state(w);
-    put_vec(w, walker_free_);
-    w.put_u64(demand_walks_);
-    w.put_u64(spec_walks_);
-    w.put_u64(total_mem_refs_);
-}
-
-void
-PageWalker::restore_state(SnapshotReader &r)
-{
-    psc_pml5_.restore_state(r);
-    psc_pml4_.restore_state(r);
-    psc_pdpte_.restore_state(r);
-    psc_pde_.restore_state(r);
-    get_vec(r, walker_free_);
-    demand_walks_ = r.get_u64();
-    spec_walks_ = r.get_u64();
-    total_mem_refs_ = r.get_u64();
-}
+template void PageWalker::serialize(const PageWalker &, SnapshotWriter &);
+template void PageWalker::serialize(PageWalker &, SnapshotReader &);
 
 }  // namespace moka

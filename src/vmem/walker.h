@@ -67,12 +67,16 @@ class StructureCache
     std::uint64_t lookups() const { return lookups_; }
 
     /** Serialize cached prefixes, the LRU clock and counters. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     struct Entry
     {
@@ -124,12 +128,16 @@ class PageWalker
     std::uint64_t total_mem_refs() const { return total_mem_refs_; }
 
     /** Serialize PSCs, walker-slot availability and counters. */
-    void save_state(SnapshotWriter &w) const;
+    void save_state(SnapshotWriter &w) const { serialize(*this, w); }
     /** Inverse of save_state on a same-config instance. */
-    void restore_state(SnapshotReader &r);
+    void restore_state(SnapshotReader &r) { serialize(*this, r); }
 
   private:
     friend struct AuditAccess;
+
+    /** The one field list of save_state and restore_state. */
+    template <class Self, class IO>
+    static void serialize(Self &self, IO &io);
 
     WalkerConfig cfg_;     // LINT_SNAPSHOT_OK: config
     PageTable *table_;     // LINT_SNAPSHOT_OK: collaborator, owned by core

@@ -1,9 +1,12 @@
 #include "predictor.h"
 
+template <class Self, class IO>
 void
-OutOfLineTable::save_state(SnapshotWriter &w) const
+OutOfLineTable::serialize(Self &self, IO &io)
 {
-    for (std::uint64_t row : rows_) {
-        InlinePredictor::put(w, row);  // lru_ forgotten
-    }
+    field(io, self.rows_);  // lru_ forgotten
 }
+
+template void OutOfLineTable::serialize(const OutOfLineTable &,
+                                        SnapshotWriter &);
+template void OutOfLineTable::serialize(OutOfLineTable &, SnapshotReader &);

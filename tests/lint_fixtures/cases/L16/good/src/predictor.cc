@@ -1,10 +1,13 @@
 #include "predictor.h"
 
+template <class Self, class IO>
 void
-OutOfLineTable::save_state(SnapshotWriter &w) const
+OutOfLineTable::serialize(Self &self, IO &io)
 {
-    for (std::uint64_t row : rows_) {
-        InlinePredictor::put(w, row);
-    }
-    InlinePredictor::put(w, lru_);
+    field(io, self.rows_);
+    field(io, self.lru_);
 }
+
+template void OutOfLineTable::serialize(const OutOfLineTable &,
+                                        SnapshotWriter &);
+template void OutOfLineTable::serialize(OutOfLineTable &, SnapshotReader &);

@@ -76,12 +76,12 @@ TYPED_TEST(RecordFields, ListRoundTripsAndDiffs)
     if constexpr (kRunState<T>) {
         SnapshotWriter w(0);
         w.begin_section("record");
-        put_fields(w, x);
+        field(w, x);
         const SnapshotImage image(w.finish());
         SnapshotReader r(image);
         r.begin_section("record");
         T y{};
-        get_fields(r, y);
+        field(r, y);
         r.finish();
         for_each_leaf([](const char *name, const auto &a,
                          const auto &b) { EXPECT_EQ(a, b) << name; },
