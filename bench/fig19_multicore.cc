@@ -13,7 +13,9 @@
  * cache is shared across workers. With --shard-dir, a 300-mix sweep
  * resumes after a crash and splits across processes or hosts, each
  * printing the whole distribution. Failed mixes are dropped from the
- * distribution and reported on stderr.
+ * distribution and reported on stderr. --snapshot-dir is accepted but
+ * unused: the mix job never reads the snapshot cache, so every mix
+ * and isolation run warms up cold.
  */
 #include <algorithm>
 #include <cstdio>

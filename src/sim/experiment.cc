@@ -147,8 +147,6 @@ parse_engine_flag(BenchArgs &args, int &i, int argc, char **argv)
         args.trace_events = require_value(a, i, argc, argv);
     } else if (a == "--snapshot-dir") {
         args.snapshot_dir = require_value(a, i, argc, argv);
-    } else if (a == "--no-snapshot-reuse") {
-        args.no_snapshot_reuse = true;
     } else {
         return false;
     }
@@ -415,7 +413,7 @@ run_engine(const std::vector<JobSpec> &jobs, const BenchArgs &args,
     // leases, by other processes on the same directories); they must
     // outlive the engine run below.
     std::unique_ptr<SnapshotCache> snapshots;
-    if (!args.snapshot_dir.empty() && !args.no_snapshot_reuse) {
+    if (!args.snapshot_dir.empty()) {
         snapshots = std::make_unique<SnapshotCache>(args.snapshot_dir);
         cfg.snapshot = snapshots.get();
     }

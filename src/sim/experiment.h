@@ -65,7 +65,6 @@ struct BenchArgs
     // config, warmup budget) key, fork every sweep point from the
     // restored state. Results stay byte-identical to a cold sweep.
     std::string snapshot_dir;     //!< snapshot cache directory
-    bool no_snapshot_reuse = false;  //!< force cold warmups anyway
 
     /** Effective roster for @p roster given --full/--workloads. */
     std::vector<WorkloadSpec>

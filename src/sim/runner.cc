@@ -55,19 +55,6 @@ run_single_workload(const MachineConfig &cfg, WorkloadPtr workload,
     return machine.measured(0);
 }
 
-namespace {
-
-/** Bump a snapshot telemetry counter (no-op without a session). */
-void
-count_snapshot(TelemetrySession *telemetry, const char *name)
-{
-    if (telemetry != nullptr && telemetry->active()) {
-        telemetry->registry().counter(name).add();
-    }
-}
-
-}  // namespace
-
 RunMetrics
 run_single_workload_snapshot(const MachineConfig &cfg,
                              const WorkloadFactory &make,
@@ -102,11 +89,6 @@ run_single_workload_snapshot(const MachineConfig &cfg,
             return machine.save_snapshot();
         },
         &outcome);
-    count_snapshot(telemetry, outcome.hit ? "snapshot.hits"
-                                          : "snapshot.misses");
-    if (outcome.saved) {
-        count_snapshot(telemetry, "snapshot.saves");
-    }
 
     {
         // Hit or miss, the measuring machine is built by restore so
@@ -128,12 +110,9 @@ run_single_workload_snapshot(const MachineConfig &cfg,
             // The cache already checked structure and checksums; what
             // is left is a key collision (config mismatch) or a section
             // that does not decode. Classified (kSnapshotInvalid
-            // family), counted, and the run falls back to a cold
-            // warmup below.
-            count_snapshot(telemetry, "snapshot.invalid");
+            // family), and the run falls back to a cold warmup below.
         }
         if (restored) {
-            count_snapshot(telemetry, "snapshot.restores");
             machine.start_measurement();
             scoped.span("measure",
                         [&] { machine.run(run.measure_insts, run_hook); });

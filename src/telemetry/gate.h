@@ -2,7 +2,7 @@
  * @file
  * Telemetry master switch, separated from the session types so hot
  * subsystems (filter, machine) can test the gate without pulling in
- * the registry/tracer headers.
+ * the session/tracer headers.
  *
  * Two gates keep observability free when unused:
  *

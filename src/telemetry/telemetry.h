@@ -3,10 +3,10 @@
  * Per-process telemetry session. The on/off gate itself lives in
  * telemetry/gate.h (see there for the two-gate cost model).
  *
- * A TelemetrySession bundles the three surfaces (metric registry,
- * epoch timeseries output directory, Chrome trace_event tracer) and
- * is threaded by non-owning pointer through the job engine, runner
- * and multicore harness.
+ * A TelemetrySession bundles the two output surfaces (epoch
+ * timeseries directory, Chrome trace_event tracer) and is threaded by
+ * non-owning pointer through the job engine, runner and multicore
+ * harness.
  */
 #ifndef MOKASIM_TELEMETRY_TELEMETRY_H
 #define MOKASIM_TELEMETRY_TELEMETRY_H
@@ -15,16 +15,14 @@
 #include <string>
 
 #include "telemetry/gate.h"
-#include "telemetry/registry.h"
 #include "telemetry/trace_event.h"
 
 namespace moka {
 
 /**
- * Per-process telemetry context: a metric registry every subsystem
- * can register into, an optional output directory for epoch
- * timeseries (CSV/JSONL per labelled run), and an optional Chrome
- * trace_event tracer. Construction with both paths empty yields an
+ * Per-process telemetry context: an optional output directory for
+ * epoch timeseries (CSV/JSONL per labelled run) and an optional
+ * Chrome trace_event tracer. Construction with both paths empty yields an
  * inactive session that consumers treat like a null pointer.
  */
 class TelemetrySession
@@ -40,9 +38,6 @@ class TelemetrySession
 
     /** True when at least one output surface is configured. */
     bool active() const { return !dir_.empty() || tracer_ != nullptr; }
-
-    /** Process-wide metric registry. */
-    MetricRegistry &registry() { return registry_; }
 
     /** Tracer, or null when --trace-events was not given. */
     Tracer *tracer() { return tracer_.get(); }
@@ -66,7 +61,6 @@ class TelemetrySession
   private:
     std::string dir_;
     std::string trace_path_;
-    MetricRegistry registry_;
     std::unique_ptr<Tracer> tracer_;
 };
 

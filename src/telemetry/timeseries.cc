@@ -78,21 +78,6 @@ Timeseries::write_jsonl(const std::string &path) const
     return static_cast<bool>(os);
 }
 
-void
-RegistrySampler::sample_into(std::vector<TimeseriesCell> &row)
-{
-    for (const MetricRegistry::Sample &s : registry_->snapshot()) {
-        if (!s.cumulative) {
-            row.emplace_back(s.name, s.value);
-            continue;
-        }
-        const auto it = last_.find(s.name);
-        const double prev = it == last_.end() ? 0.0 : it->second;
-        row.emplace_back(s.name, s.value - prev);
-        last_[s.name] = s.value;
-    }
-}
-
 EpochSampler::EpochSampler(std::uint64_t cadence, SampleFn fn)
     : cadence_(cadence), next_(cadence), fn_(std::move(fn))
 {
@@ -101,15 +86,11 @@ EpochSampler::EpochSampler(std::uint64_t cadence, SampleFn fn)
 }
 
 MachineSampler::MachineSampler(const Machine *machine, Timeseries *out,
-                               Tracer *tracer, std::uint32_t pid,
-                               const MetricRegistry *registry)
+                               Tracer *tracer, std::uint32_t pid)
     : machine_(machine), out_(out), tracer_(tracer), pid_(pid)
 {
     SIM_REQUIRE(machine_ != nullptr && out_ != nullptr,
                 "machine sampler needs a machine and a buffer");
-    if (registry != nullptr) {
-        registry_sampler_ = std::make_unique<RegistrySampler>(registry);
-    }
     // Baseline so the first sample reports the first epoch's deltas,
     // not cumulative-since-construction values.
     for (std::size_t i = 0; i < machine_->num_cores(); ++i) {
@@ -189,33 +170,27 @@ MachineSampler::sample(std::uint64_t steps)
                                  : double(sum_d) / double(decisions));
             for (std::size_t b = 0; b < FilterTelemetry::kSumBuckets;
                  ++b) {
-                char col[32];
-                if (b + 1 < FilterTelemetry::kSumBuckets) {
-                    std::snprintf(col, sizeof(col), "sum_le_%d",
-                                  FilterTelemetry::kSumBounds[b]);
-                } else {
-                    std::snprintf(col, sizeof(col), "sum_le_inf");
-                }
+                const std::string bound =
+                    b + 1 < FilterTelemetry::kSumBuckets
+                        ? std::to_string(FilterTelemetry::kSumBounds[b])
+                        : "inf";
                 row.emplace_back(
-                    prefix + col,
+                    prefix + "sum_le_" + bound,
                     double(ft.sum_hist[b] - prev.sum_hist[b]));
             }
             for (std::size_t j = 0; j < ft.num_features; ++j) {
-                char col[24];
-                std::snprintf(col, sizeof(col), "f%zu_mean_abs_w", j);
                 const std::uint64_t abs_d =
                     ft.feature_abs[j] - prev.feature_abs[j];
-                row.emplace_back(prefix + col,
-                                 decisions == 0 ? 0.0
-                                                : double(abs_d) /
-                                                      double(decisions));
+                row.emplace_back(
+                    prefix + "f" + std::to_string(j) + "_mean_abs_w",
+                    decisions == 0 ? 0.0
+                                   : double(abs_d) / double(decisions));
             }
             for_each_leaf(
                 [&](const char *name, std::uint64_t now_v,
                     std::uint64_t prev_v) {
-                    char col[32];
-                    std::snprintf(col, sizeof(col), "th_%s", name);
-                    row.emplace_back(prefix + col, double(now_v - prev_v));
+                    row.emplace_back(prefix + "th_" + name,
+                                     double(now_v - prev_v));
                 },
                 ft.threshold, prev.threshold);
             last_filter_[i] = ft;
@@ -233,9 +208,6 @@ MachineSampler::sample(std::uint64_t steps)
         }
     }
 
-    if (registry_sampler_ != nullptr) {
-        registry_sampler_->sample_into(row);
-    }
     out_->append(row);
     ++sample_index_;
 }

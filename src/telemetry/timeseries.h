@@ -6,9 +6,6 @@
  *
  *  - Timeseries: columnar in-memory buffer (column set frozen by the
  *    first row) flushed as CSV or JSONL once the run is over;
- *  - RegistrySampler: turns MetricRegistry snapshots into rows,
- *    emitting per-sample deltas for cumulative instruments (counters,
- *    histogram buckets) and raw values for gauges/probes;
  *  - EpochSampler: a RunTickHook that invokes a callback every
  *    `cadence` machine steps — the only thing on the sim hot path,
  *    costing one compare-and-branch per step;
@@ -27,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,27 +72,6 @@ class Timeseries
     std::vector<double> data_;  //!< row-major
 };
 
-/** Registry-to-row adapter; see file comment. */
-class RegistrySampler
-{
-  public:
-    explicit RegistrySampler(const MetricRegistry *registry)
-        : registry_(registry)
-    {
-    }
-
-    /**
-     * Append one cell per registered instrument to @p row: deltas
-     * since the previous sample for cumulative instruments, raw
-     * values otherwise.
-     */
-    void sample_into(std::vector<TimeseriesCell> &row);
-
-  private:
-    const MetricRegistry *registry_;
-    std::unordered_map<std::string, double> last_;
-};
-
 /**
  * RunTickHook firing a callback every @p cadence machine steps. The
  * idle-path cost is the single `steps < next_` branch.
@@ -133,11 +108,9 @@ class MachineSampler
      * @param tracer  optional: emit per-epoch counter tracks
      *        ("T_a", "pgc_acc" per core) onto (pid, tid=core)
      * @param pid     trace process id for the counter tracks
-     * @param registry optional: extra columns via RegistrySampler
      */
     MachineSampler(const Machine *machine, Timeseries *out,
-                   Tracer *tracer = nullptr, std::uint32_t pid = 0,
-                   const MetricRegistry *registry = nullptr);
+                   Tracer *tracer = nullptr, std::uint32_t pid = 0);
 
     /** Take one sample at machine-step @p steps. */
     void sample(std::uint64_t steps);
@@ -153,7 +126,6 @@ class MachineSampler
     Timeseries *out_;
     Tracer *tracer_;
     std::uint32_t pid_;
-    std::unique_ptr<RegistrySampler> registry_sampler_;
     std::vector<RunMetrics> last_;
     std::vector<FilterTelemetry> last_filter_;
     std::uint64_t sample_index_ = 0;

@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the telemetry subsystem: registry thread-safety with
- * exact final counts (run under the tsan preset), timeseries /
- * sampler delta arithmetic against hand-computed values, epoch-hook
- * cadence, the golden Chrome trace_event JSON (parse + span nesting),
- * and the end-to-end run-scoped files.
+ * Tests for the telemetry subsystem: the timeseries buffer,
+ * epoch-hook cadence, the golden Chrome trace_event JSON (parse +
+ * span nesting), the pinned machine-sampler columns and the
+ * end-to-end run-scoped files.
  */
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "filter/policies.h"
@@ -42,94 +40,6 @@ temp_file(const char *tag)
 }
 
 // ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-TEST(Registry, InstrumentsFlattenInRegistrationOrder)
-{
-    MetricRegistry reg;
-    reg.counter("reqs").add(5);
-    reg.gauge("t_a").set(-2.5);
-    reg.histogram("lat", {1.0, 10.0}).observe(0.5);
-    reg.histogram("lat", {99.0}).observe(100.0);  // bounds fixed at first reg
-    double probed = 7.0;
-    reg.probe("ipc", [&probed] { return probed; });
-    EXPECT_EQ(reg.size(), 4u);
-
-    const auto snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 7u);  // 1 + 1 + (2 bounds + inf + count) + 1
-    EXPECT_EQ(snap[0].name, "reqs");
-    EXPECT_EQ(snap[0].value, 5.0);
-    EXPECT_TRUE(snap[0].cumulative);
-    EXPECT_EQ(snap[1].name, "t_a");
-    EXPECT_EQ(snap[1].value, -2.5);
-    EXPECT_FALSE(snap[1].cumulative);
-    EXPECT_EQ(snap[2].name, "lat.le_1");
-    EXPECT_EQ(snap[2].value, 1.0);  // the 0.5 sample
-    EXPECT_EQ(snap[3].name, "lat.le_10");
-    EXPECT_EQ(snap[3].value, 0.0);
-    EXPECT_EQ(snap[4].name, "lat.le_inf");
-    EXPECT_EQ(snap[4].value, 1.0);  // the 100.0 sample overflowed
-    EXPECT_EQ(snap[5].name, "lat.count");
-    EXPECT_EQ(snap[5].value, 2.0);
-    EXPECT_EQ(snap[6].name, "ipc");
-    EXPECT_EQ(snap[6].value, 7.0);
-    probed = 9.0;
-    EXPECT_EQ(reg.snapshot()[6].value, 9.0);  // probes read on snapshot
-}
-
-TEST(Registry, HistogramBucketsAreLeftOpenRightClosed)
-{
-    MetricHistogram h({0.0, 4.0});
-    h.observe(-1.0);  // (-inf, 0]
-    h.observe(0.0);   // boundary lands in its own bucket
-    h.observe(0.1);   // (0, 4]
-    h.observe(4.0);
-    h.observe(4.1);  // overflow
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(1), 2u);
-    EXPECT_EQ(h.count(2), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.bound(0), 0.0);
-    EXPECT_EQ(h.bound(1), 4.0);
-    EXPECT_TRUE(std::isinf(h.bound(2)));
-}
-
-TEST(Registry, ConcurrentUpdatesKeepExactCounts)
-{
-    MetricRegistry reg;
-    constexpr int kThreads = 8;
-    constexpr int kIters = 10'000;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&reg, t] {
-            // Half the threads race on registration of the same
-            // names; all race on the updates.
-            Counter &hits = reg.counter("hits");
-            MetricHistogram &h = reg.histogram("dist", {0.5});
-            Gauge &g = reg.gauge("last");
-            for (int i = 0; i < kIters; ++i) {
-                hits.add(1);
-                h.observe(t % 2 == 0 ? 0.0 : 1.0);
-                g.set(static_cast<double>(i));
-                reg.counter("slow_path").add(2);
-            }
-        });
-    }
-    for (std::thread &t : threads) {
-        t.join();
-    }
-    EXPECT_EQ(reg.counter("hits").value(), std::uint64_t(kThreads) * kIters);
-    EXPECT_EQ(reg.counter("slow_path").value(),
-              2u * std::uint64_t(kThreads) * kIters);
-    MetricHistogram &h = reg.histogram("dist", {});
-    EXPECT_EQ(h.count(0), std::uint64_t(kThreads / 2) * kIters);
-    EXPECT_EQ(h.count(1), std::uint64_t(kThreads / 2) * kIters);
-    EXPECT_EQ(reg.size(), 4u);
-}
-
-// ---------------------------------------------------------------------------
 // Timeseries + samplers
 // ---------------------------------------------------------------------------
 
@@ -154,41 +64,6 @@ TEST(Timeseries, ColumnsFreezeAndRoundTripThroughCsv)
     EXPECT_EQ(row0, "1,2.5");
     EXPECT_EQ(row1, "3,-1");
     std::remove(path.c_str());
-}
-
-TEST(RegistrySampler, EmitsHandComputedDeltas)
-{
-    MetricRegistry reg;
-    Counter &c = reg.counter("events");
-    Gauge &g = reg.gauge("level");
-    MetricHistogram &h = reg.histogram("w", {0.0});
-    RegistrySampler sampler(&reg);
-
-    c.add(5);
-    g.set(3.5);
-    h.observe(-1.0);
-    std::vector<TimeseriesCell> row;
-    sampler.sample_into(row);
-    ASSERT_EQ(row.size(), 5u);  // counter, gauge, 2 buckets, count
-    EXPECT_EQ(row[0].first, "events");
-    EXPECT_EQ(row[0].second, 5.0);  // first sample: delta from zero
-    EXPECT_EQ(row[1].second, 3.5);
-    EXPECT_EQ(row[2].second, 1.0);  // w.le_0
-    EXPECT_EQ(row[4].second, 1.0);  // w.count
-
-    c.add(7);
-    h.observe(1.0);
-    row.clear();
-    sampler.sample_into(row);
-    EXPECT_EQ(row[0].second, 7.0);  // 12 total, delta 7
-    EXPECT_EQ(row[1].second, 3.5);  // gauges stay raw
-    EXPECT_EQ(row[2].second, 0.0);
-    EXPECT_EQ(row[3].second, 1.0);  // w.le_inf moved this epoch
-
-    row.clear();
-    sampler.sample_into(row);
-    EXPECT_EQ(row[0].second, 0.0);  // idle epoch: all deltas zero
-    EXPECT_EQ(row[4].second, 0.0);
 }
 
 TEST(EpochSampler, FiresOncePerCadenceWindow)

@@ -15,7 +15,7 @@
  *              [--fault-seed N]
  *              [--shard-dir DIR] [--lease-ttl MS] [--inject-kill RATE]
  *              [--telemetry-dir DIR] [--trace-events FILE]
- *              [--snapshot-dir DIR] [--no-snapshot-reuse]
+ *              [--snapshot-dir DIR]
  *
  * Example:
  *   sweep_tool --workloads 32 --schemes discard,permit,dripper \
@@ -34,8 +34,8 @@
  * Warmup reuse: with --snapshot-dir, every job that warms up the same
  * (workload, machine config, warmup budget) key shares one warmup via
  * a snapshot cache in that directory; results stay byte-identical to
- * a cold sweep (see snapshot/cache.h). --no-snapshot-reuse forces
- * cold warmups even when a directory is given.
+ * a cold sweep (see snapshot/cache.h). Without --snapshot-dir every
+ * job warms up cold.
  */
 #include <cstdio>
 #include <cstdlib>
