@@ -22,12 +22,15 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/hashing.h"
 #include "sim/experiment.h"
 #include "sim/jobs/engine.h"
 #include "sim/jobs/store.h"
@@ -251,7 +254,7 @@ TEST(StoreFile, DirectoryUnderRegularFileNeverBlocks)
 
     SnapshotWriter w(7);
     w.begin_section("payload");
-    w.put_u64(42);
+    w.put_bytes("x", 1);
     const std::string bytes = w.finish();
     const auto t0 = std::chrono::steady_clock::now();
     SnapshotCache cache(bad);
@@ -536,6 +539,47 @@ TEST(ResultStore, BadRecordsAreRerun)
     EXPECT_EQ(rerun, expected);
     EXPECT_EQ(again.stats().invalid, 3u);
     EXPECT_EQ(all_csv(report), reference);
+    fs::remove_all(dir);
+}
+
+TEST(ResultStore, LengthsPastTheSectionAreInvalid)
+{
+    // One section "result" after the 24-byte container header: name
+    // length (u32), "result", payload length (u64), payload sum
+    // (u64), then the payload: attempts (u32), the workload string
+    // (u64 length, bytes), ... and last the aux list (u64 length,
+    // one f64 each).
+    constexpr std::size_t kPayloadAt = 24 + 4 + 6 + 8 + 8;
+    JobResult res;
+    res.status = JobStatus::kCompleted;
+    res.output.row.workload = "w";
+    res.output.aux = {1.0};
+    const std::string dir = temp_dir("lengths");
+    for (const bool aux : {false, true}) {
+        SCOPED_TRACE(aux ? "aux" : "string");
+        ResultStore store(dir, 5000);
+        ASSERT_TRUE(store.publish(7, res));
+        std::string bytes;
+        {
+            std::ifstream is(store.path_for(7), std::ios::binary);
+            bytes.assign(std::istreambuf_iterator<char>(is), {});
+        }
+        const std::size_t at = aux ? bytes.size() - 16 : kPayloadAt + 4;
+        const std::uint64_t huge = std::uint64_t{1} << 62;
+        std::memcpy(bytes.data() + at, &huge, sizeof(huge));
+        const std::uint64_t sum = checksum64(bytes.data() + kPayloadAt,
+                                             bytes.size() - kPayloadAt);
+        std::memcpy(bytes.data() + kPayloadAt - 8, &sum, sizeof(sum));
+        {
+            std::ofstream os(store.path_for(7),
+                             std::ios::binary | std::ios::trunc);
+            os << bytes;
+        }
+        ResultStore again(dir, 5000);
+        JobResult back;
+        EXPECT_FALSE(again.load(7, back));
+        EXPECT_EQ(again.stats().invalid, 1u);
+    }
     fs::remove_all(dir);
 }
 
