@@ -225,12 +225,12 @@ struct AuditAccess
     psc(const StructureCache &s)
     {
         PscView v;
-        v.capacity = s.entries_;
+        v.capacity = static_cast<unsigned>(s.data_.size());
         v.lru_stamp = s.lru_stamp_;
         v.hits = s.hits_;
         v.lookups = s.lookups_;
-        for (const StructureCache::Entry &e : s.data_) {
-            v.entries.emplace_back(e.prefix, e.lru);
+        for (std::size_t i = 0; i < s.size_; ++i) {
+            v.entries.emplace_back(s.data_[i].prefix, s.data_[i].lru);
         }
         return v;
     }
@@ -250,8 +250,8 @@ struct AuditAccess
     corrupt_psc_duplicate(PageWalker &w)
     {
         StructureCache &s = w.psc_pde_;
-        if (!s.data_.empty()) {
-            s.data_.push_back(s.data_.front());
+        if (s.size_ > 0 && s.size_ < s.data_.size()) {
+            s.data_[s.size_++] = s.data_.front();
         }
     }
 

@@ -11,22 +11,16 @@ namespace moka {
 Berti::Berti(const BertiConfig &config)
     : cfg_(config), ips_(config.ip_entries),
       ip_tags_(config.ip_entries, 0), ip_valid_(config.ip_entries, 0),
-      ip_lru_(config.ip_entries, 0)
+      ip_lru_(config.ip_entries, 0),
+      history_(std::size_t{config.ip_entries} * config.history_per_ip),
+      delta_vals_(std::size_t{config.ip_entries} * config.deltas_per_ip),
+      delta_occ_(delta_vals_.size()), delta_timely_(delta_vals_.size()),
+      selected_(std::size_t{config.ip_entries} * config.max_degree),
+      selected_timely_(selected_.size()), sort_scratch_(config.deltas_per_ip)
 {
-    // All per-IP vectors are bounded by configuration; reserving at
-    // construction keeps train/select allocation free (rule L10).
-    for (IpEntry &e : ips_) {
-        e.history.resize(cfg_.history_per_ip);
-        e.delta_vals.reserve(cfg_.deltas_per_ip);
-        e.delta_occ.reserve(cfg_.deltas_per_ip);
-        e.delta_timely.reserve(cfg_.deltas_per_ip);
-        e.selected.reserve(cfg_.max_degree);
-        e.selected_timely.reserve(cfg_.max_degree);
-    }
-    sort_scratch_.reserve(cfg_.deltas_per_ip);
 }
 
-Berti::IpEntry &
+std::size_t
 Berti::lookup_ip(Addr pc)
 {
     const Addr tag = mix64(pc);
@@ -34,7 +28,7 @@ Berti::lookup_ip(Addr pc)
     for (std::size_t i = 0; i < n; ++i) {
         if (ip_valid_[i] != 0 && ip_tags_[i] == tag) {
             ip_lru_[i] = ++lru_stamp_;
-            return ips_[i];
+            return i;
         }
     }
     // Allocate the first invalid slot, else the LRU victim.
@@ -51,26 +45,27 @@ Berti::lookup_ip(Addr pc)
     ip_valid_[victim] = 1;
     ip_tags_[victim] = tag;
     ip_lru_[victim] = ++lru_stamp_;
-    IpEntry &e = ips_[victim];
-    e.history.assign(cfg_.history_per_ip, {});
-    e.history_head = 0;
-    e.delta_vals.clear();
-    e.delta_occ.clear();
-    e.delta_timely.clear();
-    e.selected.clear();
-    e.selected_timely.clear();
-    e.window_count = 0;
-    return e;
+    HistoryItem *history = history_.data() + victim * cfg_.history_per_ip;
+    std::fill(history, history + cfg_.history_per_ip, HistoryItem{});
+    ips_[victim] = IpEntry{};
+    return victim;
 }
 
 void
-Berti::train(IpEntry &e, Addr line, Cycle now)
+Berti::train(std::size_t ip, Addr line, Cycle now)
 {
     constexpr std::size_t kNoSlot = ~std::size_t{0};
+    IpEntry &e = ips_[ip];
+    HistoryItem *history = history_.data() + ip * cfg_.history_per_ip;
+    const std::size_t base = ip * cfg_.deltas_per_ip;
+    std::int64_t *vals = delta_vals_.data() + base;
+    std::uint16_t *occ = delta_occ_.data() + base;
+    std::uint16_t *timely_count = delta_timely_.data() + base;
     // Compare against the shadow history: a delta is timely when a
     // prefetch launched at the historical access would have completed
     // by now.
-    for (const HistoryItem &h : e.history) {
+    for (unsigned k = 0; k < cfg_.history_per_ip; ++k) {
+        const HistoryItem &h = history[k];
         if (h.cycle == 0 || h.line == line) {
             continue;
         }
@@ -80,8 +75,7 @@ Berti::train(IpEntry &e, Addr line, Cycle now)
             continue;
         }
         const bool timely = h.cycle + cfg_.timely_latency <= now;
-        const std::int64_t *vals = e.delta_vals.data();
-        const std::size_t n = e.delta_vals.size();
+        const std::size_t n = e.delta_count;
         std::size_t slot = kNoSlot;
         for (std::size_t i = 0; i < n; ++i) {
             if (vals[i] == delta) {
@@ -92,35 +86,36 @@ Berti::train(IpEntry &e, Addr line, Cycle now)
         if (slot == kNoSlot) {
             if (n < cfg_.deltas_per_ip) {
                 slot = n;
-                e.delta_vals.push_back(delta);
-                e.delta_occ.push_back(0);
-                e.delta_timely.push_back(0);
+                ++e.delta_count;
+                vals[slot] = delta;
+                occ[slot] = 0;
+                timely_count[slot] = 0;
             } else {
                 // Replace the weakest candidate (first strict minimum
                 // of the timely counts, matching min_element).
                 std::size_t weakest = 0;
                 for (std::size_t i = 1; i < n; ++i) {
-                    if (e.delta_timely[i] < e.delta_timely[weakest]) {
+                    if (timely_count[i] < timely_count[weakest]) {
                         weakest = i;
                     }
                 }
-                if (e.delta_timely[weakest] <= 2) {
+                if (timely_count[weakest] <= 2) {
                     slot = weakest;
-                    e.delta_vals[slot] = delta;
-                    e.delta_occ[slot] = 0;
-                    e.delta_timely[slot] = 0;
+                    vals[slot] = delta;
+                    occ[slot] = 0;
+                    timely_count[slot] = 0;
                 }  // else keep established deltas
             }
         }
         if (slot != kNoSlot) {
-            ++e.delta_occ[slot];
+            ++occ[slot];
             if (timely) {
-                ++e.delta_timely[slot];
+                ++timely_count[slot];
             }
         }
     }
 
-    e.history[e.history_head] = {line, now};
+    history[e.history_head] = {line, now};
     // Compare-wrap instead of % — the depth is a runtime config value,
     // so the compiler cannot strength-reduce the modulo (rule L19).
     if (++e.history_head == cfg_.history_per_ip) {
@@ -129,22 +124,17 @@ Berti::train(IpEntry &e, Addr line, Cycle now)
 }
 
 void
-Berti::select_deltas(IpEntry &e)
+Berti::select_deltas(std::size_t ip)
 {
-    e.selected.clear();
-    e.selected_timely.clear();
-    // Member scratch (reserved to deltas_per_ip in the constructor)
-    // instead of a per-window local copy, which allocated every
-    // window_accesses-th access (rule L10).
-    std::vector<DeltaCounter> &sorted = sort_scratch_;
-    sorted.clear();
-    for (std::size_t i = 0; i < e.delta_vals.size(); ++i) {
-        // LINT_HOT_OK: aliases sort_scratch_, reserved to
-        // deltas_per_ip in the constructor -- never reallocates.
-        sorted.push_back(
-            {e.delta_vals[i], e.delta_occ[i], e.delta_timely[i]});
+    IpEntry &e = ips_[ip];
+    const std::size_t base = ip * cfg_.deltas_per_ip;
+    const std::size_t n = e.delta_count;
+    DeltaCounter *sorted = sort_scratch_.data();
+    for (std::size_t i = 0; i < n; ++i) {
+        sorted[i] = {delta_vals_[base + i], delta_occ_[base + i],
+                     delta_timely_[base + i]};
     }
-    std::sort(sorted.begin(), sorted.end(),
+    std::sort(sorted, sorted + n,
               [](const DeltaCounter &a, const DeltaCounter &b) {
                   if (a.timely != b.timely) {
                       return a.timely > b.timely;
@@ -154,37 +144,38 @@ Berti::select_deltas(IpEntry &e)
                   return std::llabs(a.delta) > std::llabs(b.delta);
               });
     const double window = static_cast<double>(cfg_.window_accesses);
-    for (const DeltaCounter &d : sorted) {
-        if (e.selected.size() >= cfg_.max_degree) {
-            break;
-        }
-        if (static_cast<double>(d.timely) >=
+    const std::size_t out = ip * cfg_.max_degree;
+    e.selected_count = 0;
+    for (std::size_t i = 0; i < n && e.selected_count < cfg_.max_degree;
+         ++i) {
+        if (static_cast<double>(sorted[i].timely) >=
             cfg_.coverage_threshold * window) {
-            e.selected.push_back(d.delta);
-            e.selected_timely.push_back(d.timely);
+            selected_[out + e.selected_count] = sorted[i].delta;
+            selected_timely_[out + e.selected_count] = sorted[i].timely;
+            ++e.selected_count;
         }
     }
-    std::fill(e.delta_occ.begin(), e.delta_occ.end(),
-              static_cast<std::uint16_t>(0));
-    std::fill(e.delta_timely.begin(), e.delta_timely.end(),
-              static_cast<std::uint16_t>(0));
+    std::fill_n(delta_occ_.data() + base, n, std::uint16_t{0});
+    std::fill_n(delta_timely_.data() + base, n, std::uint16_t{0});
 }
 
 void
 Berti::on_access(const PrefetchContext &ctx,
                  std::vector<PrefetchRequest> &out)
 {
-    IpEntry &e = lookup_ip(ctx.pc);
+    const std::size_t ip = lookup_ip(ctx.pc);
+    IpEntry &e = ips_[ip];
     const Addr line = block_number(ctx.vaddr);
 
-    train(e, line, ctx.now);
+    train(ip, line, ctx.now);
     if (++e.window_count >= cfg_.window_accesses) {
         e.window_count = 0;
-        select_deltas(e);
+        select_deltas(ip);
     }
 
-    for (std::size_t i = 0; i < e.selected.size(); ++i) {
-        const std::int64_t delta = e.selected[i];
+    const std::size_t first = ip * cfg_.max_degree;
+    for (std::size_t i = first; i < first + e.selected_count; ++i) {
+        const std::int64_t delta = selected_[i];
         const std::int64_t target =
             static_cast<std::int64_t>(line) + delta;
         if (target <= 0) {
@@ -195,7 +186,7 @@ Berti::on_access(const PrefetchContext &ctx,
         req.delta = delta;
         req.trigger_pc = ctx.pc;
         req.trigger_vaddr = ctx.vaddr;
-        req.meta = e.selected_timely[i];  // timeliness confidence
+        req.meta = selected_timely_[i];  // timeliness confidence
         out.push_back(req);
     }
 }
@@ -205,33 +196,36 @@ void
 Berti::serialize(Self &self, IO &io)
 {
     io.begin_section("pf.berti");
+    const BertiConfig &cfg = self.cfg_;
     for (std::size_t i = 0; i < self.ips_.size(); ++i) {
         auto &e = self.ips_[i];
         field(io, self.ip_tags_[i]);
         field_as<bool>(io, self.ip_valid_[i]);
         field(io, self.ip_lru_[i]);
-        for (auto &h : e.history) {
-            field(io, h.line);
-            field(io, h.cycle);
+        for (std::size_t h = i * cfg.history_per_ip;
+             h < (i + 1) * cfg.history_per_ip; ++h) {
+            field(io, self.history_[h].line);
+            field(io, self.history_[h].cycle);
         }
         field(io, e.history_head);
-        require(io, e.history_head < e.history.size(),
+        require(io, e.history_head < cfg.history_per_ip,
                 "berti history head past the history");
-        list_length<std::uint32_t>(io, self.cfg_.deltas_per_ip,
-                                   "berti delta count above capacity",
-                                   e.delta_vals, e.delta_occ,
-                                   e.delta_timely);
-        for (std::size_t d = 0; d < e.delta_vals.size(); ++d) {
-            field(io, e.delta_vals[d]);
-            field(io, e.delta_occ[d]);
-            field(io, e.delta_timely[d]);
+        field(io, e.delta_count);
+        require(io, e.delta_count <= cfg.deltas_per_ip,
+                "berti delta count above capacity");
+        for (std::size_t d = i * cfg.deltas_per_ip;
+             d < i * cfg.deltas_per_ip + e.delta_count; ++d) {
+            field(io, self.delta_vals_[d]);
+            field(io, self.delta_occ_[d]);
+            field(io, self.delta_timely_[d]);
         }
-        list_length<std::uint32_t>(io, self.cfg_.max_degree,
-                                   "berti selection count above capacity",
-                                   e.selected, e.selected_timely);
-        for (std::size_t s = 0; s < e.selected.size(); ++s) {
-            field(io, e.selected[s]);
-            field(io, e.selected_timely[s]);
+        field(io, e.selected_count);
+        require(io, e.selected_count <= cfg.max_degree,
+                "berti selection count above capacity");
+        for (std::size_t s = i * cfg.max_degree;
+             s < i * cfg.max_degree + e.selected_count; ++s) {
+            field(io, self.selected_[s]);
+            field(io, self.selected_timely_[s]);
         }
         field(io, e.window_count);
     }

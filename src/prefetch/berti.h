@@ -62,28 +62,22 @@ class Berti : public Prefetcher
     };
 
     /**
-     * Per-IP training state. The candidate deltas are kept as three
-     * parallel arrays (value / occurrences / timely) so the per-access
-     * match scan in train() touches one contiguous int64 array instead
-     * of striding over padded structs. tag/valid/lru live in the
-     * SoA arrays below (ip_tags_ etc.) for the same reason: lookup_ip
-     * scans every entry on every trained access.
+     * Per-IP counts and cursors. Each entry's history ring, candidate
+     * deltas and selection live in the arenas below, at the entry's
+     * index times the field's capacity: sized once at construction,
+     * so training never grows or reallocates anything.
      */
     struct IpEntry
     {
-        std::vector<HistoryItem> history;  //!< ring buffer
         unsigned history_head = 0;
-        std::vector<std::int64_t> delta_vals;
-        std::vector<std::uint16_t> delta_occ;
-        std::vector<std::uint16_t> delta_timely;
-        std::vector<std::int64_t> selected;
-        std::vector<std::uint16_t> selected_timely;  //!< metadata export
+        std::uint32_t delta_count = 0;     //!< live candidate deltas
+        std::uint32_t selected_count = 0;  //!< deltas issued per access
         unsigned window_count = 0;
     };
 
-    IpEntry &lookup_ip(Addr pc);
-    void train(IpEntry &e, Addr line, Cycle now);
-    void select_deltas(IpEntry &e);
+    std::size_t lookup_ip(Addr pc);
+    void train(std::size_t ip, Addr line, Cycle now);
+    void select_deltas(std::size_t ip);
 
     BertiConfig cfg_;  // LINT_SNAPSHOT_OK: config
     std::vector<IpEntry> ips_;
@@ -93,7 +87,19 @@ class Berti : public Prefetcher
     std::vector<std::uint8_t> ip_valid_;
     //! parallel to ips_: LRU stamp per entry
     std::vector<std::uint64_t> ip_lru_;
-    //! select_deltas sort scratch, reserved once (rule L10)
+    //! history_per_ip ring slots per entry
+    std::vector<HistoryItem> history_;
+    //! deltas_per_ip candidates per entry, as three parallel arrays
+    //! (value / occurrences / timely) so the per-access match scan in
+    //! train() touches one contiguous int64 array
+    std::vector<std::int64_t> delta_vals_;
+    std::vector<std::uint16_t> delta_occ_;
+    std::vector<std::uint16_t> delta_timely_;
+    //! max_degree selected deltas per entry, with their timely counts
+    //! (the requests' metadata export)
+    std::vector<std::int64_t> selected_;
+    std::vector<std::uint16_t> selected_timely_;
+    //! select_deltas sort scratch, deltas_per_ip long
     // LINT_SNAPSHOT_OK: scratch, overwritten before every use
     std::vector<DeltaCounter> sort_scratch_;
     std::uint64_t lru_stamp_ = 0;

@@ -49,6 +49,15 @@ class FaultHook final : public RunTickHook
         std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms_));
     }
 
+    std::uint64_t next_tick(std::uint64_t steps) override
+    {
+        if (fired_ ||
+            decision_.kind == FaultInjector::Decision::Kind::kNone) {
+            return kNever;
+        }
+        return std::max(steps + 1, decision_.at_tick);
+    }
+
   private:
     FaultInjector::Decision decision_;
     std::uint64_t stall_ms_;
@@ -59,7 +68,7 @@ class FaultHook final : public RunTickHook
  * Lease heartbeat threaded first into a claimed job's tick-hook
  * chain: while the body runs, touch the lease every TTL/4 so peers
  * see a live owner. The wall clock is read on a coarse step cadence
- * (like the Watchdog) so the hot path stays one modulo. Losing the
+ * (like the Watchdog), the only steps the hook asks to see. Losing the
  * lease aborts the run with kLeaseLost: a peer owns the job now, and
  * this run must not publish.
  */
@@ -96,6 +105,11 @@ class LeaseHeartbeat final : public RunTickHook
             throw JobError(JobErrorCode::kLeaseLost,
                            "job lease lost to a peer; abandoning this run");
         }
+    }
+
+    std::uint64_t next_tick(std::uint64_t steps) override
+    {
+        return (steps / kCheckSteps + 1) * kCheckSteps;
     }
 
   private:
@@ -219,6 +233,19 @@ Watchdog::on_tick(std::uint64_t steps)
            << " ms exceeded at tick " << steps;
         throw JobError(JobErrorCode::kTimeout, os.str());
     }
+}
+
+std::uint64_t
+Watchdog::next_tick(std::uint64_t steps)
+{
+    std::uint64_t next = kNever;
+    if (step_budget_ > 0) {
+        next = std::max(steps, step_budget_) + 1;
+    }
+    if (wall_ms_ > 0) {
+        next = std::min(next, (steps / kHeartbeatSteps + 1) * kHeartbeatSteps);
+    }
+    return next;
 }
 
 std::uint64_t

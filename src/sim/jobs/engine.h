@@ -104,6 +104,8 @@ class Watchdog final : public RunTickHook
     Watchdog(std::uint64_t step_budget, std::uint64_t wall_ms);
 
     void on_tick(std::uint64_t steps) override;
+    //! the step past the budget, or the next heartbeat if sooner
+    std::uint64_t next_tick(std::uint64_t steps) override;
 
   private:
     //! wall-clock checks happen every this many ticks

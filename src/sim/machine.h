@@ -10,6 +10,8 @@
 #ifndef MOKASIM_SIM_MACHINE_H
 #define MOKASIM_SIM_MACHINE_H
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -327,7 +329,7 @@ class CoreComplex : public CacheListener
 };
 
 /**
- * Cooperative per-step hook for Machine::run. The job engine chains a
+ * Cooperative step hook for Machine::run. The job engine chains a
  * watchdog (step-budget + wall-clock heartbeat) and the fault
  * injector through this interface; a hook cancels the run by
  * throwing (typically a classified JobError), which the engine
@@ -336,21 +338,33 @@ class CoreComplex : public CacheListener
 class RunTickHook
 {
   public:
+    //! next_tick() of a hook that never wants another call
+    static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
     virtual ~RunTickHook() = default;
 
     /**
-     * Called once per machine step (one instruction on one core).
-     * @p steps counts from 1 within the machine's lifetime, across
-     * run() calls, so budgets cover warmup + measurement together.
+     * Called at the steps next_tick() asked for. @p steps counts
+     * machine steps (one instruction on one core) from 1 within the
+     * machine's lifetime, across run() calls, so budgets cover warmup
+     * + measurement together.
      */
     virtual void on_tick(std::uint64_t steps) = 0;
+
+    /**
+     * The first step after @p steps at which on_tick must run (or
+     * kNever). Machine::run asks at its start and after each on_tick,
+     * and calls no hook in between, so a hook pays for the steps it
+     * acts on, not for every step. The default asks for every step.
+     */
+    virtual std::uint64_t next_tick(std::uint64_t steps) { return steps + 1; }
 };
 
 /**
  * Fans one Machine::run hook slot out to several hooks in add()
- * order (watchdog, fault injector, telemetry sampler). Non-owning;
- * null hooks are skipped at add() time so a chain of zero or one
- * hook costs nothing extra per tick.
+ * order (watchdog, fault injector, telemetry sampler), calling each
+ * only at the steps it asked for. Non-owning; null hooks are skipped
+ * at add() time so a chain of zero or one hook costs nothing extra.
  */
 class TickHookChain : public RunTickHook
 {
@@ -360,6 +374,7 @@ class TickHookChain : public RunTickHook
     {
         if (hook != nullptr) {
             hooks_.push_back(hook);
+            due_.push_back(0);
         }
     }
 
@@ -374,16 +389,32 @@ class TickHookChain : public RunTickHook
 
     void on_tick(std::uint64_t steps) override
     {
-        for (RunTickHook *hook : hooks_) {
-            // LINT_HOT_OK: the engine's fault/watchdog/telemetry seam;
-            // the chain only exists when >= 2 hooks are installed, and
-            // measured perf runs install none (run() sees nullptr).
-            hook->on_tick(steps);
+        for (std::size_t i = 0; i < hooks_.size(); ++i) {
+            if (due_[i] <= steps) {
+                // LINT_HOT_OK: the engine's fault/watchdog/telemetry
+                // seam, reached only at a step some hook asked for.
+                hooks_[i]->on_tick(steps);
+            }
         }
+    }
+
+    std::uint64_t next_tick(std::uint64_t steps) override
+    {
+        std::uint64_t next = kNever;
+        for (std::size_t i = 0; i < hooks_.size(); ++i) {
+            // LINT_HOT_OK: as above, once per on_tick.
+            due_[i] = hooks_[i]->next_tick(steps);
+            next = std::min(next, due_[i]);
+        }
+        return next;
     }
 
   private:
     std::vector<RunTickHook *> hooks_;
+    //! parallel to hooks_: the step each asked for at the last
+    //! next_tick (0 until then, so a caller that drives on_tick by
+    //! hand, step by step, reaches every hook)
+    std::vector<std::uint64_t> due_;
 };
 
 /** The machine: cores + shared LLC + DRAM. */
@@ -400,8 +431,9 @@ class Machine
      * keep replaying, per the paper's multi-core methodology).
      * Records each core's cycle count at its own crossing point.
      *
-     * @p hook, when non-null, is invoked after every step and may
-     * throw to cancel the run (watchdog deadline, fault injection).
+     * @p hook, when non-null, is invoked after each step it asked
+     * for through next_tick() and may throw to cancel the run
+     * (watchdog deadline, fault injection).
      * The machine stays destructible after such a cancellation but
      * its counters describe a partial run.
      */

@@ -65,12 +65,16 @@ SnapshotCache::try_load(std::uint64_t key)
 }
 
 SnapshotBlob
-SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
-                               FetchOutcome &outcome)
+SnapshotCache::fetch(std::uint64_t key, const Producer &produce,
+                     FetchOutcome *outcome)
 {
+    FetchOutcome local;
+    if (outcome == nullptr) {
+        outcome = &local;
+    }
     // Look, then claim, then look again: the previous owner may have
     // published between our first look and our claim. While another
-    // process holds a live claim, poll for its publish.
+    // caller holds a live claim, poll for its publish.
     ClaimOutcome claim = ClaimOutcome::kBusy;
     while (true) {
         if (SnapshotBlob found = try_load(key)) {
@@ -78,7 +82,7 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
                 leases_.release(key);
             }
             hits_.fetch_add(1, std::memory_order_relaxed);
-            outcome.hit = true;
+            outcome->hit = true;
             return found;
         }
         if (claim != ClaimOutcome::kBusy) {
@@ -99,57 +103,15 @@ SnapshotCache::load_or_produce(std::uint64_t key, const Producer &produce,
         throw;
     }
     // An unclaimable directory (read-only, missing) gets a cold
-    // warmup and no publish. A failed publish keeps the file private.
-    // Either way the blob is still reused in-process.
+    // warmup and no publish. A failed publish keeps the file private,
+    // so the next fetch of the key warms up cold again.
     if (claim != ClaimOutcome::kUnavailable &&
         publish_file(path_for(key), blob->bytes())) {
         saves_.fetch_add(1, std::memory_order_relaxed);
-        outcome.saved = true;
+        outcome->saved = true;
     }
     leases_.release(key);
     return blob;
-}
-
-SnapshotBlob
-SnapshotCache::fetch(std::uint64_t key, const Producer &produce,
-                     FetchOutcome *outcome)
-{
-    FetchOutcome local;
-    if (outcome == nullptr) {
-        outcome = &local;
-    }
-    std::shared_future<SnapshotBlob> fut;
-    bool owner = false;
-    std::promise<SnapshotBlob> mine;
-    {
-        SimMutexLock lock(&mu_);
-        auto it = inflight_.find(key);
-        if (it == inflight_.end()) {
-            owner = true;
-            fut = mine.get_future().share();
-            inflight_.emplace(key, fut);
-        } else {
-            fut = it->second;
-        }
-    }
-    if (!owner) {
-        // Memoized: the first caller's production (or load) is shared.
-        SnapshotBlob blob = fut.get();
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        outcome->hit = true;
-        return blob;
-    }
-    try {
-        SnapshotBlob blob = load_or_produce(key, produce, *outcome);
-        mine.set_value(blob);
-        return blob;
-    } catch (...) {  // LINT_CATCH_OK: propagated to waiters + rethrown
-        mine.set_exception(std::current_exception());
-        // Drop the poisoned entry so a later attempt can retry cold.
-        SimMutexLock lock(&mu_);
-        inflight_.erase(key);
-        throw;
-    }
 }
 
 }  // namespace moka

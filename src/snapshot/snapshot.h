@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -233,40 +234,31 @@ struct SnapshotAccess
         }
     }
 
-    /** Frame count, set-bit count, then one bit per frame. */
+    /**
+     * Frame count, set-bit count, then one bit per frame: byte j holds
+     * frames [8j, 8j + 8), least significant bit first. That is the
+     * little-endian byte image of the bitmap's words, so the bytes are
+     * copied straight out of (and back into) them.
+     */
     template <class IO, CvOf<FrameBitmap> B>
     static void field_of(IO &io, B &b)
     {
-        std::uint64_t frames = b.bits_.size();
+        std::uint64_t frames = b.frames_;
         std::uint64_t count = b.count_;
         field(io, frames);
-        require(io, frames == b.bits_.size(), "frame bitmap size mismatch");
+        require(io, frames == b.frames_, "frame bitmap size mismatch");
         field(io, count);
-        std::vector<std::uint8_t> packed((b.bits_.size() + 7) / 8);
-        if constexpr (!kRestoring<IO>) {
-            for (std::size_t i = 0; i < b.bits_.size(); ++i) {
-                packed[i / 8] |= static_cast<std::uint8_t>(
-                    (b.bits_[i] != 0) << (i % 8));
-            }
-        }
-        raw_bytes(io, packed.data(), packed.size());
         if constexpr (kRestoring<IO>) {
-            std::fill(b.bits_.begin(), b.bits_.end(), 0);
+            std::fill(b.words_.begin(), b.words_.end(), 0);
+        }
+        raw_bytes(io, b.words_.data(), (b.frames_ + 7) / 8);
+        if constexpr (kRestoring<IO>) {
+            const std::size_t tail = b.frames_ % FrameBitmap::kWordBits;
+            require(io, tail == 0 || b.words_.back() >> tail == 0,
+                    "frame bitmap bit past its end");
             std::uint64_t set = 0;
-            for (std::size_t byte = 0; byte < packed.size(); ++byte) {
-                if (packed[byte] == 0) {
-                    continue;  // most frames are free
-                }
-                for (unsigned bit = 0; bit < 8; ++bit) {
-                    if ((packed[byte] >> bit & 1) == 0) {
-                        continue;
-                    }
-                    const std::size_t i = byte * 8 + bit;
-                    require(io, i < b.bits_.size(),
-                            "frame bitmap bit past its end");
-                    b.bits_[i] = 1;
-                    ++set;
-                }
+            for (const std::uint64_t word : b.words_) {
+                set += static_cast<std::uint64_t>(std::popcount(word));
             }
             require(io, set == count, "frame bitmap count mismatch");
             b.count_ = count;

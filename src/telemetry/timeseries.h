@@ -20,6 +20,7 @@
 #ifndef MOKASIM_TELEMETRY_TIMESERIES_H
 #define MOKASIM_TELEMETRY_TIMESERIES_H
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -73,8 +74,8 @@ class Timeseries
 };
 
 /**
- * RunTickHook firing a callback every @p cadence machine steps. The
- * idle-path cost is the single `steps < next_` branch.
+ * RunTickHook firing a callback every @p cadence machine steps; it
+ * asks Machine::run for no step in between.
  */
 class EpochSampler : public RunTickHook
 {
@@ -90,6 +91,11 @@ class EpochSampler : public RunTickHook
         }
         next_ = steps + cadence_;
         fn_(steps);
+    }
+
+    std::uint64_t next_tick(std::uint64_t steps) override
+    {
+        return std::max(steps + 1, next_);
     }
 
   private:

@@ -10,9 +10,9 @@ bool
 StructureCache::lookup(Addr prefix)
 {
     ++lookups_;
-    for (Entry &e : data_) {
-        if (e.prefix == prefix) {
-            e.lru = ++lru_stamp_;
+    for (std::size_t i = 0; i < size_; ++i) {
+        if (data_[i].prefix == prefix) {
+            data_[i].lru = ++lru_stamp_;
             ++hits_;
             return true;
         }
@@ -23,14 +23,14 @@ StructureCache::lookup(Addr prefix)
 void
 StructureCache::fill(Addr prefix)
 {
-    for (Entry &e : data_) {
-        if (e.prefix == prefix) {
-            e.lru = ++lru_stamp_;
+    for (std::size_t i = 0; i < size_; ++i) {
+        if (data_[i].prefix == prefix) {
+            data_[i].lru = ++lru_stamp_;
             return;
         }
     }
-    if (data_.size() < entries_) {
-        data_.push_back({prefix, ++lru_stamp_});
+    if (size_ < data_.size()) {
+        data_[size_++] = {prefix, ++lru_stamp_};
         return;
     }
     Entry *victim = &data_[0];
@@ -119,12 +119,12 @@ template <class Self, class IO>
 void
 StructureCache::serialize(Self &self, IO &io)
 {
-    list_length<std::uint64_t>(io, self.entries_,
-                               "PSC occupancy above its capacity",
-                               self.data_);
-    for (auto &e : self.data_) {
-        field(io, e.prefix);
-        field(io, e.lru);
+    field_as<std::uint64_t>(io, self.size_);
+    require(io, self.size_ <= self.data_.size(),
+            "PSC occupancy above its capacity");
+    for (std::size_t i = 0; i < self.size_; ++i) {
+        field(io, self.data_[i].prefix);
+        field(io, self.data_[i].lru);
     }
     field(io, self.lru_stamp_);
     field(io, self.hits_);

@@ -49,12 +49,7 @@ struct WalkerConfig
 class StructureCache
 {
   public:
-    explicit StructureCache(unsigned entries) : entries_(entries)
-    {
-        // Occupancy is bounded at entries_ by the LRU replacement in
-        // fill(); reserving keeps walks allocation free (rule L10).
-        data_.reserve(entries_);
-    }
+    explicit StructureCache(unsigned entries) : data_(entries) {}
 
     /** True when @p prefix is cached (updates recency). */
     bool lookup(Addr prefix);
@@ -84,8 +79,10 @@ class StructureCache
         std::uint64_t lru = 0;
     };
 
-    unsigned entries_;  // LINT_SNAPSHOT_OK: config
+    //! one slot per entry, sized once; the first size_ are live, so
+    //! fill() never grows or reallocates (rule L10)
     std::vector<Entry> data_;
+    std::size_t size_ = 0;
     std::uint64_t lru_stamp_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t lookups_ = 0;

@@ -1,6 +1,9 @@
 /** @file Integration tests: whole-machine simulation. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "filter/policies.h"
 #include "sim/runner.h"
 #include "trace/suites.h"
@@ -119,6 +122,40 @@ TEST(Machine, MeasuredRegionExcludesWarmup)
     EXPECT_EQ(m.instructions, 50'000u);
     // Cumulative metrics cover both regions.
     EXPECT_EQ(machine.metrics(0).instructions, 100'000u);
+}
+
+/** Records the steps it sees; asks for every 1000th. */
+class EveryThousandthStep final : public RunTickHook
+{
+  public:
+    void on_tick(std::uint64_t steps) override { seen.push_back(steps); }
+
+    std::uint64_t next_tick(std::uint64_t steps) override
+    {
+        return (steps / 1000 + 1) * 1000;
+    }
+
+    std::vector<std::uint64_t> seen;
+};
+
+TEST(Machine, HookSeesExactlyTheStepsItAskedFor)
+{
+    // Two runs on one machine: steps count across run() calls, and
+    // each run asks the hook afresh where it stands.
+    const MachineConfig cfg =
+        make_config(L1dPrefetcherKind::kBerti, scheme_discard());
+    std::vector<WorkloadPtr> w;
+    w.push_back(make_workload(pick(Family::kStream)));
+    Machine machine(cfg, std::move(w));
+    EveryThousandthStep hook;
+    machine.run(2'500, &hook);
+    machine.run(2'500, &hook);
+    ASSERT_GE(machine.steps(), 5'000u);
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t s = 1000; s <= machine.steps(); s += 1000) {
+        expected.push_back(s);
+    }
+    EXPECT_EQ(hook.seen, expected);
 }
 
 TEST(Machine, LargePagesReduceWalkLevels)

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cmath>
@@ -358,6 +359,54 @@ TEST(SnapshotFormat, MalformedFlatMapsAreRejected)
                                     field(r, map);
                                 }),
                   SnapshotErrorKind::kMalformed);
+    }
+}
+
+TEST(SnapshotFormat, FrameBitmapRoundTripsAndKeepsItsBytes)
+{
+    for (const std::size_t frames : {1u, 63u, 64u, 65u, 4097u}) {
+        SCOPED_TRACE(frames);
+        // The set: every third frame and the last one.
+        FrameBitmap bitmap(frames);
+        std::vector<std::uint8_t> flags(frames, 0);
+        for (std::size_t id = 0; id < frames; ++id) {
+            if (id % 3 == 0 || id + 1 == frames) {
+                EXPECT_TRUE(bitmap.insert(id));
+                flags[id] = 1;
+            }
+        }
+        EXPECT_FALSE(bitmap.insert(frames - 1));
+
+        // Golden: the encoding of a bitmap kept as one byte per frame.
+        SnapshotWriter golden(0);
+        golden.begin_section("t");
+        std::uint64_t count = 0;
+        std::vector<std::uint8_t> packed((frames + 7) / 8, 0);
+        for (std::size_t id = 0; id < frames; ++id) {
+            count += flags[id];
+            packed[id / 8] |=
+                static_cast<std::uint8_t>(flags[id] << (id % 8));
+        }
+        put<std::uint64_t>(golden, frames);
+        put(golden, count);
+        golden.put_bytes(packed.data(), packed.size());
+
+        SnapshotWriter w(0);
+        w.begin_section("t");
+        field(w, bitmap);
+        const std::string bytes = w.finish();
+        EXPECT_EQ(bytes, golden.finish());
+
+        FrameBitmap restored(frames);
+        const SnapshotImage image(bytes);
+        SnapshotReader r(image);
+        r.begin_section("t");
+        field(r, restored);
+        r.finish();
+        EXPECT_EQ(restored.size(), bitmap.size());
+        for (std::size_t id = 0; id <= frames; ++id) {
+            EXPECT_EQ(restored.count(id), bitmap.count(id)) << id;
+        }
     }
 }
 
@@ -1614,6 +1663,9 @@ TEST(SnapshotCacheTest, MissProducesThenDiskHit)
 
 TEST(SnapshotCacheTest, InProcessMemoization)
 {
+    // The cache memoizes nothing in memory: the first fetch produces
+    // and publishes, and the later ones are served from the published
+    // file.
     const std::string dir = temp_dir("memo");
     SnapshotCache cache(dir);
     int produced = 0;
@@ -1625,6 +1677,58 @@ TEST(SnapshotCacheTest, InProcessMemoization)
     }
     EXPECT_EQ(produced, 1);
     EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(SnapshotCacheTest, FetchedBlobIsNotRetained)
+{
+    // A blob lives as long as its caller holds it, produced or loaded:
+    // the cache keeps no reference of its own.
+    const std::string dir = temp_dir("retain");
+    SnapshotCache cache(dir);
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i == 0 ? "produced" : "loaded");
+        SnapshotCache::FetchOutcome out;
+        SnapshotBlob blob =
+            cache.fetch(11, [] { return tiny_snapshot(); }, &out);
+        ASSERT_NE(blob, nullptr);
+        EXPECT_EQ(out.hit, i == 1);
+        const std::weak_ptr<const SnapshotImage> weak = blob;
+        blob.reset();
+        EXPECT_TRUE(weak.expired());
+    }
+}
+
+TEST(SnapshotCacheTest, SameKeyFromTwoThreadsProducesOnce)
+{
+    // The lease, not an in-memory memo, elects one producer among the
+    // threads of one process: the other polls for the publish.
+    const std::string dir = temp_dir("samekey");
+    SnapshotCache cache(dir);
+    std::atomic<int> produced{0};
+    const auto produce = [&produced]() {
+        produced.fetch_add(1);
+        // Hold the claim long enough for the other thread to find it.
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        return tiny_snapshot();
+    };
+    std::array<SnapshotBlob, 2> blobs;
+    std::array<std::thread, 2> threads;
+    for (std::size_t t = 0; t < threads.size(); ++t) {
+        threads[t] = std::thread(
+            [&, t] { blobs[t] = cache.fetch(12, produce); });
+    }
+    for (std::thread &t : threads) {
+        t.join();
+    }
+    EXPECT_EQ(produced.load(), 1);
+    const SnapshotCache::Stats s = cache.stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.saves, 1u);
+    EXPECT_EQ(s.hits, 1u);
+    for (const SnapshotBlob &blob : blobs) {
+        ASSERT_NE(blob, nullptr);
+        EXPECT_EQ(blob->bytes(), tiny_snapshot());
+    }
 }
 
 TEST(SnapshotCacheTest, CorruptFileFallsBackToProduce)
@@ -1753,7 +1857,7 @@ TEST(SnapshotCacheTest, ProducerFailurePropagates)
                                              "warmup hung");
                           }),
         JobError);
-    // A later fetch may retry: the inflight entry was not poisoned.
+    // A later fetch may retry: the failed producer released its claim.
     const SnapshotBlob blob = cache.fetch(3, []() { return tiny_snapshot(); });
     ASSERT_NE(blob, nullptr);
 }

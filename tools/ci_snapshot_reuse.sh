@@ -4,9 +4,10 @@
 #   1. run a small sweep cold (no snapshot cache) -> reference CSV;
 #   2. run the identical sweep with --snapshot-dir on an empty
 #      directory: every warmup misses, is produced once per key and
-#      published (the cache must report >= 1 save);
+#      published (exactly one miss and one save per key);
 #   3. run it a third time against the now-populated directory: every
-#      warmup must be served from the cache (>= 1 hit, 0 misses);
+#      warmup must be served from the cache (one hit per key, 0
+#      misses);
 #   4. both snapshot runs' CSVs must be byte-identical to the cold
 #      reference -- restoring a warmed machine may not perturb the
 #      measured region by even one bit;
@@ -26,14 +27,15 @@ SWEEP=${1:?usage: ci_snapshot_reuse.sh <sweep_tool> [workdir]}
 WORK=${2:-$(mktemp -d)}
 mkdir -p "$WORK"
 
-# 6 workloads x 3 schemes: 18 jobs over 6 warmup keys per scheme
-# config, so the second snapshot run exercises both intra-run
-# memoization and cross-run disk hits.
+# 6 workloads x 3 schemes: 18 jobs, each with its own warmup key (the
+# scheme is part of the machine config the key covers). A duplicated
+# production or a lost publish therefore shows in the exact counts.
 ARGS=(--workloads 6 --insts 100000 --warmup 100000
       --schemes discard,permit,dripper --jobs 4)
+KEYS=18
 
 # Cache-report line printed to stderr by sweep_tool, e.g.
-#   snapshot cache: 12 hits, 6 misses, 6 saves, 0 invalid
+#   snapshot cache: 0 hits, 18 misses, 18 saves, 0 invalid
 cache_stat() { # args: err-file, field name
     sed -n 's/^snapshot cache: .*/&/p' "$1" |
         grep -o "[0-9]* $2" | grep -o '[0-9]*'
@@ -54,9 +56,11 @@ echo "== first snapshot sweep (empty cache: produce + publish) =="
     exit 1
 }
 grep '^snapshot cache:' "$WORK/first.err"
+misses=$(cache_stat "$WORK/first.err" misses)
 saves=$(cache_stat "$WORK/first.err" saves)
-if [ -z "$saves" ] || [ "$saves" -lt 1 ]; then
-    echo "FAIL: first snapshot run published no snapshots" >&2
+if [ "$misses" != "$KEYS" ] || [ "$saves" != "$KEYS" ]; then
+    echo "FAIL: first snapshot run: want $KEYS misses and $KEYS saves," \
+         "got ${misses:-none} and ${saves:-none}" >&2
     exit 1
 fi
 
@@ -70,12 +74,9 @@ echo "== second snapshot sweep (warm cache: restore only) =="
 grep '^snapshot cache:' "$WORK/second.err"
 hits=$(cache_stat "$WORK/second.err" hits)
 misses=$(cache_stat "$WORK/second.err" misses)
-if [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
-    echo "FAIL: second snapshot run hit the cache zero times" >&2
-    exit 1
-fi
-if [ -n "$misses" ] && [ "$misses" -ne 0 ]; then
-    echo "FAIL: second snapshot run missed a warm cache ($misses)" >&2
+if [ "$hits" != "$KEYS" ] || [ "$misses" != 0 ]; then
+    echo "FAIL: second snapshot run: want $KEYS hits and 0 misses," \
+         "got ${hits:-none} and ${misses:-none}" >&2
     exit 1
 fi
 
