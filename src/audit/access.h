@@ -57,7 +57,7 @@ struct AuditAccess
         const std::size_t i =
             static_cast<std::size_t>(set) * c.cfg_.ways + way;
         const std::uint8_t f = c.flags_[i];
-        return {c.tags_[i] & ~Cache::kValidTagBit,
+        return {Addr{c.tags_[i] & ~Cache::kValidTagBit},
                 (c.tags_[i] & Cache::kValidTagBit) != 0,
                 (f & Cache::kFlagDirty) != 0,
                 (f & Cache::kFlagPrefetched) != 0,
@@ -101,6 +101,22 @@ struct AuditAccess
         c.tags_[base + 1] = c.tags_[base];
         c.flags_[base + 1] = c.flags_[base];
         c.fill_done_[base + 1] = c.fill_done_[base];
+    }
+
+    /**
+     * Corruption: give way 1 of @p set way 0's LRU rank, so the row
+     * is no longer a permutation. False when the cache is not LRU.
+     */
+    static bool
+    corrupt_cache_lru_rank(Cache &c, std::uint32_t set)
+    {
+        if (c.lru_ == nullptr || c.cfg_.ways < 2) {
+            return false;
+        }
+        std::uint8_t *row =
+            &c.lru_->ranks_[static_cast<std::size_t>(set) * c.cfg_.ways];
+        row[1] = row[0];
+        return true;
     }
 
     /** Locate the first valid block; false when the cache is empty. */
@@ -192,6 +208,12 @@ struct AuditAccess
     large_page_map(const PageTable &pt)
     {
         return pt.large_page_map_;
+    }
+
+    /** Byte address of a page-map value (a 4KB frame number). */
+    static Addr frame_base(FlatAddrMap::Value frame)
+    {
+        return PageTable::frame_base(frame);
     }
 
     static const FrameBitmap &

@@ -42,10 +42,19 @@ Cache::set_ref(PhysAddr paddr) const
 }
 
 std::uint32_t
-Cache::find(const SetRef &ref, Addr tag) const
+Cache::tag_of(PhysAddr paddr) const
 {
-    const Addr key = tag | kValidTagBit;
-    const Addr *row = &tags_[ref.base];
+    const Addr block = block_number(paddr);
+    SIM_REQUIRE(block < kTagLimit,
+                "physical address past the 31-bit block tag (128 GiB)");
+    return static_cast<std::uint32_t>(block);
+}
+
+std::uint32_t
+Cache::find(const SetRef &ref, std::uint32_t tag) const
+{
+    const std::uint32_t key = tag | kValidTagBit;
+    const std::uint32_t *row = &tags_[ref.base];
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (row[w] == key) {
             return w;
@@ -57,7 +66,7 @@ Cache::find(const SetRef &ref, Addr tag) const
 bool
 Cache::probe(PhysAddr paddr) const
 {
-    return find(set_ref(paddr), block_number(paddr)) != kNoWay;
+    return find(set_ref(paddr), tag_of(paddr)) != kNoWay;
 }
 
 unsigned
@@ -83,8 +92,8 @@ Cache::mark_used(std::size_t idx)
             if (listener_ != nullptr) {
                 // Tags store raw block numbers; reconstruct the typed
                 // physical address on the way out.
-                listener_->on_pgc_first_use(
-                    PhysAddr{(tags_[idx] & ~kValidTagBit) << kBlockBits});
+                listener_->on_pgc_first_use(PhysAddr{
+                    Addr{tags_[idx] & ~kValidTagBit} << kBlockBits});
             }
         }
     }
@@ -94,7 +103,7 @@ Cache::mark_used(std::size_t idx)
 std::uint32_t
 Cache::pick_victim(const SetRef &ref, Cycle now)
 {
-    const Addr *row = &tags_[ref.base];
+    const std::uint32_t *row = &tags_[ref.base];
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if ((row[w] & kValidTagBit) == 0) {
             return w;
@@ -106,7 +115,8 @@ Cache::pick_victim(const SetRef &ref, Cycle now)
               "replacement policy chose a way outside the set");
     const std::size_t idx = ref.base + way;
     const std::uint8_t f = flags_[idx];
-    const Addr tag = tags_[idx] & ~kValidTagBit;
+    const std::uint32_t tag = tags_[idx] & ~kValidTagBit;
+    const PhysAddr block_paddr{Addr{tag} << kBlockBits};
 
     // Evict: resolve prefetch usefulness and write back dirt.
     if ((f & kFlagPrefetched) != 0 && (f & kFlagUsed) == 0) {
@@ -116,15 +126,14 @@ Cache::pick_victim(const SetRef &ref, Cycle now)
         }
     }
     if (listener_ != nullptr) {
-        listener_->on_eviction(PhysAddr{tag << kBlockBits},
+        listener_->on_eviction(block_paddr,
                                (f & kFlagPrefetched) != 0,
                                (f & kFlagPgc) != 0, (f & kFlagUsed) != 0);
     }
     if ((f & kFlagDirty) != 0) {
         ++stats_.writebacks;
         if (lower_ != nullptr) {
-            lower_->access(PhysAddr{tag << kBlockBits},
-                           AccessType::kWriteback, now);
+            lower_->access(block_paddr, AccessType::kWriteback, now);
         }
     }
     tags_[idx] = tag;  // drop the valid bit, keep the stale tag bits
@@ -148,7 +157,7 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
         ++stats_.prefetch_lookups;
     }
 
-    const Addr tag = block_number(paddr);
+    const std::uint32_t tag = tag_of(paddr);
     const SetRef ref = set_ref(paddr);
     const std::uint32_t way = find(ref, tag);
     if (way != kNoWay) {

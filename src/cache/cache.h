@@ -118,13 +118,19 @@ class Cache final : public MemoryLevel
      */
     Cache(const CacheConfig &config, MemoryLevel *lower);
 
+    /**
+     * One request. @p paddr must lie below 128 GiB, the widest
+     * physical memory a PageTable accepts, so that its block number
+     * fits a 31-bit tag; a wider address aborts rather than alias.
+     */
     SIM_HOT AccessResult access(PhysAddr paddr, AccessType type, Cycle now,
                                 bool pgc_prefetch = false) override;
 
     /** Install an L1D lifetime listener (used by Page-Cross Filters). */
     void set_listener(CacheListener *listener) { listener_ = listener; }
 
-    /** True when @p paddr's block is resident (no state change). */
+    /** True when @p paddr's block is resident (no state change);
+     *  the same 128 GiB bound as access(). */
     bool probe(PhysAddr paddr) const;
 
     /** Counters. */
@@ -149,12 +155,14 @@ class Cache final : public MemoryLevel
     static void serialize(Self &self, IO &io);
 
     // Structure-of-arrays block store. The lookup scan touches ONE
-    // contiguous Addr array: the valid bit lives in bit 63 of the tag
-    // word (tags are block numbers, < 2^58, so the top bit is free),
-    // which turns the per-way "valid && tag ==" into a single
+    // contiguous 32-bit array: a tag is the whole block number, which
+    // access() and probe() require to be below kTagLimit (physical
+    // addresses below 128 GiB), so bit 31 is free to hold the valid
+    // bit. That turns the per-way "valid && tag ==" into a single
     // compare against tag|kValidTagBit. Flags pack into a byte;
     // fill cycles sit in a parallel array only the merge check reads.
-    static constexpr Addr kValidTagBit = Addr{1} << 63;
+    static constexpr std::uint32_t kValidTagBit = std::uint32_t{1} << 31;
+    static constexpr Addr kTagLimit = kValidTagBit;
     static constexpr std::uint8_t kFlagDirty = 1u << 0;
     static constexpr std::uint8_t kFlagPrefetched = 1u << 1;
     static constexpr std::uint8_t kFlagPgc = 1u << 2;  //!< paper's PCB
@@ -172,7 +180,8 @@ class Cache final : public MemoryLevel
 
     std::uint32_t set_index(PhysAddr paddr) const;
     SetRef set_ref(PhysAddr paddr) const;
-    std::uint32_t find(const SetRef &ref, Addr tag) const;
+    std::uint32_t tag_of(PhysAddr paddr) const;
+    std::uint32_t find(const SetRef &ref, std::uint32_t tag) const;
     std::uint32_t pick_victim(const SetRef &ref, Cycle now);
     void mark_used(std::size_t idx);
 
@@ -180,7 +189,7 @@ class Cache final : public MemoryLevel
     MemoryLevel *lower_;    // LINT_SNAPSHOT_OK: collaborator, owned by machine
     // LINT_SNAPSHOT_OK: collaborator, re-wired by the machine builder
     CacheListener *listener_ = nullptr;
-    std::vector<Addr> tags_;           //!< sets * ways; bit 63 = valid
+    std::vector<std::uint32_t> tags_;  //!< sets * ways; bit 31 = valid
     std::vector<std::uint8_t> flags_;  //!< kFlag* bits, parallel to tags_
     std::vector<Cycle> fill_done_;     //!< data arrival, parallel to tags_
     std::vector<Cycle> inflight_;      //!< outstanding fill completions

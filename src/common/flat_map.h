@@ -32,14 +32,19 @@
 namespace moka {
 
 /**
- * Open-addressing Addr -> Addr map with linear probing.  The key
- * ~0 is reserved as the empty-slot sentinel (never a valid VPN,
- * prefix, or frame id in a 48-bit address space).  No erase: the
- * page table only ever accretes mappings.
+ * Open-addressing Addr -> 32-bit value map with linear probing.  The
+ * page table keys it by VPN or VA prefix and stores 4KB frame
+ * numbers, which its 128 GiB physical bound keeps below 2^25; a slot
+ * is 12 bytes where an Addr value made it 16.  The key ~0 is reserved
+ * as the empty-slot sentinel (never a valid VPN or prefix in a 48-bit
+ * address space).  No erase: the page table only ever accretes
+ * mappings.
  */
 class FlatAddrMap
 {
   public:
+    using Value = std::uint32_t;
+
     static constexpr Addr kEmptyKey = ~Addr{0};
 
     /**
@@ -62,7 +67,7 @@ class FlatAddrMap
      * Returns the value slot and whether it was inserted.  The
      * pointer is invalidated by the next try_emplace (growth).
      */
-    std::pair<Addr *, bool> try_emplace(Addr key)
+    std::pair<Value *, bool> try_emplace(Addr key)
     {
         SIM_AUDIT(key != kEmptyKey, "flat map key collides with the "
                                     "empty sentinel");
@@ -80,7 +85,7 @@ class FlatAddrMap
         return {&vals_[i], true};
     }
 
-    /** Stashing const iterator yielding std::pair<Addr, Addr>. */
+    /** Stashing const iterator yielding std::pair<Addr, Value>. */
     class const_iterator
     {
       public:
@@ -88,7 +93,7 @@ class FlatAddrMap
         // this is an input iterator (enough for range-constructing a
         // vector in the audits and for range-for).
         using iterator_category = std::input_iterator_tag;
-        using value_type = std::pair<Addr, Addr>;
+        using value_type = std::pair<Addr, Value>;
         using difference_type = std::ptrdiff_t;
         using pointer = const value_type *;
         using reference = const value_type &;
@@ -168,7 +173,7 @@ class FlatAddrMap
         // outlives the construction-time reservation; the alloc-trace
         // ctest pins it out of measured regions (rule L10).
         std::vector<Addr> old_keys(keys_.size() * 2, kEmptyKey);
-        std::vector<Addr> old_vals(keys_.size() * 2, 0);
+        std::vector<Value> old_vals(keys_.size() * 2, 0);
         old_keys.swap(keys_);
         old_vals.swap(vals_);
         size_ = 0;
@@ -189,7 +194,7 @@ class FlatAddrMap
     friend struct SnapshotAccess;
 
     std::vector<Addr> keys_;
-    std::vector<Addr> vals_;
+    std::vector<Value> vals_;
     std::size_t size_ = 0;
 };
 

@@ -50,8 +50,10 @@ namespace moka {
 //! occupied slots, frame bitmaps one bit per frame, caches and TLBs
 //! their arrays whole, and the core no longer stores its audit cadence;
 //! 4: each core saves its workload's generator state in a
-//! "core.workload" section, and section sums are checksum64, not FNV-1a)
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+//! "core.workload" section, and section sums are checksum64, not FNV-1a;
+//! 5: cache tags are u32, LRU state is one u8 rank per way with no
+//! clock, and page-map values are u32 frame numbers)
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 // Primitives and arrays are copied in host byte order.
 static_assert(std::endian::native == std::endian::little,

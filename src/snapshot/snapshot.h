@@ -189,9 +189,9 @@ struct SnapshotAccess
     }
 
     /**
-     * Capacity, size, then each occupied (slot, key, value) in slot
-     * order: restoring every entry to its saved slot reproduces the
-     * probe placement that insertion order produced.
+     * Capacity, size, then each occupied (slot u64, key u64, value
+     * u32) in slot order: restoring every entry to its saved slot
+     * reproduces the probe placement that insertion order produced.
      */
     template <class IO, CvOf<FlatAddrMap> M>
     static void field_of(IO &io, M &m)
@@ -207,7 +207,8 @@ struct SnapshotAccess
                 "flat map capacity not a power of two");
         require(io, size <= slots / 2, "flat map over half full");
         require(io,
-                size <= section_room(io, 3 * sizeof(std::uint64_t)) &&
+                size <= section_room(io, 2 * sizeof(std::uint64_t) +
+                                             sizeof(FlatAddrMap::Value)) &&
                     (slots <= m.keys_.size() || slots / 4 < size),
                 "flat map larger than its entries");
         if constexpr (kRestoring<IO>) {

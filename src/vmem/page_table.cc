@@ -14,10 +14,19 @@ radix_index(Addr vaddr, unsigned level)
     return static_cast<unsigned>((vaddr >> (kPageBits + 9 * level)) & 0x1FF);
 }
 
+/** @p config, once its memory is known to fit (before any bitmap). */
+const VmemConfig &
+bounded(const VmemConfig &config)
+{
+    SIM_REQUIRE(config.phys_bytes <= PageTable::kMaxPhysBytes,
+                "physical memory above 128 GiB overflows 31-bit cache tags");
+    return config;
+}
+
 }  // namespace
 
 PageTable::PageTable(const VmemConfig &config)
-    : cfg_(config), rng_(config.seed),
+    : cfg_(bounded(config)), rng_(config.seed),
       tables_{FlatAddrMap(config.reserve_pages / 64),
               FlatAddrMap(config.reserve_pages / 64),
               FlatAddrMap(config.reserve_pages / 64),
@@ -86,18 +95,19 @@ PageTable::translate(VirtAddr vaddr)
         const Addr lvpn = large_page_number(vaddr.raw());
         auto [frame, inserted] = large_page_map_.try_emplace(lvpn);
         if (inserted) {
-            *frame = alloc_large_frame();
+            *frame = frame_number(alloc_large_frame());
         }
-        t.paddr = PhysAddr{*frame + large_page_offset(vaddr.raw())};
+        t.paddr =
+            PhysAddr{frame_base(*frame) + large_page_offset(vaddr.raw())};
         t.large = true;
         return t;
     }
     const Addr vpn = page_number(vaddr.raw());
     auto [frame, inserted] = page_map_.try_emplace(vpn);
     if (inserted) {
-        *frame = alloc_frame();
+        *frame = frame_number(alloc_frame());
     }
-    t.paddr = PhysAddr{*frame + page_offset(vaddr.raw())};
+    t.paddr = PhysAddr{frame_base(*frame) + page_offset(vaddr.raw())};
     t.large = false;
     return t;
 }
@@ -107,9 +117,9 @@ PageTable::table_frame(unsigned level, Addr prefix)
 {
     auto [frame, inserted] = tables_[level].try_emplace(prefix);
     if (inserted) {
-        *frame = alloc_frame();
+        *frame = frame_number(alloc_frame());
     }
-    return *frame;
+    return frame_base(*frame);
 }
 
 unsigned

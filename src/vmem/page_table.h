@@ -25,7 +25,8 @@ class SnapshotWriter;
 /** Virtual-memory configuration for one address space. */
 struct VmemConfig
 {
-    Addr phys_bytes = Addr{4} << 30;   //!< physical memory size
+    //! physical memory size, at most kMaxPhysBytes
+    Addr phys_bytes = Addr{4} << 30;
     double large_page_fraction = 0.0;  //!< chance a 2MB VA region is
                                        //!< backed by a 2MB page
     std::uint64_t seed = 1;            //!< allocator randomization
@@ -64,6 +65,14 @@ struct Translation
 class PageTable
 {
   public:
+    /**
+     * Widest physical memory a table accepts (128 GiB): every block
+     * number then fits a cache's 31-bit tag (cache/cache.h), and every
+     * 4KB frame number the 32-bit values of the page maps.
+     */
+    static constexpr Addr kMaxPhysBytes = Addr{1} << 37;
+
+    /** @pre config.phys_bytes <= kMaxPhysBytes (aborts otherwise). */
     explicit PageTable(const VmemConfig &config);
 
     /**
@@ -104,13 +113,24 @@ class PageTable
     Addr alloc_large_frame();  //!< unique random 2MB-aligned frame
     Addr table_frame(unsigned level, Addr prefix);
 
+    // The page maps hold 4KB frame numbers; these convert at the
+    // map's edge (a 2MB frame is stored as its first 4KB frame).
+    static FlatAddrMap::Value frame_number(Addr frame)
+    {
+        return static_cast<FlatAddrMap::Value>(frame >> kPageBits);
+    }
+    static Addr frame_base(FlatAddrMap::Value frame)
+    {
+        return Addr{frame} << kPageBits;
+    }
+
     VmemConfig cfg_;  // LINT_SNAPSHOT_OK: config
     Rng rng_;
     Addr root_;  //!< physical base of the PML5 table
-    //! table frames keyed by (level, VA prefix)
+    //! table frame numbers keyed by (level, VA prefix)
     std::array<FlatAddrMap, 4> tables_;
-    FlatAddrMap page_map_;        //!< VPN -> frame
-    FlatAddrMap large_page_map_;  //!< LVPN -> frame
+    FlatAddrMap page_map_;        //!< VPN -> frame number
+    FlatAddrMap large_page_map_;  //!< LVPN -> frame number
     FrameBitmap used_frames_;           //!< 4KB frame ids
     FrameBitmap used_large_frames_;     //!< 2MB frame ids
 };

@@ -305,6 +305,27 @@ TEST(AuditCache, DetectsDuplicateTagInSet)
     EXPECT_FALSE(report.ok());
 }
 
+TEST(AuditCache, DetectsLruRanksThatAreNotAPermutation)
+{
+    Cache cache(CacheConfig{"L2C", 16, 4, 4, 8, false}, nullptr);
+    for (Addr block = 0; block < 96; ++block) {
+        cache.access(PhysAddr{(block * 7 % 96) * kBlockSize},
+                     AccessType::kLoad, block * 10);
+    }
+
+    AuditReport clean;
+    audit::audit_cache(cache, clean);
+    EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+    ASSERT_TRUE(AuditAccess::corrupt_cache_lru_rank(cache, 3));
+    AuditReport report;
+    audit::audit_cache(cache, report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.to_string().find("lru ranks of set 3"),
+              std::string::npos)
+        << report.to_string();
+}
+
 TEST(AuditCache, DetectsPcbOnNonPrefetchedBlock)
 {
     Cache cache(CacheConfig{"L1D", 16, 4, 4, 8, true}, nullptr);

@@ -234,5 +234,33 @@ TEST(Cache, DemandMissMarksBlockUsed)
     EXPECT_FALSE(listener.evictions[0].prefetched);
 }
 
+TEST(Cache, WidestTagKeepsItsAddress)
+{
+    // The last block below 128 GiB fills the 31-bit tag: the listener
+    // must see it at its own address, widened before the shift.
+    RecordingListener listener;
+    Cache c(tiny_config(true), nullptr);
+    c.set_listener(&listener);
+    const PhysAddr top{(Addr{1} << 37) - kBlockSize};
+    const Addr set_stride = 4 * kBlockSize;
+    c.access(top, AccessType::kPrefetch, 0, true);
+    EXPECT_TRUE(c.probe(top));
+    c.access(top, AccessType::kLoad, 100);
+    ASSERT_EQ(listener.first_uses.size(), 1u);
+    EXPECT_EQ(listener.first_uses[0], top);
+    c.access(top - set_stride, AccessType::kLoad, 600);
+    c.access(top - 2 * set_stride, AccessType::kLoad, 1200);
+    ASSERT_EQ(listener.evictions.size(), 1u);
+    EXPECT_EQ(listener.evictions[0].addr, top);
+}
+
+TEST(CacheDeath, RefusesAnAddressPastItsTagWidth)
+{
+    Cache c(tiny_config(), nullptr);
+    const PhysAddr wide{Addr{1} << 37};
+    EXPECT_DEATH(c.access(wide, AccessType::kLoad, 0), "31-bit block tag");
+    EXPECT_DEATH((void)c.probe(wide), "31-bit block tag");
+}
+
 }  // namespace
 }  // namespace moka

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <vector>
@@ -76,7 +77,11 @@ TEST_P(CacheModelCheck, MatchesGoldenLru)
 
     Rng rng(g.sets * 1000 + g.ways);
     Cycle now = 0;
-    for (int i = 0; i < 20000; ++i) {
+    // At least 8 accesses per block, so large geometries fill every
+    // set and run through many victim choices.
+    const std::uint64_t steps =
+        std::max<std::uint64_t>(20000, std::uint64_t{8} * g.sets * g.ways);
+    for (std::uint64_t i = 0; i < steps; ++i) {
         // Footprint ~4x the cache so hits and misses both occur.
         const Addr block = rng.below(std::uint64_t(g.sets) * g.ways * 4);
         const Addr paddr = block << kBlockBits;
@@ -93,7 +98,8 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheModelCheck,
     ::testing::Values(Geometry{1, 1}, Geometry{1, 4}, Geometry{4, 1},
                       Geometry{16, 2}, Geometry{64, 8},
-                      Geometry{128, 12}));
+                      Geometry{128, 12}, Geometry{1024, 8},
+                      Geometry{2048, 16}));
 
 class TlbModelCheck : public ::testing::TestWithParam<Geometry>
 {

@@ -77,26 +77,28 @@ struct GoldenRow {
 // page maps, packed frame bits, whole-array caches and TLBs, no audit
 // cadence, so audit-enabled builds match too) and for version 4 (each
 // core's workload generator state in "core.workload", section sums by
-// checksum64); the metrics digests did not move.
+// checksum64) and for version 5 (u32 cache tags, one u8 LRU rank per
+// way in place of u64 stamps and a clock, u32 page-map frame
+// numbers); the metrics digests did not move.
 constexpr GoldenRow kGolden[] = {
-    {"dripper", "parsec.stream.0", 0xd79d5f271ff0be02ull, 0x7873dffa91c221dfull},
-    {"permit", "parsec.stream.0", 0x619237eebee7298full, 0x7873dffa91c221dfull},
-    {"ppf", "parsec.stream.0", 0xb3f56ac55ff8ac53ull, 0xfad344a3d7cd329bull},
-    {"discard", "parsec.stream.0", 0xa158d4cc24968384ull, 0x513b0dc733f2ebcdull},
-    {"dripper", "spec06.gather.1", 0xcba7e65d6439c46full, 0x19092a40a62fbb3bull},
-    {"permit", "spec06.gather.1", 0x9e0f125265bf9963ull, 0x19092a40a62fbb3bull},
-    {"ppf", "spec06.gather.1", 0x32cea74ed4bc8953ull, 0xf361a57e8d9563afull},
-    {"discard", "spec06.gather.1", 0x7a5c99510f414a24ull, 0x3941f4f8ee712a83ull},
+    {"dripper", "parsec.stream.0", 0x55a2189ceef78cd4ull, 0x7873dffa91c221dfull},
+    {"permit", "parsec.stream.0", 0xaef5abf9cae993a5ull, 0x7873dffa91c221dfull},
+    {"ppf", "parsec.stream.0", 0x7271112d3a04dde6ull, 0xfad344a3d7cd329bull},
+    {"discard", "parsec.stream.0", 0xf592a3bfe9495e9eull, 0x513b0dc733f2ebcdull},
+    {"dripper", "spec06.gather.1", 0x81647730a8e8fbb0ull, 0x19092a40a62fbb3bull},
+    {"permit", "spec06.gather.1", 0x2958d5e671399a4aull, 0x19092a40a62fbb3bull},
+    {"ppf", "spec06.gather.1", 0xc9dd0ea967fa3af9ull, 0xf361a57e8d9563afull},
+    {"discard", "spec06.gather.1", 0x67cd2582693e3237ull, 0x3941f4f8ee712a83ull},
 };
 
 constexpr GoldenRow kGoldenTrace[] = {
-    {"dripper", "trace:spec06.hash.4", 0xcbff7838059822a9ull, 0x61bd44852deab3b6ull},
-    {"permit", "trace:spec06.hash.4", 0xee016fcbc818a4caull, 0x61bd44852deab3b6ull},
+    {"dripper", "trace:spec06.hash.4", 0xfd1a3c2b54d4570dull, 0x61bd44852deab3b6ull},
+    {"permit", "trace:spec06.hash.4", 0xcefc333cf761dba2ull, 0x61bd44852deab3b6ull},
 };
 
 constexpr GoldenRow kGoldenMix[] = {
-    {"dripper", "mix2:stream+gather", 0xd607d40f319d8e86ull, 0x697123b20d884c63ull},
-    {"discard", "mix2:stream+gather", 0x1de5a5e03fabf61dull, 0xa05e4b9e6186f1f3ull},
+    {"dripper", "mix2:stream+gather", 0x9ae452515234b347ull, 0x697123b20d884c63ull},
+    {"discard", "mix2:stream+gather", 0x61d599e83fbfcf83ull, 0xa05e4b9e6186f1f3ull},
 };
 
 /**

@@ -122,6 +122,24 @@ TEST(PageTable, LargeFractionRoughlyHonored)
     EXPECT_LT(large, 2 * n / 3);
 }
 
+TEST(PageTable, AcceptsPhysicalMemoryUpTo128GiB)
+{
+    VmemConfig cfg = config(0.5);
+    cfg.phys_bytes = PageTable::kMaxPhysBytes;
+    PageTable pt(cfg);
+    for (Addr r = 0; r < 16; ++r) {
+        EXPECT_LT(pt.translate(VirtAddr{r * kLargePageSize}).paddr.raw(),
+                  PageTable::kMaxPhysBytes);
+    }
+}
+
+TEST(PageTableDeath, RefusesPhysicalMemoryPast128GiB)
+{
+    VmemConfig cfg = config();
+    cfg.phys_bytes = Addr{1} << 38;
+    EXPECT_DEATH({ PageTable pt(cfg); }, "above 128 GiB");
+}
+
 TEST(PageTable, MappedPagesCounts)
 {
     PageTable pt(config());
