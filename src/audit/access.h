@@ -210,6 +210,13 @@ struct AuditAccess
         return pt.large_page_map_;
     }
 
+    /** Table-frame maps, PT level first. */
+    static const std::array<FlatAddrMap, 4> &
+    tables(const PageTable &pt)
+    {
+        return pt.tables_;
+    }
+
     /** Byte address of a page-map value (a 4KB frame number). */
     static Addr frame_base(FlatAddrMap::Value frame)
     {

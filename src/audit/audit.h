@@ -88,7 +88,8 @@ void audit_tlb(const Tlb &tlb, const PageTable &table,
 
 /**
  * Page-table allocator invariants: mapped frames unique, aligned,
- * inside their physical partition, and tracked by the frame sets.
+ * inside their physical partition, and tracked by the frame sets;
+ * and no more pages mapped than the workload's declared bound.
  */
 void audit_page_table(const PageTable &table, AuditReport &report);
 

@@ -7,10 +7,12 @@
  * every first-touch insert on a per-access path a heap allocation.
  * FlatAddrMap stores keys and values in two parallel arrays sized at
  * construction; inserts never allocate until the table crosses a 50%
- * load factor, at which point it doubles.  Size the reservation so
- * doubling never happens in a measured region (the alloc-trace ctest
- * enforces this) and growth remains a cold, amortized event on runs
- * that outlive the reservation.
+ * load factor, at which point it doubles.  The page table reserves
+ * the pages its workload declares it can touch (Workload::page_bound,
+ * at most kMaxReserveEntries), so doubling never happens in a
+ * measured region (the alloc-trace ctest enforces this) and growth
+ * remains a cold, amortized event for a workload that declares no
+ * bound and outlives the cap.
  *
  * Iteration order is deterministic for a fixed insertion sequence
  * (rule L7): slots are probed from mix64(key) and scanned in index
@@ -48,18 +50,35 @@ class FlatAddrMap
     static constexpr Addr kEmptyKey = ~Addr{0};
 
     /**
+     * Largest construction reservation, in entries (the page table's
+     * page map at its cap). A capacity above slots_for() of it holds
+     * more than a quarter of its slots, because only growth makes it.
+     */
+    static constexpr std::size_t kMaxReserveEntries = std::size_t{1} << 16;
+
+    /**
+     * Slots a map reserving @p entries starts with: a power of two,
+     * at least 64, holding the entries at 50% max load.
+     */
+    static constexpr std::size_t slots_for(std::size_t entries)
+    {
+        std::size_t slots = 64;
+        while (slots < entries * 2) {
+            slots *= 2;
+        }
+        return slots;
+    }
+
+    /**
      * @param reserve_entries entries the map holds before its first
-     *        (allocating) doubling; rounded up to a power of two of
-     *        slots at 50% max load.
+     *        (allocating) doubling, at most kMaxReserveEntries.
      */
     explicit FlatAddrMap(std::size_t reserve_entries)
     {
-        std::size_t slots = 64;
-        while (slots < reserve_entries * 2) {
-            slots *= 2;
-        }
-        keys_.assign(slots, kEmptyKey);
-        vals_.assign(slots, 0);
+        SIM_REQUIRE(reserve_entries <= kMaxReserveEntries,
+                    "flat map reservation above its cap");
+        keys_.assign(slots_for(reserve_entries), kEmptyKey);
+        vals_.assign(keys_.size(), 0);
     }
 
     /**

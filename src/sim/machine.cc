@@ -41,7 +41,7 @@ CoreComplex::CoreComplex(const MachineConfig &cfg, Cache *llc,
 
     VmemConfig vmem = cfg.vmem;
     vmem.seed = hash_combine(vmem.seed, seed);
-    page_table_ = std::make_unique<PageTable>(vmem);
+    page_table_ = std::make_unique<PageTable>(vmem, workload_->page_bound());
     itlb_ = std::make_unique<Tlb>(cfg.itlb);
     dtlb_ = std::make_unique<Tlb>(cfg.dtlb);
     stlb_ = std::make_unique<Tlb>(cfg.stlb);

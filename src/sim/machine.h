@@ -209,6 +209,8 @@ class CoreComplex : public CacheListener
     const Cache &l1d() const { return *l1d_; }
     /** sTLB (tests/diagnostics). */
     const Tlb &stlb() const { return *stlb_; }
+    /** Page table (tests/diagnostics). */
+    const PageTable &page_table() const { return *page_table_; }
     /** Active page-cross filter, may be null. */
     const PageCrossFilter *filter() const { return filter_.get(); }
 

@@ -200,8 +200,9 @@ struct SnapshotAccess
         std::uint64_t size = m.size_;
         field(io, slots);
         field(io, size);
-        // The map may have doubled past its construction reservation
-        // before the snapshot was taken; it doubles only when more
+        // Reservations differ per workload, so the saving map may have
+        // reserved more than this one, but never above the cap; or it
+        // doubled past its reservation, which it does only when more
         // than half full, so a grown capacity is under 4x its size.
         require(io, slots != 0 && (slots & (slots - 1)) == 0,
                 "flat map capacity not a power of two");
@@ -209,7 +210,9 @@ struct SnapshotAccess
         require(io,
                 size <= section_room(io, 2 * sizeof(std::uint64_t) +
                                              sizeof(FlatAddrMap::Value)) &&
-                    (slots <= m.keys_.size() || slots / 4 < size),
+                    (slots <= FlatAddrMap::slots_for(
+                                  FlatAddrMap::kMaxReserveEntries) ||
+                     slots / 4 < size),
                 "flat map larger than its entries");
         if constexpr (kRestoring<IO>) {
             m.keys_.assign(slots, FlatAddrMap::kEmptyKey);

@@ -8,6 +8,7 @@
 #ifndef MOKASIM_TRACE_WORKLOAD_H
 #define MOKASIM_TRACE_WORKLOAD_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -90,6 +91,16 @@ class Workload
         r.discard_rest();
         skip(position);
     }
+
+    /**
+     * Upper bound on the distinct 4KB pages a core running this
+     * stream maps: the pages of every instruction and data address,
+     * and of the L1D prefetches they trigger (the page table reserves
+     * its maps by it, see PageTable). The default 0 means unknown,
+     * which trace files and decorators report; their tables reserve
+     * the caps.
+     */
+    virtual std::size_t page_bound() const { return 0; }
 
     /** Human-readable instance name (e.g. "gap.bfs.0"). */
     virtual const std::string &name() const = 0;

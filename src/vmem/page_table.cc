@@ -1,5 +1,7 @@
 #include "vmem/page_table.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/hashing.h"
 #include "snapshot/snapshot.h"
@@ -23,16 +25,23 @@ bounded(const VmemConfig &config)
     return config;
 }
 
+/** Entries a map reserves for @p page_bound pages, at most @p cap. */
+constexpr std::size_t
+reservation(std::size_t page_bound, std::size_t cap)
+{
+    return page_bound == 0 ? cap : std::min(page_bound, cap);
+}
+
 }  // namespace
 
-PageTable::PageTable(const VmemConfig &config)
-    : cfg_(bounded(config)), rng_(config.seed),
-      tables_{FlatAddrMap(config.reserve_pages / 64),
-              FlatAddrMap(config.reserve_pages / 64),
-              FlatAddrMap(config.reserve_pages / 64),
-              FlatAddrMap(config.reserve_pages / 64)},
-      page_map_(config.reserve_pages),
-      large_page_map_(config.reserve_pages / 64),
+PageTable::PageTable(const VmemConfig &config, std::size_t page_bound)
+    : cfg_(bounded(config)), page_bound_(page_bound), rng_(config.seed),
+      tables_{FlatAddrMap(reservation(page_bound, kTableMapCap)),
+              FlatAddrMap(reservation(page_bound, kTableMapCap)),
+              FlatAddrMap(reservation(page_bound, kTableMapCap)),
+              FlatAddrMap(reservation(page_bound, kTableMapCap))},
+      page_map_(reservation(page_bound, kPageMapCap)),
+      large_page_map_(reservation(page_bound, kTableMapCap)),
       used_frames_(
           static_cast<std::size_t>(config.phys_bytes / kPageSize / 2)),
       used_large_frames_(static_cast<std::size_t>(

@@ -98,7 +98,10 @@ TEST(AllocTrace, RearmResetsWindow)
  * The contract itself: after warmup has populated every pool, table
  * and reserve()d container, a fig19-class measured region must not
  * touch the heap at all.  One dripper (the paper's scheme) and one
- * baseline config, on a streaming and an irregular workload.
+ * baseline config, on a streaming and an irregular workload, and on a
+ * tile workload: its rows span the widest VA range (hundreds of 2MB
+ * regions), so its page table's table maps are the likeliest to
+ * outgrow a reservation sized by the workload's page bound.
  */
 TEST(AllocTrace, SteadyStateMeasuredRegionIsAllocationFree)
 {
@@ -119,6 +122,9 @@ TEST(AllocTrace, SteadyStateMeasuredRegionIsAllocationFree)
         {"berti+permit/csr",
          make_config(L1dPrefetcherKind::kBerti, scheme_permit()),
          Family::kCsr},
+        {"berti+permit/tile",
+         make_config(L1dPrefetcherKind::kBerti, scheme_permit()),
+         Family::kTile},
     };
     for (const CasePoint &c : cases) {
         SCOPED_TRACE(c.name);

@@ -247,6 +247,34 @@ TEST(AuditTlb, DetectsTranslationDesyncFromPageTable)
     EXPECT_FALSE(report.ok());
 }
 
+TEST(AuditPageTable, DetectsMorePagesThanItsBound)
+{
+    VmemConfig vmem;
+    vmem.phys_bytes = Addr{1} << 30;
+    PageTable table(vmem, /*page_bound=*/3);
+    for (Addr page = 0; page < 3; ++page) {
+        table.translate(VirtAddr{0x4000'0000 + page * kPageSize});
+    }
+    AuditReport clean;
+    audit::audit_page_table(table, clean);
+    EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+    // A fourth page: the workload under-declared its bound.
+    table.translate(VirtAddr{0x4000'0000 + 3 * kPageSize});
+    AuditReport report;
+    audit::audit_page_table(table, report);
+    EXPECT_FALSE(report.ok());
+
+    // A table with no bound (a trace file's) has nothing to exceed.
+    PageTable unbounded(vmem);
+    for (Addr page = 0; page < 4; ++page) {
+        unbounded.translate(VirtAddr{0x4000'0000 + page * kPageSize});
+    }
+    AuditReport none;
+    audit::audit_page_table(unbounded, none);
+    EXPECT_TRUE(none.ok()) << none.to_string();
+}
+
 TEST(AuditTlb, DetectsEntryForUnmappedPage)
 {
     VmemConfig vmem;

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "audit/access.h"
 #include "filter/policies.h"
+#include "sim/multicore.h"
 #include "sim/runner.h"
 #include "trace/suites.h"
 
@@ -206,6 +210,83 @@ TEST(Machine, DripperStaysCloseToBestStatic)
         EXPECT_GT(dripper, std::min(base, permit) * 0.995)
             << "family " << static_cast<int>(fam);
     }
+}
+
+/** Slots of every map of @p pt: page map, large-page map, tables. */
+std::vector<std::size_t>
+map_slots(const PageTable &pt)
+{
+    std::vector<std::size_t> out = {
+        AuditAccess::page_map(pt).capacity_slots(),
+        AuditAccess::large_page_map(pt).capacity_slots()};
+    for (const FlatAddrMap &table : AuditAccess::tables(pt)) {
+        out.push_back(table.capacity_slots());
+    }
+    return out;
+}
+
+/**
+ * Run @p m for @p insts per core: every core's page table must map no
+ * more pages than its workload declared, and no map may grow.
+ */
+void
+expect_inside_page_bounds(Machine &m, InstCount insts)
+{
+    std::vector<std::vector<std::size_t>> reserved;
+    for (std::size_t i = 0; i < m.num_cores(); ++i) {
+        reserved.push_back(map_slots(m.core(i).page_table()));
+    }
+    m.run(insts);
+    for (std::size_t i = 0; i < m.num_cores(); ++i) {
+        SCOPED_TRACE("core " + std::to_string(i));
+        const PageTable &pt = m.core(i).page_table();
+        EXPECT_GT(pt.page_bound(), 0u);
+        EXPECT_LE(pt.mapped_pages(), pt.page_bound());
+        EXPECT_EQ(map_slots(pt), reserved[i]);
+    }
+}
+
+TEST(Machine, PageTablesStayInsideTheirWorkloadsBound)
+{
+    // Every seen and unseen workload under Permit, which walks for
+    // every page-cross prefetch. Each runs one of six configurations,
+    // taken in turn within its family, so every family meets every
+    // L1D prefetcher and Berti over half 2MB pages.
+    std::vector<MachineConfig> configs;
+    for (const L1dPrefetcherKind kind :
+         {L1dPrefetcherKind::kBerti, L1dPrefetcherKind::kIpcp,
+          L1dPrefetcherKind::kBop, L1dPrefetcherKind::kStride,
+          L1dPrefetcherKind::kNextLine}) {
+        configs.push_back(make_config(kind, scheme_permit()));
+    }
+    configs.push_back(configs.front());
+    configs.back().vmem.large_page_fraction = 0.5;
+
+    std::vector<WorkloadSpec> roster = seen_workloads();
+    for (WorkloadSpec &spec : unseen_workloads()) {
+        roster.push_back(std::move(spec));
+    }
+    std::map<Family, std::size_t> turn;
+    for (const WorkloadSpec &spec : roster) {
+        const std::size_t c = turn[spec.family]++ % configs.size();
+        SCOPED_TRACE(spec.name + " / configuration " + std::to_string(c));
+        std::vector<WorkloadPtr> w;
+        w.push_back(make_workload(spec));
+        Machine m(configs[c], std::move(w));
+        expect_inside_page_bounds(m, 50'000);
+    }
+
+    // One 8-core mix, every core on its own bounded table.
+    MachineConfig cfg = default_config(8);
+    cfg.scheme = scheme_permit();
+    const std::vector<std::vector<WorkloadSpec>> mixes =
+        make_mixes(seen_workloads(), 1, 8, /*seed=*/7);
+    std::vector<WorkloadPtr> w;
+    for (const WorkloadSpec &spec : mixes.front()) {
+        w.push_back(make_workload(spec));
+    }
+    Machine mix(cfg, std::move(w));
+    expect_inside_page_bounds(mix, 50'000);
 }
 
 TEST(Machine, L2PrefetcherFillsL2)

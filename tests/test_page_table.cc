@@ -3,6 +3,7 @@
 
 #include <set>
 
+#include "audit/access.h"
 #include "vmem/page_table.h"
 
 namespace moka {
@@ -138,6 +139,54 @@ TEST(PageTableDeath, RefusesPhysicalMemoryPast128GiB)
     VmemConfig cfg = config();
     cfg.phys_bytes = Addr{1} << 38;
     EXPECT_DEATH({ PageTable pt(cfg); }, "above 128 GiB");
+}
+
+/** Slots of the page map, then the large-page map's and each table map's. */
+struct Reserved
+{
+    std::size_t page_map;
+    std::size_t other_maps;
+};
+
+void
+expect_reserved(const PageTable &pt, const Reserved &r)
+{
+    EXPECT_EQ(AuditAccess::page_map(pt).capacity_slots(), r.page_map);
+    EXPECT_EQ(AuditAccess::large_page_map(pt).capacity_slots(),
+              r.other_maps);
+    for (const FlatAddrMap &table : AuditAccess::tables(pt)) {
+        EXPECT_EQ(table.capacity_slots(), r.other_maps);
+    }
+}
+
+TEST(PageTable, NoBoundReservesTheCaps)
+{
+    // 65536 page-map entries and 1024 per other map, at 50% load.
+    PageTable pt(config());
+    EXPECT_EQ(pt.page_bound(), 0u);
+    expect_reserved(pt, {131072, 2048});
+}
+
+TEST(PageTable, BoundReservesUpToTheCaps)
+{
+    const struct
+    {
+        std::size_t bound;
+        Reserved slots;
+    } cases[] = {
+        {1, {64, 64}},            // the 64-slot floor
+        {300, {1024, 1024}},
+        {1024, {2048, 2048}},     // the table maps' cap
+        {8198, {32768, 2048}},
+        {65536, {131072, 2048}},  // the page map's cap
+        {1'000'000, {131072, 2048}},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.bound);
+        PageTable pt(config(), c.bound);
+        EXPECT_EQ(pt.page_bound(), c.bound);
+        expect_reserved(pt, c.slots);
+    }
 }
 
 TEST(PageTable, MappedPagesCounts)

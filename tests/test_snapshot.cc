@@ -358,6 +358,10 @@ TEST(SnapshotFormat, MalformedFlatMapsAreRejected)
         {"capacity not a power of two", map_section(48, 0, {})},
         {"capacity its entries never grew to",
          map_section(std::uint64_t{1} << 40, 1, {{0, 5, 7}})},
+        {"capacity past the largest reservation, few entries",
+         map_section(2 * FlatAddrMap::slots_for(
+                             FlatAddrMap::kMaxReserveEntries),
+                     1, {{0, 5, 7}})},
         {"size beyond the section",
          map_section(std::uint64_t{1} << 42, std::uint64_t{1} << 41,
                      {{0, 5, 7}})},
@@ -611,19 +615,20 @@ TEST(SnapshotComponents, PageTableAndWalker)
 
 TEST(SnapshotComponents, PageTableRoundTripsAfterGrowth)
 {
-    // Every map starts at its 64-slot floor and doubles many times:
-    // the saved capacity and slot placement must come back exactly.
+    // A bound of 64 pages starts every map at 128 slots; 3000 pages
+    // double each many times: the saved capacity and slot placement
+    // must come back exactly.
     VmemConfig cfg;
-    cfg.reserve_pages = 64;
+    constexpr std::size_t kBound = 64;
     const auto vaddr = [](Addr i) { return VirtAddr{(i * 37) << 18}; };
-    PageTable driven(cfg);
+    PageTable driven(cfg, kBound);
     std::array<PhysAddr, 5> walk{};
     for (Addr i = 0; i < 3000; ++i) {
         (void)driven.translate(vaddr(i));
         (void)driven.walk_addresses(vaddr(i), walk);
     }
-    ASSERT_GT(driven.mapped_pages(), cfg.reserve_pages);
-    PageTable fresh(cfg);
+    ASSERT_GT(driven.mapped_pages(), kBound);
+    PageTable fresh(cfg, kBound);
     expect_round_trip(driven, fresh);
     EXPECT_EQ(fresh.mapped_pages(), driven.mapped_pages());
     // Mapped pages translate alike; new ones draw the same frames.
@@ -670,6 +675,50 @@ TEST(SnapshotComponents, PageTableTranslationsSurviveRoundTrip)
     EXPECT_LT(large, kPages);
     EXPECT_GE(highest, Addr{1} << 32);
     EXPECT_EQ(section_of(fresh), bytes);
+}
+
+TEST(SnapshotComponents, PageTableRestoresAcrossReservations)
+{
+    // Each table reserves by its workload's page bound, so a table
+    // restores what one of another reservation saved: a table with no
+    // bound (the caps) into a bounded one, and back. The reservation
+    // never changes a translation.
+    VmemConfig cfg;
+    constexpr std::size_t kBound = 300;
+    const auto vaddr = [](Addr i) { return VirtAddr{(i * 13) << 14}; };
+    PageTable unbounded(cfg);
+    PageTable bounded(cfg, kBound);
+    std::array<PhysAddr, 5> walk{};
+    for (Addr i = 0; i < 200; ++i) {
+        EXPECT_EQ(bounded.translate(vaddr(i)).paddr,
+                  unbounded.translate(vaddr(i)).paddr);
+        (void)unbounded.walk_addresses(vaddr(i), walk);
+        (void)bounded.walk_addresses(vaddr(i), walk);
+    }
+
+    const std::string wide = section_of(unbounded);
+    PageTable into_bounded(cfg, kBound);
+    restore_section(into_bounded, wide);
+    EXPECT_EQ(section_of(into_bounded), wide);
+
+    const std::string narrow = section_of(bounded);
+    PageTable into_unbounded(cfg);
+    restore_section(into_unbounded, narrow);
+    EXPECT_EQ(section_of(into_unbounded), narrow);
+
+    // Mapped pages translate alike; new ones draw the same frames.
+    std::array<PhysAddr, 5> walk_other{};
+    for (Addr i = 0; i < 400; ++i) {
+        const PhysAddr expect = unbounded.translate(vaddr(i)).paddr;
+        const unsigned levels = unbounded.walk_addresses(vaddr(i), walk);
+        for (PageTable *other : {&into_bounded, &into_unbounded, &bounded}) {
+            EXPECT_EQ(other->translate(vaddr(i)).paddr, expect);
+            ASSERT_EQ(other->walk_addresses(vaddr(i), walk_other), levels);
+            for (unsigned l = 0; l < levels; ++l) {
+                EXPECT_EQ(walk_other[l], walk[l]);
+            }
+        }
+    }
 }
 
 TEST(SnapshotComponents, BranchPredictor)
