@@ -8,17 +8,20 @@
  * (+2.0% geomean over Discard, +3.3% over Permit); Permit PGC
  * mostly negative.
  *
- * Default runs 24 mixes; --full runs the paper's 300. One engine job
- * per mix (--jobs N parallelizes across mixes); the isolation-IPC
- * cache is shared across workers. With --shard-dir, a 300-mix sweep
- * resumes after a crash and splits across processes or hosts, each
- * printing the whole distribution. Failed mixes are dropped from the
- * distribution and reported on stderr. --snapshot-dir is accepted but
- * unused: the mix job never reads the snapshot cache, so every mix
- * and isolation run warms up cold.
+ * Default runs 24 mixes; --full runs the paper's 300. Two engine runs:
+ * first run_matrix runs the isolation column over the mixes' distinct
+ * members, one cell each; then one job per mix runs it under Discard,
+ * Permit and DRIPPER and divides each core's IPC by its member's
+ * isolation IPC. Both runs are cells like every other harness's, so
+ * --jobs N parallelizes them, --shard-dir keeps them in the result
+ * store (a 300-mix sweep resumes after a crash and splits across
+ * processes or hosts, each printing the whole distribution), and
+ * --snapshot-dir shares their warmups. Failed mixes are dropped from
+ * the distribution and reported on stderr.
  */
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "common/hashing.h"
 #include "filter/policies.h"
@@ -45,12 +48,22 @@ main(int argc, char **argv)
                 "Discard PGC (%zu mixes) ==\n\n", args.mixes);
 
     const auto mixes = make_mixes(roster, args.mixes, mc.cores, args.seed);
-    IsolationCache iso;
+    const RunConfig budgets{mc.warmup_insts, mc.measure_insts};
+    const std::unique_ptr<TelemetrySession> telemetry =
+        make_telemetry(args);
 
-    // One job per mix; aux = {Permit speedup, DRIPPER speedup}. The
-    // isolation cache is shared: get_or_compute is thread-safe and
-    // isolation runs are deterministic, so worker count never changes
-    // the numbers.
+    // The isolation cells run untelemetried: both engine runs number
+    // their jobs from 0, so they would share the trace's per-job pids.
+    const std::vector<WorkloadSpec> members = mix_members(mixes);
+    const std::vector<MatrixColumn> isolation = {isolation_column(mc, k)};
+    const EngineReport iso = run_matrix(
+        make_matrix(members, isolation, budgets), args, isolation);
+    std::map<std::string, const JobResult *> iso_of;
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        iso_of[members[m].name] = &iso.results[m];
+    }
+
+    // One job per mix; aux = {Permit speedup, DRIPPER speedup}.
     std::vector<JobSpec> jobs;
     jobs.reserve(mixes.size());
     for (std::size_t i = 0; i < mixes.size(); ++i) {
@@ -59,52 +72,67 @@ main(int argc, char **argv)
         spec.workload.name = "mix" + std::to_string(i);
         spec.workload.suite = "mix";
         // "mix<i>" names a slot, not its content: fold every member's
-        // key into the seed so the result-store key names the 8
-        // workloads this job simulates, whatever roster or --seed
-        // drew them.
-        std::uint64_t members = kFnv1aOffset;
+        // key into the seed so the result-store key, and the warmup
+        // key of the mix's snapshots, name the 8 workloads this job
+        // simulates, whatever roster or --seed drew them.
+        std::uint64_t members_key = kFnv1aOffset;
         for (const WorkloadSpec &w : mixes[i]) {
             JobSpec member;
             member.workload = w;
-            members = hash_combine(members, job_key(member));
+            members_key = hash_combine(members_key, job_key(member));
         }
-        spec.workload.seed = members;
+        spec.workload.seed = members_key;
         spec.scheme = "permit+dripper";
         spec.prefetcher = "berti";
-        spec.run.warmup_insts = mc.warmup_insts;
-        spec.run.measure_insts = mc.measure_insts;
-        // Per Machine::run lifetime; a mix job runs several machines
-        // (3 schemes + isolation runs), each with its own step count.
+        spec.run = budgets;
+        // Per Machine::run lifetime; a mix job runs 3 machines, each
+        // with its own step count.
         spec.watchdog_steps =
             16 * mc.cores * (mc.warmup_insts + mc.measure_insts);
-        // 3 scheme runs of `cores` workloads each, plus a share of the
-        // isolation runs; mixes dominate any single-core cell.
-        spec.estimated_cost = 3.0 * mc.cores *
-                              double(mc.warmup_insts + mc.measure_insts);
         jobs.push_back(std::move(spec));
     }
 
-    const std::unique_ptr<TelemetrySession> telemetry =
-        make_telemetry(args);
-    // run_engine so --shard-dir works here too: a 300-mix --full sweep
-    // is the natural candidate for a multi-host farm.
     const EngineReport report = run_engine(
         jobs, args,
         [&](const JobSpec &spec, JobContext &ctx) {
             const std::vector<WorkloadSpec> &mix = mixes[spec.id];
-            const std::string mixname = spec.workload.name;
-            const double wb =
-                weighted_ipc(k, scheme_discard(), mix, mc, iso, ctx.hook,
-                             ctx.telemetry, mixname + ".discard",
-                             ctx.trace_pid);
-            const double wp =
-                weighted_ipc(k, scheme_permit(), mix, mc, iso, ctx.hook,
-                             ctx.telemetry, mixname + ".permit",
-                             ctx.trace_pid);
-            const double wd =
-                weighted_ipc(k, scheme_dripper(k), mix, mc, iso,
-                             ctx.hook, ctx.telemetry,
-                             mixname + ".dripper", ctx.trace_pid);
+            std::vector<double> iso_ipc;
+            std::vector<WorkloadFactory> make;
+            for (const WorkloadSpec &w : mix) {
+                const JobResult &cell = *iso_of.at(w.name);
+                if (cell.status != JobStatus::kCompleted) {
+                    throw JobError(cell.error, "isolation run of " + w.name +
+                                                   ": " + cell.error_message);
+                }
+                iso_ipc.push_back(cell.output.row.metrics.ipc());
+                make.push_back([w]() { return make_workload(w); });
+            }
+            // Sum of IPC_multicore / IPC_isolation over the cores.
+            auto weighted = [&](const SchemeConfig &scheme,
+                                const std::string &name) {
+                MachineConfig cfg = default_config(mc.cores);
+                cfg.l1d_prefetcher = k;
+                cfg.scheme = scheme;
+                std::string audit_findings;
+                const std::vector<RunMetrics> cores = simulate(
+                    cfg, make, spec.run, ctx.hook, ctx.snapshot,
+                    spec.workload.seed, &audit_findings, ctx.telemetry,
+                    spec.workload.name + "." + name, ctx.trace_pid);
+                if (!audit_findings.empty()) {
+                    throw JobError(JobErrorCode::kAuditFailure,
+                                   audit_findings);
+                }
+                double sum = 0.0;
+                for (std::size_t i = 0; i < cores.size(); ++i) {
+                    if (iso_ipc[i] > 0.0) {
+                        sum += cores[i].ipc() / iso_ipc[i];
+                    }
+                }
+                return sum;
+            };
+            const double wb = weighted(scheme_discard(), "discard");
+            const double wp = weighted(scheme_permit(), "permit");
+            const double wd = weighted(scheme_dripper(k), "dripper");
             JobOutput out;
             out.row.workload = spec.workload.name;
             out.row.suite = spec.workload.suite;
@@ -159,5 +187,5 @@ main(int argc, char **argv)
                         telemetry->dir().c_str());
         }
     }
-    return matrix_exit_status(report);
+    return std::max(matrix_exit_status(iso), matrix_exit_status(report));
 }

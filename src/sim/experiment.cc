@@ -295,10 +295,6 @@ make_matrix(const std::vector<WorkloadSpec> &roster,
             // variance with headroom while still catching runaway
             // loops.
             job.watchdog_steps = 8 * (run.warmup_insts + run.measure_insts);
-            // Uniform single-core cells: equal cost keeps the engine's
-            // cost-ordered dispatch in plain id order.
-            job.estimated_cost =
-                static_cast<double>(run.warmup_insts + run.measure_insts);
             jobs.push_back(std::move(job));
         }
     }
@@ -366,6 +362,9 @@ simulate_cell(const MachineConfig &cfg, const JobSpec &spec,
             return std::move(open.workload);
         };
     }
+    // Loaded here so a bad trace fails the job before any simulation
+    // and the row can carry the trace's name; the run's first machine
+    // takes it, later ones load their own.
     WorkloadPtr workload = factory();
     JobOutput out;
     out.row.workload = trace ? workload->name() : spec.workload.name;
@@ -376,16 +375,12 @@ simulate_cell(const MachineConfig &cfg, const JobSpec &spec,
     std::string audit_findings;
     const std::string label = out.row.workload + "." + spec.scheme + "." +
                               spec.prefetcher;
-    if (ctx.snapshot != nullptr) {
-        out.row.metrics = run_single_workload_snapshot(
-            cfg, factory, spec.run, ctx.hook, *ctx.snapshot,
-            workload_identity(spec), &audit_findings, ctx.telemetry,
-            label, ctx.trace_pid);
-    } else {
-        out.row.metrics = run_single_workload(
-            cfg, std::move(workload), spec.run, ctx.hook, &audit_findings,
-            ctx.telemetry, label, ctx.trace_pid);
-    }
+    const WorkloadFactory make = [&]() {
+        return workload != nullptr ? std::move(workload) : factory();
+    };
+    out.row.metrics = simulate(cfg, {make}, spec.run, ctx.hook, ctx.snapshot,
+                               workload_identity(spec), &audit_findings,
+                               ctx.telemetry, label, ctx.trace_pid)[0];
     if (!audit_findings.empty()) {
         throw JobError(JobErrorCode::kAuditFailure, audit_findings);
     }

@@ -120,7 +120,7 @@ class LeaseHeartbeat final : public RunTickHook
 };
 
 /**
- * The jobs still to settle, in dispatch order. A job whose lease a
+ * The jobs still to settle, in id order. A job whose lease a
  * peer holds goes to the back; a worker sleeps only once it has
  * deferred every pending job in a row, i.e. when nothing else can run.
  */
@@ -130,9 +130,11 @@ class Dispatch
     //! sleep while every pending job is held by a peer
     static constexpr std::uint64_t kPollMs = 50;
 
-    explicit Dispatch(const std::vector<std::size_t> &order)
-        : pending_(order.begin(), order.end())
+    explicit Dispatch(std::size_t jobs)
     {
+        for (std::size_t i = 0; i < jobs; ++i) {
+            pending_.push_back(i);
+        }
     }
 
     /** Pop the next job into @p i; false once none is left. */
@@ -367,22 +369,6 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
         }
     }
 
-    // Dispatch order: descending estimated cost, id-ascending within
-    // equal cost. Long jobs (multicore mixes) start first so a skewed
-    // sweep doesn't serialize on a straggler claimed last; with the
-    // default cost of 0 this degenerates to plain id order. Results
-    // are still emitted in ascending id, so the CSV stays
-    // byte-identical to a serial sweep.
-    std::vector<std::size_t> order(jobs.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&jobs](std::size_t a, std::size_t b) {
-                         return jobs[a].estimated_cost >
-                                jobs[b].estimated_cost;
-                     });
-
     Tracer *tracer = engine_tracer(cfg_);
     const std::size_t workers =
         std::max<std::size_t>(1, std::min(cfg_.workers, jobs.size()));
@@ -397,7 +383,7 @@ JobEngine::run(const std::vector<JobSpec> &jobs, const JobFn &fn)
 
     const FaultInjector injector(cfg_.faults);
     ProcessFaultInjector proc(cfg_.proc_faults);
-    Dispatch dispatch(order);
+    Dispatch dispatch(jobs.size());
     std::atomic<bool> abort_rest{false};
     auto worker = [&](std::uint32_t wid) {
         std::size_t i = 0;

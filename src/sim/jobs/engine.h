@@ -121,8 +121,9 @@ struct JobContext
 {
     /**
      * Composed watchdog + fault-injection hook; pass it into
-     * run_single_workload / Machine::run, or invoke on_tick manually
-     * from non-machine job bodies. Never null inside a job body.
+     * simulate() (sim/runner.h), the one run function, or invoke
+     * on_tick manually from non-machine job bodies. Never null inside
+     * a job body.
      */
     RunTickHook *hook = nullptr;
     int attempt = 1;  //!< 1-based attempt number
@@ -189,7 +190,7 @@ class JobEngine
 
     /**
      * Execute @p jobs (dense ids: jobs[i].id must equal i) through
-     * @p fn, in descending estimated cost. Blocks until every job
+     * @p fn, dispatched in id order. Blocks until every job
      * completed (here, or by a peer sharing the store), failed
      * permanently, or was skipped; never throws for job-level
      * failures.

@@ -75,9 +75,9 @@ const char *to_string(JobStatus status);
  * One cell of the experiment matrix. `id` is the dense job index and
  * the only ordering the engine honours: results, CSV rows and the
  * failure report are always emitted in ascending id so an N-worker
- * run is byte-identical to a serial one. Every field but `id`,
- * `watchdog_steps` and `estimated_cost` names what the job computes,
- * and job_key (sim/jobs/store.h) hashes exactly those.
+ * run is byte-identical to a serial one. Every field but `id` and
+ * `watchdog_steps` names what the job computes, and job_key
+ * (sim/jobs/store.h) hashes exactly those.
  */
 struct JobSpec
 {
@@ -91,14 +91,6 @@ struct JobSpec
     //! cooperative watchdog: cancel after this many machine steps
     //! (0 disables the step budget for this job)
     std::uint64_t watchdog_steps = 0;
-    /**
-     * Relative cost estimate (any monotone unit, e.g. total machine
-     * steps). The engine dispatches pending jobs in descending cost so
-     * a skewed sweep doesn't serialize on a long job claimed last;
-     * result order stays ascending id regardless. Jobs with equal
-     * cost (including the default 0) run in id order.
-     */
-    double estimated_cost = 0.0;
 
     template <class V, class... S>
     static constexpr void visit_fields(V &&v, S &...s)
@@ -111,7 +103,6 @@ struct JobSpec
         v("run", s.run...);
         v("large_page_fraction", s.large_page_fraction...);
         v("watchdog_steps", s.watchdog_steps...);
-        v("estimated_cost", s.estimated_cost...);
     }
 };
 

@@ -61,8 +61,7 @@ job_key(const JobSpec &spec)
         [&h](const char *name, const auto &f) {
             const std::string_view field(name);
             // Scheduling fields, not what the job computes.
-            if (field != "id" && field != "watchdog_steps" &&
-                field != "estimated_cost") {
+            if (field != "id" && field != "watchdog_steps") {
                 h = hash_leaf(h, f);
             }
         },

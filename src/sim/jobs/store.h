@@ -29,10 +29,9 @@
 namespace moka {
 
 /**
- * Store key of @p spec: every JobSpec field except `id`,
- * `watchdog_steps` and `estimated_cost`, plus kModelVersion. A field
- * added to JobSpec lands in the key, or its visit_fields fails the
- * member-count check.
+ * Store key of @p spec: every JobSpec field except `id` and
+ * `watchdog_steps`, plus kModelVersion. A field added to JobSpec
+ * lands in the key, or its visit_fields fails the member-count check.
  */
 std::uint64_t job_key(const JobSpec &spec);
 

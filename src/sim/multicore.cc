@@ -1,8 +1,8 @@
 #include "sim/multicore.h"
 
+#include <algorithm>
+
 #include "common/rng.h"
-#include "sim/runner.h"
-#include "telemetry/timeseries.h"
 
 namespace moka {
 
@@ -22,6 +22,32 @@ make_mixes(const std::vector<WorkloadSpec> &roster, std::size_t count,
         mixes.push_back(std::move(mix));
     }
     return mixes;
+}
+
+std::vector<WorkloadSpec>
+mix_members(const std::vector<std::vector<WorkloadSpec>> &mixes)
+{
+    std::vector<WorkloadSpec> members;
+    for (const std::vector<WorkloadSpec> &mix : mixes) {
+        for (const WorkloadSpec &w : mix) {
+            if (std::none_of(members.begin(), members.end(),
+                             [&w](const WorkloadSpec &m) {
+                                 return m.name == w.name;
+                             })) {
+                members.push_back(w);
+            }
+        }
+    }
+    return members;
+}
+
+MatrixColumn
+isolation_column(const MulticoreConfig &mc, L1dPrefetcherKind prefetcher)
+{
+    MachineConfig cfg = default_config(mc.cores);
+    cfg.l1d_prefetcher = prefetcher;
+    cfg.scheme = scheme_discard();
+    return machine_column("isolation", cfg);
 }
 
 double
@@ -48,66 +74,6 @@ IsolationCache::size() const
 {
     SimMutexLock lock(&mu_);
     return map_.size();
-}
-
-namespace {
-
-double
-isolation_ipc(L1dPrefetcherKind prefetcher, const WorkloadSpec &spec,
-              const MulticoreConfig &mc, IsolationCache &iso,
-              RunTickHook *hook)
-{
-    return iso.get_or_compute(spec.name, [&]() {
-        // Isolation run: multi-core machine configuration (bigger
-        // LLC, more channels), a single active core, baseline scheme.
-        MachineConfig cfg = default_config(mc.cores);
-        cfg.l1d_prefetcher = prefetcher;
-        cfg.scheme = scheme_discard();
-        std::vector<WorkloadPtr> w;
-        w.push_back(make_workload(spec));
-        Machine machine(cfg, std::move(w));
-        machine.run(mc.warmup_insts, hook);
-        machine.start_measurement();
-        machine.run(mc.measure_insts, hook);
-        return machine.measured(0).ipc();
-    });
-}
-
-}  // namespace
-
-double
-weighted_ipc(L1dPrefetcherKind prefetcher, const SchemeConfig &scheme,
-             const std::vector<WorkloadSpec> &mix,
-             const MulticoreConfig &mc, IsolationCache &iso,
-             RunTickHook *hook, TelemetrySession *telemetry,
-             const std::string &label, std::uint32_t trace_pid)
-{
-    MachineConfig cfg = default_config(static_cast<unsigned>(mix.size()));
-    cfg.l1d_prefetcher = prefetcher;
-    cfg.scheme = scheme;
-    std::vector<WorkloadPtr> workloads;
-    workloads.reserve(mix.size());
-    for (const WorkloadSpec &spec : mix) {
-        workloads.push_back(make_workload(spec));
-    }
-    Machine machine(cfg, std::move(workloads));
-    ScopedRunTelemetry scoped(telemetry, &machine, label, trace_pid);
-    RunTickHook *run_hook = scoped.hook(hook);
-    scoped.span("warmup",
-                [&] { machine.run(mc.warmup_insts, run_hook); });
-    machine.start_measurement();
-    scoped.span("measure",
-                [&] { machine.run(mc.measure_insts, run_hook); });
-
-    double sum = 0.0;
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-        const double iso_ipc =
-            isolation_ipc(prefetcher, mix[i], mc, iso, hook);
-        if (iso_ipc > 0.0) {
-            sum += machine.measured(i).ipc() / iso_ipc;
-        }
-    }
-    return sum;
 }
 
 }  // namespace moka

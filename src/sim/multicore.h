@@ -1,8 +1,9 @@
 /**
  * @file
  * Multi-core evaluation (paper §IV-A2 and Fig. 19): randomly
- * generated 8-core mixes, weighted speedup over the Discard PGC
- * baseline with isolation IPCs, and the replay-until-all-finish rule.
+ * generated 8-core mixes and the isolation cells their weighted
+ * speedups divide by. A mix runs through simulate() like any other
+ * cell; Machine::run applies the replay-until-all-finish rule.
  */
 #ifndef MOKASIM_SIM_MULTICORE_H
 #define MOKASIM_SIM_MULTICORE_H
@@ -14,13 +15,12 @@
 
 #include "common/thread_annotations.h"
 #include "filter/policies.h"
+#include "sim/experiment.h"
 #include "sim/machine.h"
 #include "sim/runner.h"
 #include "trace/suites.h"
 
 namespace moka {
-
-class TelemetrySession;
 
 /** Multi-core run parameters. */
 struct MulticoreConfig
@@ -37,8 +37,28 @@ make_mixes(const std::vector<WorkloadSpec> &roster, std::size_t count,
            unsigned cores, std::uint64_t seed);
 
 /**
- * Isolation-IPC memo keyed by workload name. Thread-safe so fig19's
- * (mix, scheme) jobs can share one cache across engine workers: a
+ * The distinct workloads of @p mixes, in first-seen order (mix by mix,
+ * core by core): one isolation cell each, however many mixes share it.
+ */
+std::vector<WorkloadSpec>
+mix_members(const std::vector<std::vector<WorkloadSpec>> &mixes);
+
+/**
+ * The isolation column of a weighted speedup (paper §IV-A2): the
+ * multi-core configuration for mc.cores cores, run with one active
+ * core and @p prefetcher under the Discard baseline. Its cells are
+ * keyed by job_key like any machine_column's, so the key covers the
+ * prefetcher, the budgets make_matrix gives them and every
+ * MachineConfig leaf.
+ */
+MatrixColumn isolation_column(const MulticoreConfig &mc,
+                              L1dPrefetcherKind prefetcher);
+
+/**
+ * Isolation-IPC memo keyed by workload name alone: no prefetcher,
+ * budgets or machine config. perfbench's mix8 workload is its only
+ * user; fig19 keeps its isolation IPCs in isolation_column cells.
+ * Thread-safe so one cache can be shared across engine workers: a
  * value may be computed twice under contention, but isolation runs
  * are deterministic, so whichever insert wins stores the same number
  * and parallel sweeps stay byte-identical to serial ones.
@@ -61,30 +81,6 @@ class IsolationCache
     mutable SimMutex mu_;
     std::map<std::string, double> map_ SIM_GUARDED_BY(mu_);
 };
-
-/**
- * Weighted IPC of @p mix under @p scheme: sum of
- * IPC_multicore / IPC_isolation per core (paper's metric). Isolation
- * IPCs are computed on demand against the multi-core machine
- * configuration with the baseline (Discard PGC) scheme and memoized
- * in @p iso. @p hook (may be null) is threaded into every
- * Machine::run for watchdog/fault-injection coverage.
- *
- * With an active @p telemetry session, the multi-core machine is
- * sampled per adaptive epoch (per-core T_a / PGC-accuracy tracks
- * under process id @p trace_pid, timeseries file named @p label).
- * Isolation runs stay untelemetried: their results are memoized
- * across jobs, so instrumenting them would attribute one job's
- * samples to another's track.
- */
-double weighted_ipc(L1dPrefetcherKind prefetcher,
-                    const SchemeConfig &scheme,
-                    const std::vector<WorkloadSpec> &mix,
-                    const MulticoreConfig &mc, IsolationCache &iso,
-                    RunTickHook *hook = nullptr,
-                    TelemetrySession *telemetry = nullptr,
-                    const std::string &label = "",
-                    std::uint32_t trace_pid = 0);
 
 }  // namespace moka
 

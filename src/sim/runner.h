@@ -1,13 +1,15 @@
 /**
  * @file
- * Single-core experiment runner: warmup + measured region for one
- * (workload, scheme) pair, mirroring the paper's SimPoint
+ * Experiment runner: warmup + measured region for one cell, on one
+ * core or a multi-core mix, mirroring the paper's SimPoint
  * methodology at a laptop-friendly scale.
  */
 #ifndef MOKASIM_SIM_RUNNER_H
 #define MOKASIM_SIM_RUNNER_H
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "sim/machine.h"
 #include "trace/suites.h"
@@ -49,65 +51,51 @@ struct RunConfig
 
 /**
  * Run @p spec single-core under @p cfg: warm up, measure, return the
- * measured-region metrics.
+ * measured-region metrics (simulate() with one cold core).
  */
 RunMetrics run_single(const MachineConfig &cfg, const WorkloadSpec &spec,
                       const RunConfig &run);
 
+class SnapshotCache;
 class TelemetrySession;
 
-/**
- * Engine-facing variant: run an already-constructed @p workload with
- * a cooperative @p hook threaded into Machine::run (watchdog / fault
- * injection; may be null). In audit-enabled builds the end-of-run
- * sweep's findings are returned through @p audit_findings (when
- * non-null) instead of only the global failure handler, so the job
- * engine can classify them as JobErrorCode::kAuditFailure.
- *
- * When @p telemetry is an active session, the run is sampled per
- * adaptive epoch into `<dir>/<label>.epochs.{csv,jsonl}` and its
- * warmup/measure phases plus per-epoch counter tracks are traced
- * under process id @p trace_pid.
- */
-RunMetrics run_single_workload(const MachineConfig &cfg,
-                               WorkloadPtr workload, const RunConfig &run,
-                               RunTickHook *hook,
-                               std::string *audit_findings = nullptr,
-                               TelemetrySession *telemetry = nullptr,
-                               const std::string &label = "",
-                               std::uint32_t trace_pid = 0);
-
-class SnapshotCache;
-
-/** Builds a fresh, position-zero copy of one run's workload. */
+/** Builds a fresh, position-zero copy of one core's workload. */
 using WorkloadFactory = std::function<WorkloadPtr()>;
 
 /**
- * Snapshot-reusing variant of run_single_workload: the warmup phase
- * is resolved through @p cache under @p warmup_key (callers fold the
- * workload identity in; the machine config fingerprint, warmup
- * budget and kModelVersion are folded in here). On a cache hit the
- * run restores the warmed architectural state (traced as a
- * "snapshot:restore" span) instead of re-simulating the warmup; on a
- * miss it warms up once, publishes the snapshot, and still goes
- * through restore so hit and miss runs follow the identical code
- * path — the measured region is byte-identical to a straight-through
- * run either way.
+ * The one run function: build a machine of @p cfg with one core per
+ * factory in @p make, warm it up, measure it, audit it, and return
+ * each core's measured-region metrics in core order.
  *
- * A snapshot the cache produced but the machine rejects (corrupt or
- * config-mismatched bytes) is counted under the "snapshot.invalid"
- * telemetry counter and the run falls back to a cold warmup — never
- * a crash, never a silent partial restore.
+ * Without a @p cache the warmup runs cold. With one, it is resolved
+ * through the cache under a key that folds the machine config
+ * fingerprint (for the core count), @p warmup_key (the caller's
+ * identity of the workloads), the warmup budget and kModelVersion.
+ * Hit or miss, the measuring machine is then built fresh and restored
+ * from the blob (traced as a "snapshot:restore" span), so both paths
+ * run the same code and every miss round-trips the serialization. A
+ * snapshot the machine rejects (a config mismatch or a section that
+ * does not decode) falls back to a cold warmup on another fresh
+ * machine: never a crash, never a partial restore. Either way the
+ * measured region is byte-identical to a cold run's.
  *
- * @p make is invoked once per machine built (warmup producer and
- * measuring machine), so it must yield identical replay streams.
+ * @p hook (may be null: watchdog, fault injection) is threaded into
+ * every Machine::run, and a throwing hook or warmup producer escapes.
+ * Each factory is invoked once per machine built, so it must yield
+ * identical replay streams. In audit-enabled builds the end-of-run
+ * sweep's findings are returned through @p audit_findings (when
+ * non-null) as well as the global failure handler. With an active
+ * @p telemetry session the run is sampled per adaptive epoch into
+ * `<dir>/<label>.epochs.{csv,jsonl}`, and its phases and per-core
+ * counter tracks are traced under process id @p trace_pid.
  */
-RunMetrics run_single_workload_snapshot(
-    const MachineConfig &cfg, const WorkloadFactory &make,
-    const RunConfig &run, RunTickHook *hook, SnapshotCache &cache,
-    std::uint64_t warmup_key, std::string *audit_findings = nullptr,
-    TelemetrySession *telemetry = nullptr, const std::string &label = "",
-    std::uint32_t trace_pid = 0);
+std::vector<RunMetrics>
+simulate(const MachineConfig &cfg, const std::vector<WorkloadFactory> &make,
+         const RunConfig &run, RunTickHook *hook = nullptr,
+         SnapshotCache *cache = nullptr, std::uint64_t warmup_key = 0,
+         std::string *audit_findings = nullptr,
+         TelemetrySession *telemetry = nullptr, const std::string &label = "",
+         std::uint32_t trace_pid = 0);
 
 /**
  * Convenience: default Table IV machine with @p prefetcher and

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 
 #include "filter/policies.h"
@@ -204,6 +205,20 @@ TEST(MatrixColumn, TraceCellsLoadThroughTheirFactory)
     EXPECT_EQ(report.results[0].output.row.workload, open_trace(good)->name());
     EXPECT_EQ(report.results[1].error, JobErrorCode::kConfigInvalid);
     EXPECT_EQ(report.results[2].error, JobErrorCode::kTraceCorrupt);
+
+    // Through a snapshot cache the warmup producer and the measuring
+    // machine each get a trace workload, and the cell measures what
+    // the cold one did.
+    BenchArgs warm;
+    warm.snapshot_dir = dir + "moka_matrix_cell_snaps";
+    std::filesystem::remove_all(warm.snapshot_dir);
+    jobs.resize(1);
+    const EngineReport cached = run_matrix(jobs, warm);
+    ASSERT_EQ(cached.results[0].status, JobStatus::kCompleted);
+    EXPECT_EQ(cached.results[0].output.row.metrics.cycles,
+              report.results[0].output.row.metrics.cycles);
+    EXPECT_EQ(cached.results[0].output.row.metrics.l1d.misses,
+              report.results[0].output.row.metrics.l1d.misses);
     std::remove(good.c_str());
     std::remove(bad.c_str());
 }

@@ -514,31 +514,8 @@ TEST(ProcessFaultsDeathTest, MaybeKillDeliversRealSigkill)
 }
 
 // ---------------------------------------------------------------------------
-// Cost-ordered dispatch
+// Dispatch order
 // ---------------------------------------------------------------------------
-
-TEST(JobEngine, DispatchesByDescendingEstimatedCost)
-{
-    auto jobs = trivial_jobs(3);
-    jobs[0].estimated_cost = 1.0;
-    jobs[1].estimated_cost = 100.0;
-    jobs[2].estimated_cost = 10.0;
-
-    std::vector<std::size_t> execution_order;
-    EngineConfig cfg;  // workers=1: execution order is observable
-    const auto report = JobEngine(cfg).run(
-        jobs, [&](const JobSpec &spec, JobContext &ctx) {
-            execution_order.push_back(spec.id);
-            return echo_body(spec, ctx);
-        });
-    const std::vector<std::size_t> expected = {1, 2, 0};
-    EXPECT_EQ(execution_order, expected);
-    // Results stay in ascending id order regardless of dispatch.
-    ASSERT_EQ(report.results.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(report.results[i].id, i);
-    }
-}
 
 TEST(JobEngine, EqualCostsPreserveIdOrder)
 {
@@ -549,8 +526,7 @@ TEST(JobEngine, EqualCostsPreserveIdOrder)
                            execution_order.push_back(spec.id);
                            return echo_body(spec, ctx);
                        });
-    // Default cost 0.0 everywhere: stable sort keeps id order, so
-    // pre-cost sweeps execute exactly as before.
+    // One worker claims the jobs in id order.
     const std::vector<std::size_t> expected = {0, 1, 2, 3};
     EXPECT_EQ(execution_order, expected);
 }

@@ -2020,21 +2020,19 @@ TEST(SnapshotRunner, WarmRunMatchesColdRunExactly)
     RunConfig run;
     run.warmup_insts = 15'000;
     run.measure_insts = 40'000;
+    const std::vector<WorkloadFactory> make = {
+        [&spec]() { return make_workload(spec); }};
 
-    const RunMetrics cold =
-        run_single_workload(cfg, make_workload(spec), run, nullptr);
+    const RunMetrics cold = simulate(cfg, make, run)[0];
 
     const std::string dir = temp_dir("runner");
     SnapshotCache cache(dir);
-    const WorkloadFactory factory = [&spec]() {
-        return make_workload(spec);
-    };
     // First call misses (produces + publishes), second hits from disk;
     // both must reproduce the cold metrics exactly.
-    const RunMetrics missed = run_single_workload_snapshot(
-        cfg, factory, run, nullptr, cache, /*warmup_key=*/77);
-    const RunMetrics hit = run_single_workload_snapshot(
-        cfg, factory, run, nullptr, cache, /*warmup_key=*/77);
+    const RunMetrics missed =
+        simulate(cfg, make, run, nullptr, &cache, /*warmup_key=*/77)[0];
+    const RunMetrics hit =
+        simulate(cfg, make, run, nullptr, &cache, /*warmup_key=*/77)[0];
     EXPECT_GE(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
     for (const RunMetrics &warm : {missed, hit}) {
@@ -2044,6 +2042,45 @@ TEST(SnapshotRunner, WarmRunMatchesColdRunExactly)
         EXPECT_EQ(warm.llc.misses, cold.llc.misses);
         EXPECT_EQ(warm.pgc_issued, cold.pgc_issued);
         EXPECT_EQ(warm.branch_mispredicts, cold.branch_mispredicts);
+    }
+}
+
+TEST(SnapshotRunner, MulticoreWarmRunMatchesColdRunExactly)
+{
+    // A mix goes through the same cache path as a single-core cell:
+    // the cores finish the warmup at different points and keep
+    // replaying, and the restored machine must carry on from there.
+    MachineConfig cfg = default_config(2);
+    cfg.scheme = scheme_dripper(L1dPrefetcherKind::kBerti);
+    const std::vector<WorkloadSpec> mix = {pick(Family::kStream),
+                                           pick(Family::kHash)};
+    std::vector<WorkloadFactory> make;
+    for (const WorkloadSpec &w : mix) {
+        make.push_back([w]() { return make_workload(w); });
+    }
+    RunConfig run;
+    run.warmup_insts = 15'000;
+    run.measure_insts = 30'000;
+
+    const std::vector<RunMetrics> cold = simulate(cfg, make, run);
+    const std::string dir = temp_dir("runner_mix");
+    SnapshotCache cache(dir);
+    const std::vector<RunMetrics> missed =
+        simulate(cfg, make, run, nullptr, &cache, /*warmup_key=*/78);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().saves, 1u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    const std::vector<RunMetrics> hit =
+        simulate(cfg, make, run, nullptr, &cache, /*warmup_key=*/78);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    ASSERT_EQ(cold.size(), 2u);
+    for (const std::vector<RunMetrics> *warm : {&missed, &hit}) {
+        ASSERT_EQ(warm->size(), cold.size());
+        for (std::size_t c = 0; c < cold.size(); ++c) {
+            SCOPED_TRACE(c);
+            expect_same_metrics((*warm)[c], cold[c]);
+        }
     }
 }
 
@@ -2057,15 +2094,12 @@ TEST(SnapshotRunner, DifferentSchemesGetDifferentWarmupKeys)
     run.measure_insts = 10'000;
     const std::string dir = temp_dir("keys");
     SnapshotCache cache(dir);
-    const WorkloadFactory factory = [&spec]() {
-        return make_workload(spec);
-    };
-    (void)run_single_workload_snapshot(snap_config(), factory, run,
-                                       nullptr, cache, 77);
+    const std::vector<WorkloadFactory> make = {
+        [&spec]() { return make_workload(spec); }};
+    (void)simulate(snap_config(), make, run, nullptr, &cache, 77);
     const MachineConfig other =
         make_config(L1dPrefetcherKind::kBerti, scheme_discard());
-    (void)run_single_workload_snapshot(other, factory, run, nullptr,
-                                       cache, 77);
+    (void)simulate(other, make, run, nullptr, &cache, 77);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 0u);
 }

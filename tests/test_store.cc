@@ -327,7 +327,6 @@ TEST(JobKey, IgnoresSchedulingFields)
     JobSpec moved = base;
     moved.id = 41;
     moved.watchdog_steps = 12345;
-    moved.estimated_cost = 99.0;
     EXPECT_EQ(job_key(base), job_key(moved));
 }
 

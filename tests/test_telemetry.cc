@@ -290,9 +290,11 @@ TEST(RunTelemetry, WritesEpochFilesAndTrace)
         TelemetrySession session(dir, trace);
         EXPECT_TRUE(session.active());
         EXPECT_TRUE(telemetry_enabled());
-        const RunMetrics m = run_single_workload(
-            cfg, make_workload(seen_workloads().front()), run, nullptr,
-            nullptr, &session, "wl.dripper", 3);
+        const RunMetrics m =
+            simulate(cfg,
+                     {[]() { return make_workload(seen_workloads().front()); }},
+                     run, nullptr, nullptr, 0, nullptr, &session,
+                     "wl.dripper", 3)[0];
         EXPECT_EQ(m.instructions, run.measure_insts);
         EXPECT_FALSE(session.flush().empty());
     }

@@ -15,7 +15,11 @@
 #      sweep_tool, in that order, share one fresh --shard-dir and one
 #      fresh --snapshot-dir. Each must print what it prints with
 #      neither directory, and the store must serve every cell an
-#      earlier command already ran.
+#      earlier command already ran;
+#   6. fig19 (isolation cells, then 8-core mix jobs) on its own fresh
+#      --shard-dir and --snapshot-dir must print what it prints with
+#      neither, and a second run on the same directories must publish
+#      no result and miss no snapshot.
 #
 # The harnesses are taken from the bench/ directory next to the
 # sweep_tool's tools/ directory in the same build tree.
@@ -132,3 +136,41 @@ cross_leg sweep_tool "12 found, 0 published" \
     "$SWEEP" --schemes discard,permit,dripper
 echo "PASS: fig10, fig11, ablation_threshold and sweep_tool shared one" \
      "store, each printing its cold output"
+
+echo "== fig19 on a shared --shard-dir and --snapshot-dir =="
+FWORK="$WORK/fig19"
+mkdir -p "$FWORK"
+FARGS=(--mixes 2 --insts 20000 --warmup 20000 --jobs 4)
+
+fig19_run() { # args: name, extra flags...
+    local name=$1
+    shift
+    "$BENCH/fig19_multicore" "${FARGS[@]}" "$@" \
+        > "$FWORK/$name.out" 2> "$FWORK/$name.err" || {
+        echo "FAIL: fig19 $name run exited non-zero:" >&2
+        cat "$FWORK/$name.err" >&2
+        exit 1
+    }
+}
+
+fig19_run ref
+fig19_run first --shard-dir "$FWORK/store" --snapshot-dir "$FWORK/snaps"
+fig19_run second --shard-dir "$FWORK/store" --snapshot-dir "$FWORK/snaps"
+for run in first second; do
+    if ! cmp -s "$FWORK/ref.out" "$FWORK/$run.out"; then
+        echo "FAIL: fig19 $run run prints other output on the directories" >&2
+        diff "$FWORK/ref.out" "$FWORK/$run.out" | head -20 >&2
+        exit 1
+    fi
+done
+grep '^result store:\|^snapshot cache:' "$FWORK/second.err"
+# One line of each per engine run: the isolation cells and the mixes.
+if grep '^result store:' "$FWORK/second.err" | grep -qv ', 0 published,' ||
+   grep '^snapshot cache:' "$FWORK/second.err" | grep -qv ', 0 misses,' ||
+   ! grep -q '^result store:' "$FWORK/second.err" ||
+   ! grep -q '^snapshot cache:' "$FWORK/second.err"; then
+    echo "FAIL: fig19's second run simulated or warmed up again" >&2
+    exit 1
+fi
+echo "PASS: fig19 printed its cold output on the shared directories and" \
+     "re-ran nothing on the second pass"

@@ -33,7 +33,7 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/runner.h"
-#include "telemetry/timeseries.h"
+#include "telemetry/telemetry.h"
 #include "trace/suites.h"
 #include "trace/trace_io.h"
 
@@ -151,21 +151,28 @@ main(int argc, char **argv)
     if (l2pf_name == "ipcp") cfg.l2_prefetcher = L2PrefetcherKind::kIpcp;
     if (l2pf_name == "bop") cfg.l2_prefetcher = L2PrefetcherKind::kBop;
 
-    // Assemble the workload list.
-    std::vector<WorkloadPtr> workloads;
+    // Assemble the workload list. A trace is opened up front for its
+    // name; the run's one machine takes it.
+    WorkloadPtr trace_workload;
+    std::vector<WorkloadFactory> make;
     std::vector<std::string> names, suites;
     if (!trace_path.empty()) {
-        WorkloadPtr t = open_trace(trace_path);
-        if (t == nullptr) {
+        trace_workload = open_trace(trace_path);
+        if (trace_workload == nullptr) {
             std::fprintf(stderr, "cannot load trace %s\n",
                          trace_path.c_str());
             return 1;
         }
-        names.push_back(t->name());
+        names.push_back(trace_workload->name());
         suites.push_back("TRACE");
-        workloads.push_back(std::move(t));
-    } else if (!mix_arg.empty()) {
-        for (const std::string &n : split_list(mix_arg, ',')) {
+        make.push_back([&trace_workload]() {
+            return std::move(trace_workload);
+        });
+    } else {
+        const std::vector<std::string> wanted =
+            mix_arg.empty() ? std::vector<std::string>{workload_name}
+                            : split_list(mix_arg, ',');
+        for (const std::string &n : wanted) {
             const WorkloadSpec *spec = find_spec(roster, n);
             if (spec == nullptr) {
                 std::fprintf(stderr,
@@ -175,18 +182,8 @@ main(int argc, char **argv)
             }
             names.push_back(spec->name);
             suites.push_back(spec->suite);
-            workloads.push_back(make_workload(*spec));
+            make.push_back([spec]() { return make_workload(*spec); });
         }
-    } else {
-        const WorkloadSpec *spec = find_spec(roster, workload_name);
-        if (spec == nullptr) {
-            std::fprintf(stderr, "usage: unknown workload %s (try --list)\n",
-                         workload_name.c_str());
-            return 2;
-        }
-        names.push_back(spec->name);
-        suites.push_back(spec->suite);
-        workloads.push_back(make_workload(*spec));
     }
 
     std::unique_ptr<TelemetrySession> telemetry;
@@ -200,14 +197,9 @@ main(int argc, char **argv)
     }
     label += "." + scheme_name;
 
-    Machine machine(cfg, std::move(workloads));
-    {
-        ScopedRunTelemetry scoped(telemetry.get(), &machine, label, 0);
-        RunTickHook *hook = scoped.hook(nullptr);
-        scoped.span("warmup", [&] { machine.run(warmup, hook); });
-        machine.start_measurement();
-        scoped.span("measure", [&] { machine.run(insts, hook); });
-    }
+    const std::vector<RunMetrics> measured =
+        simulate(cfg, make, RunConfig{warmup, insts}, nullptr, nullptr, 0,
+                 nullptr, telemetry.get(), label);
     if (telemetry != nullptr) {
         const std::string trace = telemetry->flush();
         if (!trace.empty()) {
@@ -221,13 +213,13 @@ main(int argc, char **argv)
     }
 
     std::vector<ResultRow> rows;
-    for (std::size_t c = 0; c < machine.num_cores(); ++c) {
+    for (std::size_t c = 0; c < measured.size(); ++c) {
         ResultRow row;
         row.workload = names[c];
         row.suite = suites[c];
         row.scheme = cfg.scheme.name;
         row.prefetcher = pf_name;
-        row.metrics = machine.measured(c);
+        row.metrics = measured[c];
         rows.push_back(std::move(row));
     }
 
