@@ -2013,6 +2013,28 @@ TEST(SnapshotCacheTest, ProducerFailurePropagates)
 
 // ----------------------------------------------- runner + job taxonomy
 
+/**
+ * Records the first machine step a run calls it at. A run restored
+ * from a snapshot starts counting where the warmup stopped; a cold
+ * run, or a cold fallback from a rejected snapshot, starts at 1.
+ */
+class FirstStep final : public RunTickHook
+{
+  public:
+    void on_tick(std::uint64_t steps) override
+    {
+        if (first == 0) {
+            first = steps;
+        }
+    }
+    std::uint64_t next_tick(std::uint64_t steps) override
+    {
+        return first == 0 ? steps + 1 : kNever;
+    }
+
+    std::uint64_t first = 0;
+};
+
 TEST(SnapshotRunner, WarmRunMatchesColdRunExactly)
 {
     const MachineConfig cfg = snap_config();
@@ -2031,10 +2053,12 @@ TEST(SnapshotRunner, WarmRunMatchesColdRunExactly)
     // both must reproduce the cold metrics exactly.
     const RunMetrics missed =
         simulate(cfg, make, run, nullptr, &cache, /*warmup_key=*/77)[0];
+    FirstStep restored;
     const RunMetrics hit =
-        simulate(cfg, make, run, nullptr, &cache, /*warmup_key=*/77)[0];
+        simulate(cfg, make, run, &restored, &cache, /*warmup_key=*/77)[0];
     EXPECT_GE(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(restored.first, run.warmup_insts + 1);
     for (const RunMetrics &warm : {missed, hit}) {
         EXPECT_EQ(warm.instructions, cold.instructions);
         EXPECT_EQ(warm.cycles, cold.cycles);
@@ -2070,10 +2094,14 @@ TEST(SnapshotRunner, MulticoreWarmRunMatchesColdRunExactly)
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().saves, 1u);
     EXPECT_EQ(cache.stats().hits, 0u);
+    FirstStep restored;
     const std::vector<RunMetrics> hit =
-        simulate(cfg, make, run, nullptr, &cache, /*warmup_key=*/78);
+        simulate(cfg, make, run, &restored, &cache, /*warmup_key=*/78);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
+    // The hit measured a restored machine, not a cold fallback: both
+    // cores had retired their warmup before its first step.
+    EXPECT_GT(restored.first, 2 * run.warmup_insts);
     ASSERT_EQ(cold.size(), 2u);
     for (const std::vector<RunMetrics> *warm : {&missed, &hit}) {
         ASSERT_EQ(warm->size(), cold.size());
