@@ -76,19 +76,23 @@ main(int argc, char **argv)
         // key of the mix's snapshots, name the 8 workloads this job
         // simulates, whatever roster or --seed drew them.
         std::uint64_t members_key = kFnv1aOffset;
+        std::vector<double> iso_ipc;
         for (const WorkloadSpec &w : mixes[i]) {
             JobSpec member;
             member.workload = w;
             members_key = hash_combine(members_key, job_key(member));
+            const JobResult &cell = *iso_of.at(w.name);
+            iso_ipc.push_back(cell.status == JobStatus::kCompleted
+                                  ? cell.output.row.metrics.ipc()
+                                  : 0.0);
         }
         spec.workload.seed = members_key;
         spec.scheme = "permit+dripper";
         spec.prefetcher = "berti";
         spec.run = budgets;
         // Per Machine::run lifetime; a mix job runs 3 machines, each
-        // with its own step count.
-        spec.watchdog_steps =
-            16 * mc.cores * (mc.warmup_insts + mc.measure_insts);
+        // with its own step count. job_key skips it, so no key moves.
+        spec.watchdog_steps = mix_step_budget(mc, iso_ipc);
         jobs.push_back(std::move(spec));
     }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/cache.h"
-#include "cache/replacement.h"
 #include "common/sat_counter.h"
 #include "common/types.h"
 #include "dram/dram.h"
@@ -71,10 +70,15 @@ struct AuditAccess
         return c.inflight_.size();
     }
 
-    static const ReplacementPolicy &
-    cache_replacement(const Cache &c)
+    /**
+     * First set whose replacement row breaks its policy's invariant
+     * (LRU ranks a permutation of the ways, SRRIP RRPVs at most 3),
+     * or -1; always -1 under Random, which keeps no row.
+     */
+    static std::int64_t
+    cache_inconsistent_set(const Cache &c)
     {
-        return *c.repl_;
+        return c.first_inconsistent_set();
     }
 
     /** Corruption: flip the PCB of block (set, way). */
@@ -110,12 +114,28 @@ struct AuditAccess
     static bool
     corrupt_cache_lru_rank(Cache &c, std::uint32_t set)
     {
-        if (c.lru_ == nullptr || c.cfg_.ways < 2) {
+        if (c.cfg_.replacement != ReplacementKind::kLru || c.cfg_.ways < 2) {
             return false;
         }
         std::uint8_t *row =
-            &c.lru_->ranks_[static_cast<std::size_t>(set) * c.cfg_.ways];
+            &c.repl_[static_cast<std::size_t>(set) * c.cfg_.ways];
         row[1] = row[0];
+        return true;
+    }
+
+    /**
+     * Corruption: raise the RRPV of way @p way of @p set to
+     * @p rrpv, bypassing the 2-bit rail. False when the cache is not
+     * SRRIP.
+     */
+    static bool
+    corrupt_cache_rrpv(Cache &c, std::uint32_t set, std::uint32_t way,
+                       std::uint8_t rrpv)
+    {
+        if (c.cfg_.replacement != ReplacementKind::kSrrip) {
+            return false;
+        }
+        c.repl_[static_cast<std::size_t>(set) * c.cfg_.ways + way] = rrpv;
         return true;
     }
 

@@ -7,19 +7,16 @@
  * that every stateful class declared in src/{cache,dram,vmem,filter}
  * headers is named in this file:
  *
- *   Cache, ReplacementPolicy (audit_state), Tlb, PageTable,
- *   PageWalker, StructureCache, UpdateBuffer, WeightTable,
- *   SignedSatCounter, SystemFeature, AdaptiveThreshold, MokaFilter,
- *   PageCrossFilter, Dram.
+ *   Cache (with its replacement rows), Tlb, PageTable, PageWalker,
+ *   StructureCache, UpdateBuffer, WeightTable, SignedSatCounter,
+ *   SystemFeature, AdaptiveThreshold, MokaFilter, PageCrossFilter,
+ *   Dram.
  *
  * LINT_AUDIT_EXEMPT: FeatureExtractor — a bounded history ring whose
  * corruption changes predictions, never legality; it has no
  * cross-structure invariants to audit.
  * LINT_AUDIT_EXEMPT: UnsignedSatCounter — clamped at both rails by
  * construction; covered indirectly wherever it is embedded.
- * LINT_AUDIT_EXEMPT: LruPolicy — covered through audit_cache, which
- * runs ReplacementPolicy::audit_state on every cache's policy; the
- * class moved to the header only to devirtualize the hot calls.
  */
 #include "audit/audit.h"
 
@@ -180,9 +177,15 @@ audit_cache(const Cache &cache, AuditReport &report)
                               " entries");
     }
 
-    std::string why;
-    if (!AuditAccess::cache_replacement(cache).audit_state(why)) {
-        report.fail(name, "replacement state: " + why);
+    const std::int64_t bad = AuditAccess::cache_inconsistent_set(cache);
+    if (bad >= 0) {
+        report.fail(name, cfg.replacement == ReplacementKind::kLru
+                              ? "replacement state: lru ranks of set " +
+                                    std::to_string(bad) +
+                                    " are not a permutation of its ways"
+                              : "replacement state: srrip rrpv above the "
+                                "2-bit rail in set " +
+                                    std::to_string(bad));
     }
 }
 

@@ -1,6 +1,9 @@
 #include "cache/cache.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <numeric>
 
 #include "common/bitops.h"
 #include "common/check.h"
@@ -12,14 +15,21 @@ Cache::Cache(const CacheConfig &config, MemoryLevel *lower)
     : cfg_(config), lower_(lower),
       tags_(static_cast<std::size_t>(config.sets) * config.ways, 0),
       flags_(static_cast<std::size_t>(config.sets) * config.ways, 0),
-      fill_done_(static_cast<std::size_t>(config.sets) * config.ways, 0),
-      repl_(make_replacement(config.replacement, config.sets,
-                             config.ways))
+      fill_done_(static_cast<std::size_t>(config.sets) * config.ways, 0)
 {
     SIM_REQUIRE(is_pow2(cfg_.sets), "cache sets must be a power of two");
     SIM_REQUIRE(cfg_.ways > 0, "cache must have at least one way");
     if (cfg_.replacement == ReplacementKind::kLru) {
-        lru_ = static_cast<LruPolicy *>(repl_.get());
+        SIM_REQUIRE(cfg_.ways <= kMaxLruWays,
+                    "lru ranks order 1 to 128 ways");
+        repl_.resize(tags_.size());
+        // Row by row: a per-element `i % ways` costs more than the fill.
+        for (auto row = repl_.begin(); row != repl_.end();
+             row += cfg_.ways) {
+            std::iota(row, row + cfg_.ways, std::uint8_t{0});
+        }
+    } else if (cfg_.replacement == ReplacementKind::kSrrip) {
+        repl_.assign(tags_.size(), kMaxRrpv);
     }
     // MSHR occupancy is bounded at mshr_entries by the eviction in
     // access(); reserving here keeps the per-access path allocation
@@ -27,18 +37,11 @@ Cache::Cache(const CacheConfig &config, MemoryLevel *lower)
     inflight_.reserve(cfg_.mshr_entries);
 }
 
-std::uint32_t
-Cache::set_index(PhysAddr paddr) const
+std::size_t
+Cache::row_base(PhysAddr paddr) const
 {
-    return static_cast<std::uint32_t>(block_number(paddr) &
-                                      (cfg_.sets - 1));
-}
-
-Cache::SetRef
-Cache::set_ref(PhysAddr paddr) const
-{
-    const std::uint32_t set = set_index(paddr);
-    return {set, static_cast<std::size_t>(set) * cfg_.ways};
+    return static_cast<std::size_t>(block_number(paddr) & (cfg_.sets - 1)) *
+           cfg_.ways;
 }
 
 std::uint32_t
@@ -51,10 +54,10 @@ Cache::tag_of(PhysAddr paddr) const
 }
 
 std::uint32_t
-Cache::find(const SetRef &ref, std::uint32_t tag) const
+Cache::find(std::size_t base, std::uint32_t tag) const
 {
     const std::uint32_t key = tag | kValidTagBit;
-    const std::uint32_t *row = &tags_[ref.base];
+    const std::uint32_t *row = &tags_[base];
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (row[w] == key) {
             return w;
@@ -66,7 +69,7 @@ Cache::find(const SetRef &ref, std::uint32_t tag) const
 bool
 Cache::probe(PhysAddr paddr) const
 {
-    return find(set_ref(paddr), tag_of(paddr)) != kNoWay;
+    return find(row_base(paddr), tag_of(paddr)) != kNoWay;
 }
 
 unsigned
@@ -81,7 +84,7 @@ Cache::inflight_misses(Cycle now) const
     return n;
 }
 
-void
+SIM_INLINE void
 Cache::mark_used(std::size_t idx)
 {
     const std::uint8_t f = flags_[idx];
@@ -100,20 +103,109 @@ Cache::mark_used(std::size_t idx)
     flags_[idx] = f | kFlagUsed;
 }
 
-std::uint32_t
-Cache::pick_victim(const SetRef &ref, Cycle now)
+SIM_INLINE void
+Cache::touch(std::size_t base, std::uint32_t way, bool fill)
 {
-    const std::uint32_t *row = &tags_[ref.base];
+    if (cfg_.replacement == ReplacementKind::kLru) {
+        std::uint8_t *row = &repl_[base];
+        const std::uint8_t rank = row[way];
+        if (rank == 0) {
+            return;  // already the most recent
+        }
+        // Age every way ranked ahead of `rank`, eight per 64-bit word:
+        // ranks are below 128, so a byte of (x | 0x80) - rank keeps
+        // its top bit exactly when x >= rank and borrows from no other
+        // byte, and adding the inverted top bit ages the rest.
+        constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+        constexpr std::uint64_t kTop = kOnes << 7;
+        const std::uint64_t rank_bytes = kOnes * rank;
+        std::uint32_t w = 0;
+        for (; w + 8 <= cfg_.ways; w += 8) {
+            std::uint64_t x = 0;
+            std::memcpy(&x, row + w, sizeof(x));
+            x += (~((x | kTop) - rank_bytes) & kTop) >> 7;
+            std::memcpy(row + w, &x, sizeof(x));
+        }
+        for (; w < cfg_.ways; ++w) {
+            row[w] = static_cast<std::uint8_t>(row[w] + (row[w] < rank));
+        }
+        row[way] = 0;
+    } else if (cfg_.replacement == ReplacementKind::kSrrip) {
+        // A hit predicts a near re-reference, a fill a long one.
+        repl_[base + way] = fill ? kMaxRrpv - 1 : 0;
+    }
+}
+
+std::uint32_t
+Cache::victim(std::size_t base)
+{
+    if (cfg_.replacement == ReplacementKind::kLru) {
+        // Once every way of a set has been filled, rank order is touch
+        // order, so this is the way a timestamp LRU would pick.
+        const std::uint8_t *row = &repl_[base];
+        const std::uint8_t oldest = static_cast<std::uint8_t>(cfg_.ways - 1);
+        std::uint32_t v = 0;
+        while (v + 1 < cfg_.ways && row[v] != oldest) {
+            ++v;
+        }
+        return v;
+    }
+    if (cfg_.replacement == ReplacementKind::kSrrip) {
+        std::uint8_t *row = &repl_[base];
+        for (;;) {
+            for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+                if (row[w] == kMaxRrpv) {
+                    return w;
+                }
+            }
+            for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+                ++row[w];
+            }
+        }
+    }
+    return static_cast<std::uint32_t>(rng_.below(cfg_.ways));
+}
+
+std::int64_t
+Cache::first_inconsistent_set() const
+{
+    const std::uint32_t ways = cfg_.ways;
+    for (std::size_t base = 0; base < repl_.size(); base += ways) {
+        const std::uint8_t *row = &repl_[base];
+        const auto set = static_cast<std::int64_t>(base / ways);
+        if (cfg_.replacement == ReplacementKind::kSrrip) {
+            if (std::any_of(row, row + ways,
+                            [](std::uint8_t v) { return v > kMaxRrpv; })) {
+                return set;
+            }
+            continue;
+        }
+        std::array<std::uint64_t, kMaxLruWays / 64> seen{};
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            const std::uint8_t rank = row[w];
+            const std::uint64_t bit = std::uint64_t{1} << (rank & 63);
+            if (rank >= ways || (seen[rank >> 6] & bit) != 0) {
+                return set;
+            }
+            seen[rank >> 6] |= bit;
+        }
+    }
+    return -1;
+}
+
+std::uint32_t
+Cache::pick_victim(std::size_t base, Cycle now)
+{
+    const std::uint32_t *row = &tags_[base];
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if ((row[w] & kValidTagBit) == 0) {
             return w;
         }
     }
-    const std::uint32_t way =
-        lru_ != nullptr ? lru_->victim(ref.set) : repl_->victim(ref.set);
+    const std::uint32_t way = victim(base);
     SIM_AUDIT(way < cfg_.ways,
               "replacement policy chose a way outside the set");
-    const std::size_t idx = ref.base + way;
+    const std::size_t idx = base + way;
     const std::uint8_t f = flags_[idx];
     const std::uint32_t tag = tags_[idx] & ~kValidTagBit;
     const PhysAddr block_paddr{Addr{tag} << kBlockBits};
@@ -158,15 +250,11 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
     }
 
     const std::uint32_t tag = tag_of(paddr);
-    const SetRef ref = set_ref(paddr);
-    const std::uint32_t way = find(ref, tag);
+    const std::size_t base = row_base(paddr);
+    const std::uint32_t way = find(base, tag);
     if (way != kNoWay) {
-        const std::size_t idx = ref.base + way;
-        if (lru_ != nullptr) {
-            lru_->on_hit(ref.set, way);
-        } else {
-            repl_->on_hit(ref.set, way);
-        }
+        const std::size_t idx = base + way;
+        touch(base, way, false);
         AccessResult r;
         if (fill_done_[idx] > t && type != AccessType::kWriteback) {
             // In-flight fill: merge (counts as a miss, pays residual).
@@ -228,8 +316,8 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
     SIM_AUDIT(inflight_.size() <= cfg_.mshr_entries,
               "MSHR occupancy exceeded its configured entries");
 
-    const std::uint32_t victim_way = pick_victim(ref, t);
-    const std::size_t idx = ref.base + victim_way;
+    const std::uint32_t victim_way = pick_victim(base, t);
+    const std::size_t idx = base + victim_way;
     tags_[idx] = tag | kValidTagBit;
     std::uint8_t f = 0;
     if (type == AccessType::kStore) {
@@ -252,11 +340,7 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
     }
     flags_[idx] = f;
     fill_done_[idx] = fill_done;
-    if (lru_ != nullptr) {
-        lru_->on_fill(ref.set, victim_way);
-    } else {
-        repl_->on_fill(ref.set, victim_way);
-    }
+    touch(base, victim_way, true);
 
     AccessResult r;
     r.done = fill_done;
@@ -280,7 +364,15 @@ Cache::serialize(Self &self, IO &io)
     field(io, self.inflight_, self.cfg_.mshr_entries,
           "MSHR list longer than its entries");
     field(io, self.next_port_free_);
-    field(io, *self.repl_);
+    if (self.cfg_.replacement == ReplacementKind::kRandom) {
+        field(io, self.rng_);
+    } else {
+        field(io, self.repl_);
+        require(io, self.first_inconsistent_set() < 0,
+                self.cfg_.replacement == ReplacementKind::kLru
+                    ? "lru ranks of a set are not a permutation of its ways"
+                    : "srrip rrpv above the 2-bit rail");
+    }
     field(io, self.stats_);
 }
 

@@ -1,22 +1,22 @@
 /**
  * @file
- * Set-associative write-back cache with LRU replacement, MSHR-style
- * in-flight merging, port contention, and per-block prefetch
- * metadata. The L1D instance additionally carries the paper's PCB
- * (Page-Cross Bit) per block and reports page-cross prefetch
- * usefulness through a listener, which is what drives MOKA training.
+ * Set-associative write-back cache with LRU, SRRIP or Random
+ * replacement, MSHR-style in-flight merging, port contention, and
+ * per-block prefetch metadata. The L1D instance additionally carries
+ * the paper's PCB (Page-Cross Bit) per block and reports page-cross
+ * prefetch usefulness through a listener, which is what drives MOKA
+ * training.
  */
 #ifndef MOKASIM_CACHE_CACHE_H
 #define MOKASIM_CACHE_CACHE_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/memory_level.h"
-#include "cache/replacement.h"
 #include "common/hot_path.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -25,6 +25,17 @@ namespace moka {
 struct AuditAccess;
 class SnapshotReader;
 class SnapshotWriter;
+
+/**
+ * Replacement policy of one cache level. The paper evaluates LRU
+ * everywhere (Table IV); SRRIP and Random serve the ablations
+ * (bench/ablation_replacement) and baselines that differ.
+ */
+enum class ReplacementKind : std::uint8_t {
+    kLru,    //!< least-recently-used (paper's Table IV)
+    kSrrip,  //!< static re-reference interval prediction (2-bit)
+    kRandom, //!< pseudo-random victim
+};
 
 /** Geometry and timing of one cache level. */
 struct CacheConfig
@@ -170,20 +181,29 @@ class Cache final : public MemoryLevel
     static constexpr std::uint8_t kFlagMask =
         kFlagDirty | kFlagPrefetched | kFlagPgc | kFlagUsed;
     static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
+    //! widest LRU set: ranks stay below 128, so touch() ages 8 at a time
+    static constexpr std::uint32_t kMaxLruWays = 128;
+    static constexpr std::uint8_t kMaxRrpv = 3;  //!< SRRIP's 2-bit rail
 
-    /** One set resolved to its row base; computed once per access. */
-    struct SetRef
-    {
-        std::uint32_t set = 0;
-        std::size_t base = 0;  //!< set * ways, index into the arrays
-    };
-
-    std::uint32_t set_index(PhysAddr paddr) const;
-    SetRef set_ref(PhysAddr paddr) const;
+    // A set is addressed by its row base, set * ways: the index of
+    // its first way in the per-way arrays, computed once per access.
+    std::size_t row_base(PhysAddr paddr) const;
     std::uint32_t tag_of(PhysAddr paddr) const;
-    std::uint32_t find(const SetRef &ref, std::uint32_t tag) const;
-    std::uint32_t pick_victim(const SetRef &ref, Cycle now);
-    void mark_used(std::size_t idx);
+    std::uint32_t find(std::size_t base, std::uint32_t tag) const;
+    std::uint32_t pick_victim(std::size_t base, Cycle now);
+    // access() is the hottest function in the simulator; GCC's LTO
+    // build leaves these two out of line unless forced.
+    SIM_INLINE void mark_used(std::size_t idx);
+    /** A hit (@p fill false) or fill touched @p way of the set. */
+    SIM_INLINE void touch(std::size_t base, std::uint32_t way, bool fill);
+    /** The replacement victim of a set whose ways are all valid. */
+    std::uint32_t victim(std::size_t base);
+    /**
+     * First set whose replacement row breaks its policy's invariant
+     * (LRU ranks a permutation of [0, ways), SRRIP RRPVs at most
+     * kMaxRrpv), or -1 for none.
+     */
+    std::int64_t first_inconsistent_set() const;
 
     CacheConfig cfg_;       // LINT_SNAPSHOT_OK: config
     MemoryLevel *lower_;    // LINT_SNAPSHOT_OK: collaborator, owned by machine
@@ -194,9 +214,13 @@ class Cache final : public MemoryLevel
     std::vector<Cycle> fill_done_;     //!< data arrival, parallel to tags_
     std::vector<Cycle> inflight_;      //!< outstanding fill completions
     Cycle next_port_free_ = 0;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    // Devirtualizes the three per-access policy calls (rule L12).
-    LruPolicy *lru_ = nullptr;  // LINT_SNAPSHOT_OK: alias of repl_
+    // Replacement state, a row of cfg_.ways bytes per set, parallel
+    // to tags_. kLru: recency ranks, 0 for the most recently touched
+    // way and ways - 1 for the least, so each row is a permutation of
+    // [0, ways). kSrrip: 2-bit re-reference prediction values
+    // (Jaleel et al., ISCA 2010). kRandom: empty; rng_ draws victims.
+    std::vector<std::uint8_t> repl_;
+    Rng rng_{1};
     CacheStats stats_;
 };
 

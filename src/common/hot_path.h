@@ -22,6 +22,12 @@
  *    the code out of the hot text; simlint stops its reachability
  *    traversal at any SIM_COLD declaration.
  *
+ *  - SIM_INLINE forces a small helper of a SIM_HOT function inline
+ *    where GCC's heuristics would leave the call out of line (in the
+ *    LTO build, Cache::access's per-access helpers). It declares the
+ *    function inline, so define it in every translation unit that
+ *    calls it.
+ *
  * Escape hatch: a justified violation inside hot-reachable code
  * carries a `LINT_HOT_OK: <why>` comment on or just above the line,
  * exactly like the LINT_NONDET_OK / LINT_ORDER_OK escapes of L7.
@@ -38,9 +44,11 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define SIM_HOT __attribute__((hot))
 #define SIM_COLD __attribute__((cold))
+#define SIM_INLINE __attribute__((always_inline)) inline
 #else
 #define SIM_HOT
 #define SIM_COLD
+#define SIM_INLINE inline
 #endif
 
 #endif  // MOKASIM_COMMON_HOT_PATH_H

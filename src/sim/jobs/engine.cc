@@ -224,7 +224,7 @@ Watchdog::on_tick(std::uint64_t steps)
         std::ostringstream os;
         os << "watchdog: step budget " << step_budget_
            << " exhausted at tick " << steps;
-        throw JobError(JobErrorCode::kTimeout, os.str());
+        throw JobError(JobErrorCode::kStepBudget, os.str());
     }
     if (wall_ms_ > 0 && steps % kHeartbeatSteps == 0 &&
         // LINT_NONDET_OK: heartbeat check against the wall deadline.

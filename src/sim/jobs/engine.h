@@ -88,9 +88,10 @@ struct EngineConfig
 
 /**
  * Cooperative watchdog hook: cancels a run by throwing
- * JobError(kTimeout) once it exceeds its machine-step budget, or —
- * checked at a coarse heartbeat cadence so the hot path stays a
- * single compare — its wall-clock deadline.
+ * JobError(kStepBudget) once it exceeds its machine-step budget, or
+ * JobError(kTimeout) once — checked at a coarse heartbeat cadence so
+ * the hot path stays a single compare — it passes its wall-clock
+ * deadline.
  */
 class Watchdog final : public RunTickHook
 {

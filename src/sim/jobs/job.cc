@@ -10,6 +10,7 @@ to_string(JobErrorCode code)
       case JobErrorCode::kConfigInvalid: return "config_invalid";
       case JobErrorCode::kAuditFailure: return "audit_failure";
       case JobErrorCode::kTimeout: return "timeout";
+      case JobErrorCode::kStepBudget: return "step_budget";
       case JobErrorCode::kOom: return "oom";
       case JobErrorCode::kLeaseLost: return "lease_lost";
       case JobErrorCode::kSnapshotInvalid: return "snapshot_invalid";
@@ -23,7 +24,9 @@ is_transient(JobErrorCode code)
 {
     // Timeouts are stragglers/stalls and OOM is memory pressure from
     // neighbouring jobs: both may succeed on a quieter retry. Corrupt
-    // input, bad configuration and audit findings are deterministic.
+    // input, bad configuration and audit findings are deterministic,
+    // and so is a run's step count, a function of its spec: a retry
+    // would exhaust the same step budget at the same step.
     // A lost lease is permanent *for this process*: the peer that stole
     // the job owns it now, so retrying locally would double-execute.
     // A rejected snapshot is handled inline (cold-warmup fallback), so

@@ -28,7 +28,8 @@ enum class JobErrorCode : std::uint8_t {
     kTraceCorrupt,   //!< workload/trace failed to load or parse
     kConfigInvalid,  //!< scheme/prefetcher/machine config rejected
     kAuditFailure,   //!< invariant auditor flagged the finished run
-    kTimeout,        //!< watchdog cancelled a hung or stalled run
+    kTimeout,        //!< watchdog cancelled a run past its wall deadline
+    kStepBudget,     //!< watchdog cancelled a run past its step budget
     kOom,            //!< allocation failure while building/running
     kLeaseLost,      //!< lost the job's lease to a peer process
     kSnapshotInvalid,  //!< warmup snapshot rejected (corrupt/mismatched)
@@ -41,7 +42,8 @@ const char *to_string(JobErrorCode code);
 /**
  * True when @p code marks a transient failure worth retrying with
  * backoff (stragglers, stalls, memory pressure); permanent failures
- * (corrupt input, bad config, audit findings) fail on first attempt.
+ * (corrupt input, bad config, audit findings, an exhausted step
+ * budget) fail on first attempt.
  */
 bool is_transient(JobErrorCode code);
 

@@ -1,6 +1,7 @@
 #include "sim/multicore.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.h"
 
@@ -48,6 +49,25 @@ isolation_column(const MulticoreConfig &mc, L1dPrefetcherKind prefetcher)
     cfg.l1d_prefetcher = prefetcher;
     cfg.scheme = scheme_discard();
     return machine_column("isolation", cfg);
+}
+
+std::uint64_t
+mix_step_budget(const MulticoreConfig &mc, const std::vector<double> &iso_ipc)
+{
+    const std::uint64_t per_core =
+        16 * (mc.warmup_insts + mc.measure_insts);
+    const auto slowest = std::min_element(iso_ipc.begin(), iso_ipc.end());
+    if (slowest == iso_ipc.end() || !(*slowest > 0.0)) {
+        return per_core * mc.cores;
+    }
+    // Each member's pace relative to the slowest, exactly 1 for equal
+    // IPCs, so equal IPCs sum to exactly the cores.
+    double paces = 0.0;
+    for (const double ipc : iso_ipc) {
+        paces += ipc / *slowest;
+    }
+    return static_cast<std::uint64_t>(
+        std::ceil(static_cast<double>(per_core) * paces));
 }
 
 double

@@ -55,6 +55,19 @@ MatrixColumn isolation_column(const MulticoreConfig &mc,
                               L1dPrefetcherKind prefetcher);
 
 /**
+ * Watchdog step budget of one machine of a mix whose members ran at
+ * @p iso_ipc in their isolation cells: 16 x (warmup + measure) x
+ * sum(iso_ipc) / min(iso_ipc). Machine::run replays every core until
+ * the slowest has retired its budget, and the others step at their
+ * own pace meanwhile, so the isolation IPCs predict the mix's steps;
+ * the factor 16 is slack. Equal IPCs give 16 x cores x (warmup +
+ * measure), which is also the budget when a member has no positive
+ * isolation IPC.
+ */
+std::uint64_t mix_step_budget(const MulticoreConfig &mc,
+                              const std::vector<double> &iso_ipc);
+
+/**
  * Isolation-IPC memo keyed by workload name alone: no prefetcher,
  * budgets or machine config. perfbench's mix8 workload is its only
  * user; fig19 keeps its isolation IPCs in isolation_column cells.

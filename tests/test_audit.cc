@@ -354,6 +354,30 @@ TEST(AuditCache, DetectsLruRanksThatAreNotAPermutation)
         << report.to_string();
 }
 
+TEST(AuditCache, DetectsSrripRrpvAboveItsRail)
+{
+    CacheConfig cfg{"LLC", 16, 4, 4, 8, false};
+    cfg.replacement = ReplacementKind::kSrrip;
+    Cache cache(cfg, nullptr);
+    for (Addr block = 0; block < 96; ++block) {
+        cache.access(PhysAddr{(block * 7 % 96) * kBlockSize},
+                     AccessType::kLoad, block * 10);
+    }
+
+    AuditReport clean;
+    audit::audit_cache(cache, clean);
+    EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+    ASSERT_TRUE(AuditAccess::corrupt_cache_rrpv(cache, 6, 2, 4));
+    AuditReport report;
+    audit::audit_cache(cache, report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.to_string().find("srrip rrpv above the 2-bit rail in "
+                                      "set 6"),
+              std::string::npos)
+        << report.to_string();
+}
+
 TEST(AuditCache, DetectsPcbOnNonPrefetchedBlock)
 {
     Cache cache(CacheConfig{"L1D", 16, 4, 4, 8, true}, nullptr);

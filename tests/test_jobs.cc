@@ -165,6 +165,8 @@ TEST(JobErrors, TransiencyTaxonomy)
 {
     EXPECT_TRUE(is_transient(JobErrorCode::kTimeout));
     EXPECT_TRUE(is_transient(JobErrorCode::kOom));
+    EXPECT_FALSE(is_transient(JobErrorCode::kStepBudget));
+    EXPECT_STREQ(to_string(JobErrorCode::kStepBudget), "step_budget");
     EXPECT_FALSE(is_transient(JobErrorCode::kTraceCorrupt));
     EXPECT_FALSE(is_transient(JobErrorCode::kConfigInvalid));
     EXPECT_FALSE(is_transient(JobErrorCode::kAuditFailure));
@@ -253,9 +255,10 @@ TEST(JobEngine, WatchdogCancelsOverBudgetJob)
             return echo_body(spec, ctx);
         });
     EXPECT_EQ(report.results[0].status, JobStatus::kFailed);
-    EXPECT_EQ(report.results[0].error, JobErrorCode::kTimeout);
-    // Timeouts are transient: the budget was retried once.
-    EXPECT_EQ(report.results[0].attempts, 2);
+    EXPECT_EQ(report.results[0].error, JobErrorCode::kStepBudget);
+    // A run's step count is a function of its spec, so an exhausted
+    // budget is permanent: no retry, although two attempts were allowed.
+    EXPECT_EQ(report.results[0].attempts, 1);
 }
 
 TEST(Watchdog, FiresPastItsBudgetThroughMachineRun)
@@ -278,7 +281,7 @@ TEST(Watchdog, FiresPastItsBudgetThroughMachineRun)
         machine.run(100'000, chain.as_hook());
         ADD_FAILURE() << "the watchdog did not fire";
     } catch (const JobError &e) {
-        EXPECT_EQ(e.code(), JobErrorCode::kTimeout);
+        EXPECT_EQ(e.code(), JobErrorCode::kStepBudget);
         EXPECT_NE(std::string(e.what()).find("at tick 1235"),
                   std::string::npos)
             << e.what();

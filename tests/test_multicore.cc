@@ -183,6 +183,22 @@ TEST(Multicore, IsolationKeyCoversPrefetcherAndBudgets)
     EXPECT_NE(base, measure);
 }
 
+TEST(Multicore, MixStepBudgetScalesWithTheSlowestMember)
+{
+    MulticoreConfig mc;
+    mc.cores = 4;
+    mc.warmup_insts = 400;
+    mc.measure_insts = 600;
+    // Equal IPCs: 16 x cores x (warmup + measure).
+    EXPECT_EQ(mix_step_budget(mc, {0.7, 0.7, 0.7, 0.7}), 64'000u);
+    // Skewed: the slowest member sets the run's length, and the
+    // others step at 4, 2 and 1 times its pace meanwhile.
+    EXPECT_EQ(mix_step_budget(mc, {2.0, 1.0, 0.5, 0.5}), 128'000u);
+    // A member with no positive isolation IPC keeps the equal-IPC
+    // budget (its mix fails on the isolation cell anyway).
+    EXPECT_EQ(mix_step_budget(mc, {2.0, 0.0, 0.5, 0.5}), 64'000u);
+}
+
 TEST(Multicore, SharedLlcContentionVisible)
 {
     // The same workload runs slower per-core in a 2-core machine than

@@ -555,6 +555,31 @@ TEST(SnapshotComponents, CacheOverDram)
     expect_round_trip(driven, fresh);
 }
 
+TEST(SnapshotComponents, RandomCacheContinuesItsVictimStream)
+{
+    // A Random cache saves its generator's lanes, so the restored
+    // cache evicts what the saving cache goes on to evict.
+    CacheConfig ccfg;
+    ccfg.sets = 1;
+    ccfg.ways = 8;
+    ccfg.replacement = ReplacementKind::kRandom;
+    Cache driven(ccfg, nullptr), restored(ccfg, nullptr);
+    const auto block = [](Addr i) { return PhysAddr{i * kBlockSize}; };
+    Cycle now = 0;
+    for (Addr i = 0; i < 40; ++i) {
+        (void)driven.access(block(i), AccessType::kLoad, now += 10);
+    }
+    expect_round_trip(driven, restored);
+    for (Addr i = 40; i < 200; ++i) {
+        (void)driven.access(block(i), AccessType::kLoad, now += 10);
+        (void)restored.access(block(i), AccessType::kLoad, now);
+        for (Addr b = 0; b <= i; ++b) {
+            ASSERT_EQ(restored.probe(block(b)), driven.probe(block(b)))
+                << "block " << b << " after fill " << i;
+        }
+    }
+}
+
 TEST(SnapshotComponents, CacheFlagsOutsideKnownBitsAreMalformed)
 {
     DramConfig dcfg;
