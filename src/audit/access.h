@@ -70,6 +70,12 @@ struct AuditAccess
         return c.inflight_.size();
     }
 
+    /** Cycle the fill offsets count from; never past the port clock. */
+    static Cycle cache_fill_base(const Cache &c) { return c.fill_base_; }
+
+    /** First cycle the cache's port is free. */
+    static Cycle cache_port_free(const Cache &c) { return c.next_port_free_; }
+
     /**
      * First set whose replacement row breaks its policy's invariant
      * (LRU ranks a permutation of the ways, SRRIP RRPVs at most 3),
@@ -95,6 +101,13 @@ struct AuditAccess
         }
     }
 
+    /** Corruption: move the fill base to @p base, bypassing rebase. */
+    static void
+    corrupt_cache_fill_base(Cache &c, Cycle base)
+    {
+        c.fill_base_ = base;
+    }
+
     /** Corruption: clone way 0's tag into way 1 of @p set. */
     static void
     corrupt_cache_duplicate_tag(Cache &c, std::uint32_t set)
@@ -104,7 +117,7 @@ struct AuditAccess
         c.tags_[base] |= Cache::kValidTagBit;
         c.tags_[base + 1] = c.tags_[base];
         c.flags_[base + 1] = c.flags_[base];
-        c.fill_done_[base + 1] = c.fill_done_[base];
+        c.fill_offset_[base + 1] = c.fill_offset_[base];
     }
 
     /**

@@ -177,6 +177,14 @@ audit_cache(const Cache &cache, AuditReport &report)
                               " entries");
     }
 
+    const Cycle fill_base = AuditAccess::cache_fill_base(cache);
+    const Cycle port_free = AuditAccess::cache_port_free(cache);
+    if (fill_base > port_free) {
+        report.fail(name, "fill base " + std::to_string(fill_base) +
+                              " ahead of the port clock " +
+                              std::to_string(port_free));
+    }
+
     const std::int64_t bad = AuditAccess::cache_inconsistent_set(cache);
     if (bad >= 0) {
         report.fail(name, cfg.replacement == ReplacementKind::kLru

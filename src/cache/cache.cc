@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/bitops.h"
@@ -15,7 +16,7 @@ Cache::Cache(const CacheConfig &config, MemoryLevel *lower)
     : cfg_(config), lower_(lower),
       tags_(static_cast<std::size_t>(config.sets) * config.ways, 0),
       flags_(static_cast<std::size_t>(config.sets) * config.ways, 0),
-      fill_done_(static_cast<std::size_t>(config.sets) * config.ways, 0)
+      fill_offset_(static_cast<std::size_t>(config.sets) * config.ways, 0)
 {
     SIM_REQUIRE(is_pow2(cfg_.sets), "cache sets must be a power of two");
     SIM_REQUIRE(cfg_.ways > 0, "cache must have at least one way");
@@ -193,6 +194,18 @@ Cache::first_inconsistent_set() const
     return -1;
 }
 
+void
+Cache::rebase_fills(Cycle start)
+{
+    // Every later lookup completes at start + 1 + latency or later, so
+    // a fill that arrived at or before start can never merge again.
+    for (std::uint32_t &offset : fill_offset_) {
+        const Cycle done = fill_base_ + offset;
+        offset = done > start ? static_cast<std::uint32_t>(done - start) : 0;
+    }
+    fill_base_ = start;
+}
+
 std::uint32_t
 Cache::pick_victim(std::size_t base, Cycle now)
 {
@@ -256,9 +269,10 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
         const std::size_t idx = base + way;
         touch(base, way, false);
         AccessResult r;
-        if (fill_done_[idx] > t && type != AccessType::kWriteback) {
+        const Cycle fill_done = fill_base_ + fill_offset_[idx];
+        if (fill_done > t && type != AccessType::kWriteback) {
             // In-flight fill: merge (counts as a miss, pays residual).
-            r.done = fill_done_[idx];
+            r.done = fill_done;
             r.merged = true;
             if (demand) {
                 ++stats_.demand.misses;
@@ -339,7 +353,13 @@ Cache::access(PhysAddr paddr, AccessType type, Cycle now, bool pgc_prefetch)
         f |= kFlagUsed;
     }
     flags_[idx] = f;
-    fill_done_[idx] = fill_done;
+    if (start - fill_base_ >= kRebaseSpan) [[unlikely]] {
+        rebase_fills(start);
+    }
+    const Cycle offset = fill_done > fill_base_ ? fill_done - fill_base_ : 0;
+    SIM_REQUIRE(offset <= std::numeric_limits<std::uint32_t>::max(),
+                "fill landed 2^32 cycles past its cache's fill base");
+    fill_offset_[idx] = static_cast<std::uint32_t>(offset);
     touch(base, victim_way, true);
 
     AccessResult r;
@@ -358,12 +378,15 @@ Cache::serialize(Self &self, IO &io)
         any |= f;
     }
     require(io, (any & ~kFlagMask) == 0, "cache block flags outside kFlag*");
-    field(io, self.fill_done_);
+    field(io, self.fill_base_);
+    field(io, self.fill_offset_);
     // The MSHR list length is runtime state (outstanding fills at
     // snapshot time), bounded by the configured entries.
     field(io, self.inflight_, self.cfg_.mshr_entries,
           "MSHR list longer than its entries");
     field(io, self.next_port_free_);
+    require(io, self.fill_base_ <= self.next_port_free_,
+            "cache fill base ahead of its port clock");
     if (self.cfg_.replacement == ReplacementKind::kRandom) {
         field(io, self.rng_);
     } else {

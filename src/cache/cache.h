@@ -171,7 +171,8 @@ class Cache final : public MemoryLevel
     // addresses below 128 GiB), so bit 31 is free to hold the valid
     // bit. That turns the per-way "valid && tag ==" into a single
     // compare against tag|kValidTagBit. Flags pack into a byte;
-    // fill cycles sit in a parallel array only the merge check reads.
+    // fill cycles sit in a parallel array only the merge check reads,
+    // as u32 offsets above fill_base_ (see fill_offset_).
     static constexpr std::uint32_t kValidTagBit = std::uint32_t{1} << 31;
     static constexpr Addr kTagLimit = kValidTagBit;
     static constexpr std::uint8_t kFlagDirty = 1u << 0;
@@ -184,6 +185,8 @@ class Cache final : public MemoryLevel
     //! widest LRU set: ranks stay below 128, so touch() ages 8 at a time
     static constexpr std::uint32_t kMaxLruWays = 128;
     static constexpr std::uint8_t kMaxRrpv = 3;  //!< SRRIP's 2-bit rail
+    //! a fill whose port cycle is this far past fill_base_ rebases
+    static constexpr Cycle kRebaseSpan = Cycle{1} << 31;
 
     // A set is addressed by its row base, set * ways: the index of
     // its first way in the per-way arrays, computed once per access.
@@ -204,6 +207,12 @@ class Cache final : public MemoryLevel
      * kMaxRrpv), or -1 for none.
      */
     std::int64_t first_inconsistent_set() const;
+    /**
+     * Move fill_base_ up to @p start, the port cycle of a fill
+     * kRebaseSpan or more cycles past it: offsets of fills still due
+     * after @p start are re-expressed above it, the rest become 0.
+     */
+    SIM_COLD void rebase_fills(Cycle start);
 
     CacheConfig cfg_;       // LINT_SNAPSHOT_OK: config
     MemoryLevel *lower_;    // LINT_SNAPSHOT_OK: collaborator, owned by machine
@@ -211,7 +220,13 @@ class Cache final : public MemoryLevel
     CacheListener *listener_ = nullptr;
     std::vector<std::uint32_t> tags_;  //!< sets * ways; bit 31 = valid
     std::vector<std::uint8_t> flags_;  //!< kFlag* bits, parallel to tags_
-    std::vector<Cycle> fill_done_;     //!< data arrival, parallel to tags_
+    // Data arrival, parallel to tags_: fill_base_ + offset, where 0
+    // means at or before fill_base_. A lookup completes at its port
+    // cycle or later, and fill_base_ never passes next_port_free_, so
+    // an offset of 0 never merges; rebase_fills keeps every other
+    // offset below 2^32.
+    std::vector<std::uint32_t> fill_offset_;
+    Cycle fill_base_ = 0;
     std::vector<Cycle> inflight_;      //!< outstanding fill completions
     Cycle next_port_free_ = 0;
     // Replacement state, a row of cfg_.ways bytes per set, parallel

@@ -52,8 +52,9 @@ namespace moka {
 //! 4: each core saves its workload's generator state in a
 //! "core.workload" section, and section sums are checksum64, not FNV-1a;
 //! 5: cache tags are u32, LRU state is one u8 rank per way with no
-//! clock, and page-map values are u32 frame numbers)
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+//! clock, and page-map values are u32 frame numbers; 6: caches save a
+//! u64 fill base and u32 fill offsets above it, not u64 fill cycles)
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 // Primitives and arrays are copied in host byte order.
 static_assert(std::endian::native == std::endian::little,

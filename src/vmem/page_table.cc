@@ -41,7 +41,9 @@ PageTable::PageTable(const VmemConfig &config, std::size_t page_bound)
               FlatAddrMap(reservation(page_bound, kTableMapCap)),
               FlatAddrMap(reservation(page_bound, kTableMapCap))},
       page_map_(reservation(page_bound, kPageMapCap)),
-      large_page_map_(reservation(page_bound, kTableMapCap)),
+      large_page_map_(config.large_page_fraction > 0.0
+                          ? reservation(page_bound, kTableMapCap)
+                          : 0),
       used_frames_(
           static_cast<std::size_t>(config.phys_bytes / kPageSize / 2)),
       used_large_frames_(static_cast<std::size_t>(

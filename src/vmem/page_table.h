@@ -80,7 +80,9 @@ class PageTable
      *        (Workload::page_bound): the page map reserves
      *        min(page_bound, kPageMapCap) entries, the other maps
      *        min(page_bound, kTableMapCap); 0 (unknown) reserves the
-     *        caps. A map grows only when the workload maps more pages
+     *        caps. The large-page map reserves none when
+     *        config.large_page_fraction is 0 or below, which maps no
+     *        large page. A map grows only when the workload maps more pages
      *        than its bound or spans more than kTableMapCap 2MB
      *        regions.
      * @pre config.phys_bytes <= kMaxPhysBytes (aborts otherwise).

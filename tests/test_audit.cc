@@ -378,6 +378,31 @@ TEST(AuditCache, DetectsSrripRrpvAboveItsRail)
         << report.to_string();
 }
 
+TEST(AuditCache, DetectsFillBaseAheadOfThePortClock)
+{
+    Cache cache(CacheConfig{"L2C", 16, 4, 4, 8, false}, nullptr);
+    cache.access(PhysAddr{0x1000}, AccessType::kLoad, 100);
+
+    AuditReport clean;
+    audit::audit_cache(cache, clean);
+    EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+    // The port is free from cycle 101; a base there is still sound.
+    AuditAccess::corrupt_cache_fill_base(cache, 101);
+    AuditReport at_clock;
+    audit::audit_cache(cache, at_clock);
+    EXPECT_TRUE(at_clock.ok()) << at_clock.to_string();
+
+    AuditAccess::corrupt_cache_fill_base(cache, 102);
+    AuditReport report;
+    audit::audit_cache(cache, report);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.to_string().find("fill base 102 ahead of the port "
+                                      "clock 101"),
+              std::string::npos)
+        << report.to_string();
+}
+
 TEST(AuditCache, DetectsPcbOnNonPrefetchedBlock)
 {
     Cache cache(CacheConfig{"L1D", 16, 4, 4, 8, true}, nullptr);

@@ -1,9 +1,12 @@
 /** @file Unit tests for the set-associative cache model. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/cache.h"
+#include "common/rng.h"
+#include "dram/dram.h"
 
 namespace moka {
 namespace {
@@ -48,6 +51,77 @@ class RecordingListener : public CacheListener
     std::vector<PhysAddr> first_uses;
     std::vector<Evt> evictions;
 };
+
+/** A lower level that answers every request @p delay cycles later. */
+class LateMemory : public MemoryLevel
+{
+  public:
+    explicit LateMemory(Cycle delay) : delay_(delay) {}
+
+    AccessResult
+    access(PhysAddr, AccessType, Cycle now, bool) override
+    {
+        AccessResult r;
+        r.done = now + delay_;
+        return r;
+    }
+
+  private:
+    Cycle delay_;
+};
+
+/** One access's outcome, its completion relative to the run's shift. */
+struct Outcome
+{
+    Cycle done;
+    bool hit;
+    bool merged;
+
+    bool operator==(const Outcome &) const = default;
+};
+
+/**
+ * 200k accesses through an L1 -> L2 -> DRAM chain at times that jitter
+ * up to 63 cycles behind a rising clock, which jumps 2^31 + 77 cycles
+ * halfway; every time is offset by @p shift.
+ */
+std::vector<Outcome>
+run_chain(Cycle shift)
+{
+    Dram dram(DramConfig{});
+    CacheConfig l2_cfg;
+    l2_cfg.name = "l2";
+    l2_cfg.sets = 64;
+    l2_cfg.ways = 8;
+    l2_cfg.latency = 10;
+    l2_cfg.mshr_entries = 16;
+    Cache l2(l2_cfg, &dram);
+    CacheConfig l1_cfg;
+    l1_cfg.name = "l1";
+    l1_cfg.sets = 16;
+    l1_cfg.ways = 4;
+    l1_cfg.latency = 4;
+    Cache l1(l1_cfg, &l2);
+    Rng rng(29);
+    std::vector<Outcome> out;
+    out.reserve(200'000);
+    Cycle clock = 1'000;
+    for (int i = 0; i < 200'000; ++i) {
+        if (i == 100'000) {
+            clock += (Cycle{1} << 31) + 77;
+        }
+        clock += rng.below(3);
+        const Cycle now = clock - rng.below(64);
+        const PhysAddr paddr{rng.below(1024) * kBlockSize};
+        const std::uint64_t kind = rng.below(8);
+        const AccessType type = kind == 0   ? AccessType::kStore
+                                : kind == 1 ? AccessType::kPrefetch
+                                            : AccessType::kLoad;
+        const AccessResult r = l1.access(paddr, type, shift + now);
+        out.push_back({r.done - shift, r.hit, r.merged});
+    }
+    return out;
+}
 
 TEST(Cache, MissThenHit)
 {
@@ -260,6 +334,83 @@ TEST(CacheDeath, RefusesAnAddressPastItsTagWidth)
     const PhysAddr wide{Addr{1} << 37};
     EXPECT_DEATH(c.access(wide, AccessType::kLoad, 0), "31-bit block tag");
     EXPECT_DEATH((void)c.probe(wide), "31-bit block tag");
+}
+
+TEST(Cache, FillTimesAreShiftInvariant)
+{
+    // Fill times are stored as 32-bit offsets above a base that
+    // rebases 2^31 cycles behind the port clock; moving every time by
+    // a constant moves where the rebases fall, and must change nothing.
+    const std::vector<Outcome> base = run_chain(0);
+    const auto merges = std::count_if(
+        base.begin(), base.end(), [](const Outcome &o) { return o.merged; });
+    EXPECT_GT(merges, 10'000);
+    EXPECT_TRUE(run_chain(5 * (Cycle{1} << 31) + 12'345) == base);
+    EXPECT_TRUE(run_chain(3 * (Cycle{1} << 31) - 1'000) == base);
+}
+
+TEST(Cache, FillInFlightAcrossARebaseMergesAtItsArrival)
+{
+    LateMemory lower(1'000);
+    Cache c(tiny_config(), &lower);
+    const Cycle jump = Cycle{1} << 31;
+    const PhysAddr early{0}, in_flight{kBlockSize}, trigger{2 * kBlockSize};
+    c.access(early, AccessType::kLoad, 100);
+    const AccessResult first = c.access(in_flight, AccessType::kLoad,
+                                        jump - 500);
+    ASSERT_GT(first.done, jump + 10);
+    // This fill's port cycle is 2^31 past the base and rebases to it.
+    c.access(trigger, AccessType::kLoad, jump + 10);
+    const AccessResult merged = c.access(in_flight, AccessType::kLoad,
+                                         jump + 20);
+    EXPECT_TRUE(merged.merged);
+    EXPECT_EQ(merged.done, first.done);
+    const AccessResult hit = c.access(early, AccessType::kLoad, jump + 30);
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(hit.done, jump + 32);
+}
+
+TEST(Cache, FillsLandingUnder2To31CyclesLateFitAtAnyPortCycle)
+{
+    // Whatever the port cycle, the base trails it by less than 2^31
+    // once the fill is stored, so a fill landing less than 2^31 - 4
+    // cycles after it has an offset below 2^32.
+    const Cycle delay = (Cycle{1} << 31) - 10;
+    LateMemory lower(delay);
+    Cache c(tiny_config(), &lower);
+    const Cycle starts[] = {0, (Cycle{1} << 31) - 1, (Cycle{1} << 32) - 1,
+                            3 * (Cycle{1} << 32)};
+    Addr block = 0;
+    for (const Cycle now : starts) {
+        SCOPED_TRACE(now);
+        const PhysAddr paddr{block++ * kBlockSize};
+        const AccessResult fill = c.access(paddr, AccessType::kLoad, now);
+        EXPECT_EQ(fill.done, now + 2 + delay + 2);
+        const AccessResult merged = c.access(paddr, AccessType::kLoad, now);
+        EXPECT_TRUE(merged.merged);
+        EXPECT_EQ(merged.done, fill.done);
+    }
+}
+
+TEST(CacheDeath, RefusesAFillPastItsOffsetWidth)
+{
+    // Request at cycle 0, lookup done at 2, fill at 2 + delay + 2: a
+    // delay of 2^32 - 5 lands on the widest offset, 2^32 - 1, and
+    // merges exactly; one cycle more needs offset 2^32 and aborts.
+    const Cycle widest = (Cycle{1} << 32) - 1;
+    LateMemory last(widest - 4);
+    Cache fits(tiny_config(), &last);
+    const AccessResult fill = fits.access(PhysAddr{0}, AccessType::kLoad, 0);
+    ASSERT_EQ(fill.done, widest);
+    const AccessResult merged =
+        fits.access(PhysAddr{0}, AccessType::kLoad, 10);
+    EXPECT_TRUE(merged.merged);
+    EXPECT_EQ(merged.done, widest);
+
+    LateMemory late(widest - 3);
+    Cache c(tiny_config(), &late);
+    EXPECT_DEATH(c.access(PhysAddr{0}, AccessType::kLoad, 0),
+                 "cycles past its cache's fill base");
 }
 
 }  // namespace

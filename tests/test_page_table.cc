@@ -141,19 +141,26 @@ TEST(PageTableDeath, RefusesPhysicalMemoryPast128GiB)
     EXPECT_DEATH({ PageTable pt(cfg); }, "above 128 GiB");
 }
 
-/** Slots of the page map, then the large-page map's and each table map's. */
+/** Slots of the page map, then of each table map. */
 struct Reserved
 {
     std::size_t page_map;
     std::size_t other_maps;
 };
 
+/**
+ * A table at @p large_fraction and @p bound reserves @p r; its
+ * large-page map reserves as a table map does when the config maps
+ * large pages, and keeps the 64-slot floor when it maps none.
+ */
 void
-expect_reserved(const PageTable &pt, const Reserved &r)
+expect_reserved(double large_fraction, std::size_t bound, const Reserved &r)
 {
+    PageTable pt(config(large_fraction), bound);
+    EXPECT_EQ(pt.page_bound(), bound);
     EXPECT_EQ(AuditAccess::page_map(pt).capacity_slots(), r.page_map);
     EXPECT_EQ(AuditAccess::large_page_map(pt).capacity_slots(),
-              r.other_maps);
+              large_fraction > 0.0 ? r.other_maps : 64u);
     for (const FlatAddrMap &table : AuditAccess::tables(pt)) {
         EXPECT_EQ(table.capacity_slots(), r.other_maps);
     }
@@ -162,9 +169,10 @@ expect_reserved(const PageTable &pt, const Reserved &r)
 TEST(PageTable, NoBoundReservesTheCaps)
 {
     // 65536 page-map entries and 1024 per other map, at 50% load.
-    PageTable pt(config());
-    EXPECT_EQ(pt.page_bound(), 0u);
-    expect_reserved(pt, {131072, 2048});
+    for (const double large : {0.0, 0.5}) {
+        SCOPED_TRACE(large);
+        expect_reserved(large, 0, {131072, 2048});
+    }
 }
 
 TEST(PageTable, BoundReservesUpToTheCaps)
@@ -182,10 +190,11 @@ TEST(PageTable, BoundReservesUpToTheCaps)
         {1'000'000, {131072, 2048}},
     };
     for (const auto &c : cases) {
-        SCOPED_TRACE(c.bound);
-        PageTable pt(config(), c.bound);
-        EXPECT_EQ(pt.page_bound(), c.bound);
-        expect_reserved(pt, c.slots);
+        for (const double large : {0.0, 0.5}) {
+            SCOPED_TRACE(testing::Message()
+                         << "bound " << c.bound << ", large " << large);
+            expect_reserved(large, c.bound, c.slots);
+        }
     }
 }
 

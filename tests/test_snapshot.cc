@@ -300,10 +300,11 @@ TEST(SnapshotFormat, HugeMshrListIsMalformed)
     w.begin_section("t");
     const std::vector<std::uint32_t> tags(blocks);
     const std::vector<std::uint8_t> flags(blocks);
-    const std::vector<Cycle> fill_done(blocks);
+    const std::vector<std::uint32_t> fill_offsets(blocks);
     field(w, tags);
     field(w, flags);
-    field(w, fill_done);
+    put<Cycle>(w, 0);  // fill base
+    field(w, fill_offsets);
     put(w, std::uint64_t{1} << 61);
     EXPECT_EQ(restore_error(w.finish(),
                             [&](SnapshotReader &r) {
@@ -602,6 +603,51 @@ TEST(SnapshotComponents, CacheFlagsOutsideKnownBitsAreMalformed)
                                 fresh.restore_state(r);
                             }),
               SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotComponents, CacheRestoredAfterARebaseContinuesMidFlight)
+{
+    // Save with fills in flight after the fill base has rebased past
+    // 2^31; the restored cache and DRAM go on exactly as the saving
+    // pair does, merges into those fills included.
+    DramConfig dcfg;
+    CacheConfig ccfg;
+    ccfg.sets = 16;
+    ccfg.ways = 4;
+    Dram dram_a(dcfg), dram_b(dcfg);
+    Cache driven(ccfg, &dram_a), restored(ccfg, &dram_b);
+    const auto block = [](Addr i) {
+        return PhysAddr{(i * 7 % 96) * kBlockSize};
+    };
+    const Cycle jump = (Cycle{1} << 31) + 5;
+    for (Addr i = 0; i < 200; ++i) {
+        (void)driven.access(block(i), AccessType::kLoad, i * 10);
+    }
+    for (Addr i = 200; i < 230; ++i) {
+        (void)driven.access(block(i), AccessType::kLoad, jump + i * 4);
+    }
+    ASSERT_GT(driven.inflight_misses(jump + 230 * 4), 0u);
+    restore_section(dram_b, section_of(dram_a));
+    expect_round_trip(driven, restored);
+    // Each step also re-reads the block of three steps back, whose
+    // fill is still in flight; for the first three steps, a fill the
+    // saving cache started.
+    int merges = 0;
+    for (Addr i = 230; i < 400; ++i) {
+        const Cycle now = jump + i * 4 - (i % 3) * 20;
+        for (const Addr b : {i, i - 3}) {
+            const AccessResult x =
+                driven.access(block(b), AccessType::kLoad, now);
+            const AccessResult y =
+                restored.access(block(b), AccessType::kLoad, now);
+            ASSERT_EQ(x.done, y.done) << "step " << i << ", block " << b;
+            ASSERT_EQ(x.hit, y.hit) << "step " << i << ", block " << b;
+            ASSERT_EQ(x.merged, y.merged) << "step " << i << ", block " << b;
+            merges += x.merged;
+        }
+    }
+    EXPECT_GT(merges, 50);
+    EXPECT_EQ(section_of(restored), section_of(driven));
 }
 
 TEST(SnapshotComponents, Tlb)
@@ -1007,10 +1053,11 @@ TEST(SnapshotMachine, WarmedSingleCoreSnapshotIsCompact)
     // Sparse page maps and packed frame bits: a warmed default
     // single-core machine took 4.1 MB in format version 2 and 1.20 MB
     // in version 4; u32 tags, u8 LRU ranks and u32 frame numbers make
-    // it 0.74 MB in version 5.
+    // it 0.74 MB in version 5, and u32 fill offsets 0.57 MB in
+    // version 6.
     Machine warmed = build_machine(default_config(1), pick(Family::kStream));
     warmed.run(200'000);
-    EXPECT_LT(warmed.save_snapshot().size(), 850'000u);
+    EXPECT_LT(warmed.save_snapshot().size(), 650'000u);
 }
 
 /** One roster instance of every workload family. */
@@ -1727,10 +1774,10 @@ TEST(SnapshotComponents, DecisionRecordOutsideTheWeightTablesIsMalformed)
 
 TEST(SnapshotComponents, SrripRrpvAboveItsRailIsMalformed)
 {
-    // Tags (u64 length, u32 each), flags (u64 length, u8 each), fill
-    // cycles (u64 length, u64 each), the empty MSHR list (u64
-    // length), the port cycle (u64), then the RRPVs (u64 length, u8
-    // each, at most 3).
+    // Tags (u64 length, u32 each), flags (u64 length, u8 each), the
+    // fill base (u64), fill offsets (u64 length, u32 each), the empty
+    // MSHR list (u64 length), the port cycle (u64), then the RRPVs
+    // (u64 length, u8 each, at most 3).
     DramConfig dcfg;
     CacheConfig ccfg;
     ccfg.sets = 16;
@@ -1740,8 +1787,8 @@ TEST(SnapshotComponents, SrripRrpvAboveItsRailIsMalformed)
     Cache driven(ccfg, &dram_a), fresh(ccfg, &dram_b);
     const std::size_t blocks = ccfg.sets * ccfg.ways;
     std::string payload = payload_of(section_of(driven));
-    poke(payload, (8 + 4 * blocks) + (8 + blocks) + (8 + 8 * blocks) + 8 +
-                      8 + 8,
+    poke(payload, (8 + 4 * blocks) + (8 + blocks) + 8 + (8 + 4 * blocks) +
+                      8 + 8 + 8,
          4, 1);
     EXPECT_EQ(section_error(fresh, reseal(payload)),
               SnapshotErrorKind::kMalformed);
@@ -1749,10 +1796,11 @@ TEST(SnapshotComponents, SrripRrpvAboveItsRailIsMalformed)
 
 TEST(SnapshotComponents, LruRanksOutsideAPermutationAreMalformed)
 {
-    // Tags (u64 length, u32 each), flags (u64 length, u8 each), fill
-    // cycles (u64 length, u64 each), the MSHR list (u64 length, u64
-    // each), the port cycle (u64), then the ranks (u64 length, one u8
-    // per way, each set's row a permutation of [0, ways)).
+    // Tags (u64 length, u32 each), flags (u64 length, u8 each), the
+    // fill base (u64), fill offsets (u64 length, u32 each), the MSHR
+    // list (u64 length, u64 each), the port cycle (u64), then the
+    // ranks (u64 length, one u8 per way, each set's row a permutation
+    // of [0, ways)).
     DramConfig dcfg;
     CacheConfig ccfg;
     ccfg.sets = 16;
@@ -1765,8 +1813,8 @@ TEST(SnapshotComponents, LruRanksOutsideAPermutationAreMalformed)
     }
     const std::size_t blocks = ccfg.sets * ccfg.ways;
     const std::string payload = payload_of(section_of(driven));
-    const std::size_t mshr_at = (8 + 4 * blocks) + (8 + blocks) +
-                                (8 + 8 * blocks);
+    const std::size_t mshr_at = (8 + 4 * blocks) + (8 + blocks) + 8 +
+                                (8 + 4 * blocks);
     const std::size_t ranks_at =
         mshr_at + 8 + 8 * peek(payload, mshr_at, 8) + 8 + 8;
     ASSERT_EQ(peek(payload, ranks_at - 8, 8), blocks);
@@ -1798,6 +1846,39 @@ TEST(SnapshotComponents, LruRanksOutsideAPermutationAreMalformed)
     Cache fresh(ccfg, &dram_b);
     restore_section(fresh, reseal(payload));
     EXPECT_EQ(section_of(fresh), section_of(driven));
+}
+
+TEST(SnapshotComponents, CacheFillBaseAheadOfItsPortClockIsMalformed)
+{
+    // Tags (u64 length, u32 each), flags (u64 length, u8 each), the
+    // fill base (u64), fill offsets (u64 length, u32 each), the MSHR
+    // list (u64 length, u64 each), then the port cycle (u64). A base
+    // past the port clock would let an offset of 0 merge.
+    DramConfig dcfg;
+    CacheConfig ccfg;
+    ccfg.sets = 16;
+    ccfg.ways = 4;
+    Dram dram_a(dcfg), dram_b(dcfg);
+    Cache driven(ccfg, &dram_a);
+    for (Addr a = 0; a < 64; ++a) {
+        (void)driven.access(PhysAddr{a * kBlockSize}, AccessType::kLoad,
+                            a * 3);
+    }
+    const std::size_t blocks = ccfg.sets * ccfg.ways;
+    std::string payload = payload_of(section_of(driven));
+    const std::size_t base_at = (8 + 4 * blocks) + (8 + blocks);
+    const std::size_t mshr_at = base_at + 8 + (8 + 4 * blocks);
+    const std::uint64_t port_free =
+        peek(payload, mshr_at + 8 + 8 * peek(payload, mshr_at, 8), 8);
+    ASSERT_EQ(port_free, 63u * 3 + 1);
+
+    poke(payload, base_at, port_free, 8);
+    Cache at_clock(ccfg, &dram_b);
+    restore_section(at_clock, reseal(payload));
+    poke(payload, base_at, port_free + 1, 8);
+    Cache fresh(ccfg, &dram_b);
+    EXPECT_EQ(section_error(fresh, reseal(payload)),
+              SnapshotErrorKind::kMalformed);
 }
 
 // ------------------------------------------------------- snapshot cache
