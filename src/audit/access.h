@@ -22,7 +22,6 @@
 #include "dram/dram.h"
 #include "filter/adaptive_threshold.h"
 #include "filter/moka.h"
-#include "filter/perceptron.h"
 #include "filter/system_features.h"
 #include "filter/update_buffer.h"
 #include "sim/machine.h"
@@ -406,13 +405,6 @@ struct AuditAccess
     // ----------------------------------------------------------------
     // Perceptron / thresholds / filter
     // ----------------------------------------------------------------
-
-    /** Corruption: write @p raw into weight @p index, bypassing clamp. */
-    static void
-    corrupt_weight(WeightTable &t, std::uint32_t index, std::int16_t raw)
-    {
-        t.weights_[index].value_ = raw;
-    }
 
     /** Corruption: force T_a to @p value, bypassing clamp. */
     static void

@@ -8,9 +8,8 @@
  * headers is named in this file:
  *
  *   Cache (with its replacement rows), Tlb, PageTable, PageWalker,
- *   StructureCache, UpdateBuffer, WeightTable, SignedSatCounter,
- *   SystemFeature, AdaptiveThreshold, MokaFilter, PageCrossFilter,
- *   Dram.
+ *   StructureCache, UpdateBuffer, SignedSatCounter, SystemFeature,
+ *   AdaptiveThreshold, MokaFilter, PageCrossFilter, Dram.
  *
  * LINT_AUDIT_EXEMPT: FeatureExtractor — a bounded history ring whose
  * corruption changes predictions, never legality; it has no
@@ -477,25 +476,6 @@ template void audit_update_buffer<VirtAddr>(const VirtUpdateBuffer &,
 template void audit_update_buffer<PhysAddr>(const PhysUpdateBuffer &,
                                             const std::string &,
                                             AuditReport &);
-
-void
-audit_weight_table(const WeightTable &table, const std::string &name,
-                   AuditReport &report)
-{
-    const unsigned bits = table.weight_bits();
-    const int lo = -(1 << (bits - 1));
-    const int hi = (1 << (bits - 1)) - 1;
-    for (std::size_t i = 0; i < table.entries(); ++i) {
-        const int w = table.weight_at(static_cast<std::uint32_t>(i));
-        if (w < lo || w > hi) {
-            report.fail(name, "weight[" + std::to_string(i) + "] = " +
-                                  std::to_string(w) + " outside the " +
-                                  std::to_string(bits) + "-bit rails [" +
-                                  std::to_string(lo) + ", " +
-                                  std::to_string(hi) + "]");
-        }
-    }
-}
 
 void
 audit_threshold(const AdaptiveThreshold &threshold, AuditReport &report)

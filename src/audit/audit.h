@@ -31,7 +31,6 @@ class PageWalker;
 class StructureCache;
 class Tlb;
 template <class AddrT> class UpdateBuffer;
-class WeightTable;
 
 /** One invariant violation found by an auditor. */
 struct AuditFinding
@@ -104,10 +103,6 @@ void audit_walker(const PageWalker &walker, AuditReport &report);
 template <class AddrT>
 void audit_update_buffer(const UpdateBuffer<AddrT> &buffer,
                          const std::string &name, AuditReport &report);
-
-/** Weight-table invariants: every weight within its n-bit rails. */
-void audit_weight_table(const WeightTable &table, const std::string &name,
-                        AuditReport &report);
 
 /** Threshold invariants: T_a within [t_min, t_max], sane level order. */
 void audit_threshold(const AdaptiveThreshold &threshold,

@@ -23,17 +23,6 @@ constexpr unsigned log2_exact(std::uint64_t v)
     return static_cast<unsigned>(std::countr_zero(v));
 }
 
-/**
- * @p n - 1 when @p n is a power of two, else 0.  The idiom behind
- * rule L19: precompute at construction, then index hot tables with
- * `mask != 0 ? x & mask : x % n` — the shipped (pow2) configurations
- * take the mask path, exotic ones keep the exact division.
- */
-constexpr std::uint64_t pow2_mask(std::uint64_t n)
-{
-    return is_pow2(n) ? n - 1 : 0;
-}
-
 /** Extract bits [lo, lo+width) of @p v. */
 constexpr std::uint64_t bits(std::uint64_t v, unsigned lo, unsigned width)
 {

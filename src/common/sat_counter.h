@@ -10,8 +10,6 @@
 
 namespace moka {
 
-struct AuditAccess;
-
 /**
  * Signed saturating counter of a configurable bit width.
  *
@@ -60,7 +58,6 @@ class SignedSatCounter
     constexpr std::int16_t max() const { return max_; }
 
   private:
-    friend struct AuditAccess;
     friend struct SnapshotAccess;
 
     constexpr std::int16_t clamp(std::int16_t v) const

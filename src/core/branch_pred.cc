@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/bitops.h"
+#include "common/check.h"
 #include "common/hashing.h"
 #include "snapshot/snapshot.h"
 
@@ -13,8 +14,10 @@ BranchPredictor::BranchPredictor(const BranchPredConfig &config)
       weights_(std::size_t(config.tables) * config.entries, 0),
       wmin_(static_cast<std::int16_t>(-(1 << (config.weight_bits - 1)))),
       wmax_(static_cast<std::int16_t>((1 << (config.weight_bits - 1)) - 1)),
-      entries_mask_(is_pow2(config.entries) ? config.entries - 1 : 0)
+      entries_mask_(config.entries - 1)
 {
+    SIM_REQUIRE(is_pow2(config.entries),
+                "branch-predictor entries must be a power of two");
 }
 
 int
@@ -27,9 +30,7 @@ BranchPredictor::sum_for(Addr pc, IndexArray &indexes) const
         const std::uint64_t seg = (history_ >> (8 * t)) & 0xFF;
         const std::uint64_t h =
             mix64(pc ^ (seg << 17) ^ (static_cast<std::uint64_t>(t) << 40));
-        // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-        const std::uint32_t idx = static_cast<std::uint32_t>(
-            entries_mask_ != 0 ? h & entries_mask_ : h % cfg_.entries);
+        const std::uint32_t idx = static_cast<std::uint32_t>(h & entries_mask_);
         indexes[t] = idx;
         sum += arena[std::size_t(t) * cfg_.entries + idx];
     }

@@ -79,7 +79,7 @@ class BranchPredictor
     std::vector<std::int16_t> weights_;
     std::int16_t wmin_ = 0;            // LINT_SNAPSHOT_OK: config rail
     std::int16_t wmax_ = 0;            // LINT_SNAPSHOT_OK: config rail
-    //! entries - 1 when entries is a power of two, else 0 (use %)
+    //! entries - 1 (entries is a power of two)
     std::uint32_t entries_mask_ = 0;   // LINT_SNAPSHOT_OK: config
     std::uint64_t history_ = 0;
     mutable std::uint64_t lookups_ = 0;

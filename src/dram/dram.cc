@@ -3,20 +3,20 @@
 #include <algorithm>
 
 #include "common/bitops.h"
+#include "common/check.h"
 #include "snapshot/snapshot.h"
 
 namespace moka {
 
 Dram::Dram(const DramConfig &config)
-    : cfg_(config), banks_(config.channels * config.banks),
+    : cfg_(config), chan_bits_(log2_exact(config.channels)),
+      bank_bits_(log2_exact(config.banks)),
+      banks_(config.channels * config.banks),
       channel_next_free_(config.channels, 0)
 {
-    if (is_pow2(cfg_.channels)) {
-        chan_bits_ = static_cast<int>(log2_exact(cfg_.channels));
-    }
-    if (is_pow2(cfg_.banks)) {
-        bank_bits_ = static_cast<int>(log2_exact(cfg_.banks));
-    }
+    SIM_REQUIRE(is_pow2(config.channels),
+                "DRAM channels must be a power of two");
+    SIM_REQUIRE(is_pow2(config.banks), "DRAM banks must be a power of two");
 }
 
 AccessResult
@@ -31,21 +31,13 @@ Dram::access(PhysAddr paddr, AccessType type, Cycle now,
     }
 
     const std::uint64_t block = block_number(paddr);
-    // Pow-2 geometry slices with shifts/masks; the division fallback
-    // covers exotic user configurations (rule L19).
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    const unsigned channel = static_cast<unsigned>(
-        chan_bits_ >= 0 ? block & (cfg_.channels - 1)
-                        : block % cfg_.channels);
-    const std::uint64_t above_chan =
-        chan_bits_ >= 0 ? block >> chan_bits_ : block / cfg_.channels;
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    const unsigned bank = static_cast<unsigned>(
-        bank_bits_ >= 0 ? above_chan & (cfg_.banks - 1)
-                        : above_chan % cfg_.banks);
-    const std::uint64_t above_bank =
-        bank_bits_ >= 0 ? above_chan >> bank_bits_
-                        : above_chan / cfg_.banks;
+    // Pow-2 geometry slices with shifts and masks (rule L19).
+    const unsigned channel =
+        static_cast<unsigned>(block & (cfg_.channels - 1));
+    const std::uint64_t above_chan = block >> chan_bits_;
+    const unsigned bank =
+        static_cast<unsigned>(above_chan & (cfg_.banks - 1));
+    const std::uint64_t above_bank = above_chan >> bank_bits_;
     Bank &b = banks_[channel * cfg_.banks + bank];
 
     // Row id: the address bits above bank/channel interleaving and

@@ -86,13 +86,11 @@ class Dram : public MemoryLevel
     };
 
     DramConfig cfg_;  // LINT_SNAPSHOT_OK: config, rebuilt from MachineConfig
-    // Address-slicing plan, precomputed at construction: when the
-    // channel/bank counts are powers of two (they are in every
-    // shipped configuration) the per-access divisions strength-reduce
-    // to shifts and masks (rule L19). -1 marks a non-pow2 count that
-    // must keep the division.
-    int chan_bits_ = -1;   // LINT_SNAPSHOT_OK: config
-    int bank_bits_ = -1;   // LINT_SNAPSHOT_OK: config
+    // Address-slicing plan, precomputed at construction: the
+    // channel/bank counts are powers of two, so the per-access
+    // slicing is shifts and masks (rule L19).
+    unsigned chan_bits_;   // LINT_SNAPSHOT_OK: config
+    unsigned bank_bits_;   // LINT_SNAPSHOT_OK: config
     std::vector<Bank> banks_;               //!< channels*banks flat
     std::vector<Cycle> channel_next_free_;  //!< data-bus availability
     std::uint64_t accesses_ = 0;

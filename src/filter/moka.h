@@ -16,7 +16,6 @@
 #include "common/hot_path.h"
 #include "filter/adaptive_threshold.h"
 #include "filter/features.h"
-#include "filter/perceptron.h"
 #include "filter/system_features.h"
 #include "filter/update_buffer.h"
 

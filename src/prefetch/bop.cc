@@ -4,22 +4,23 @@
 #include <algorithm>
 
 #include "common/bitops.h"
+#include "common/check.h"
 #include "common/hashing.h"
 
 namespace moka {
 
 Bop::Bop(const BopConfig &config)
-    : cfg_(config), rr_mask_(pow2_mask(config.rr_entries)),
+    : cfg_(config), rr_mask_(config.rr_entries - 1),
       rr_(config.rr_entries, 0), scores_(config.offsets.size(), 0)
 {
+    SIM_REQUIRE(is_pow2(config.rr_entries),
+                "BOP recent-request entries must be a power of two");
 }
 
 std::size_t
 Bop::rr_index(Addr line) const
 {
-    const std::uint64_t h = mix64(line);
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    return rr_mask_ != 0 ? h & rr_mask_ : h % rr_.size();
+    return mix64(line) & rr_mask_;
 }
 
 bool

@@ -1,6 +1,7 @@
 #include "prefetch/ipcp.h"
 
 #include "common/bitops.h"
+#include "common/check.h"
 #include "common/hashing.h"
 #include "snapshot/snapshot.h"
 
@@ -31,12 +32,17 @@ emit(std::vector<PrefetchRequest> &out, Addr line, std::int64_t delta,
 }  // namespace
 
 Ipcp::Ipcp(const IpcpConfig &config)
-    : cfg_(config), region_mask_(pow2_mask(config.region_lines)),
-      ip_mask_(pow2_mask(config.ip_entries)),
-      cspt_mask_(pow2_mask(config.cspt_entries)),
+    : cfg_(config), region_mask_(config.region_lines - 1),
+      ip_mask_(is_pow2(config.ip_entries) ? config.ip_entries - 1 : 0),
+      cspt_mask_(config.cspt_entries - 1),
       ips_(config.ip_entries), cspt_(config.cspt_entries),
       regions_(config.rst_entries)
 {
+    // A region's touched-line bitmap is one 64-bit word.
+    SIM_REQUIRE(is_pow2(config.region_lines) && config.region_lines <= 64,
+                "IPCP region lines must be a power of two, at most 64");
+    SIM_REQUIRE(is_pow2(config.cspt_entries),
+                "IPCP CSPT entries must be a power of two");
 }
 
 Ipcp::Region *
@@ -79,10 +85,8 @@ Ipcp::on_access(const PrefetchContext &ctx,
 
     // --- Region stream tracking (GS class) ---------------------------
     Region *region = find_region(line, true);
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    const unsigned line_in_region = static_cast<unsigned>(
-        region_mask_ != 0 ? line & region_mask_
-                          : line % cfg_.region_lines);
+    const unsigned line_in_region =
+        static_cast<unsigned>(line & region_mask_);
     if ((region->touched & (std::uint64_t{1} << line_in_region)) == 0) {
         region->touched |= std::uint64_t{1} << line_in_region;
         if (++region->count >= cfg_.dense_threshold) {
@@ -92,9 +96,10 @@ Ipcp::on_access(const PrefetchContext &ctx,
 
     // --- IP table -----------------------------------------------------
     const std::uint64_t h = mix64(ctx.pc);
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    IpEntry &ip =
-        ips_[ip_mask_ != 0 ? h & ip_mask_ : h % cfg_.ip_entries];
+    // LINT_HOT_OK: ISO Storage sizes this table at 96 entries, whose
+    // lookups need the %; resizing it would move fig09's results, and
+    // a %-only lookup would slow every default (64-entry) access.
+    IpEntry &ip = ips_[ip_mask_ != 0 ? h & ip_mask_ : h % cfg_.ip_entries];
     const std::uint16_t tag = static_cast<std::uint16_t>(h >> 32);
     if (!ip.valid || ip.tag != tag) {
         ip = IpEntry{};
@@ -124,10 +129,7 @@ Ipcp::on_access(const PrefetchContext &ctx,
     }
 
     // --- Train CPLX (stride signature -> next stride) -------------------
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    CsptEntry &pred =
-        cspt_[cspt_mask_ != 0 ? ip.signature & cspt_mask_
-                              : ip.signature % cfg_.cspt_entries];
+    CsptEntry &pred = cspt_[ip.signature & cspt_mask_];
     if (stride != 0) {
         if (pred.stride == stride) {
             pred.conf.increment();
@@ -164,10 +166,7 @@ Ipcp::on_access(const PrefetchContext &ctx,
     std::uint16_t sig = ip.signature;
     Addr cur = line;
     for (unsigned d = 0; d < cfg_.cplx_degree; ++d) {
-        // LINT_HOT_OK: non-pow2 fallback; see the training lookup
-        const CsptEntry &p =
-            cspt_[cspt_mask_ != 0 ? sig & cspt_mask_
-                                  : sig % cfg_.cspt_entries];
+        const CsptEntry &p = cspt_[sig & cspt_mask_];
         if (p.conf.value() < 2 || p.stride == 0) {
             break;
         }

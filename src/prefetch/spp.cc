@@ -4,15 +4,20 @@
 #include <algorithm>
 
 #include "common/bitops.h"
+#include "common/check.h"
 #include "common/hashing.h"
 
 namespace moka {
 
 Spp::Spp(const SppConfig &config)
-    : cfg_(config), st_mask_(pow2_mask(config.st_entries)),
-      pt_mask_(pow2_mask(config.pt_entries)), st_(config.st_entries),
+    : cfg_(config), st_mask_(config.st_entries - 1),
+      pt_mask_(config.pt_entries - 1), st_(config.st_entries),
       pt_(config.pt_entries)
 {
+    SIM_REQUIRE(is_pow2(config.st_entries),
+                "SPP signature-table entries must be a power of two");
+    SIM_REQUIRE(is_pow2(config.pt_entries),
+                "SPP pattern-table entries must be a power of two");
     for (PtEntry &e : pt_) {
         e.slots.resize(cfg_.deltas_per_sig);
     }
@@ -33,17 +38,13 @@ Spp::on_access(const PrefetchContext &ctx,
         static_cast<std::int32_t>(line_in_page(ctx.vaddr) & (kBlocksPerPage - 1));
 
     // --- Signature table lookup (set = hashed page) -------------------
-    const std::uint64_t ph = mix64(page);
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    StEntry &e = st_[st_mask_ != 0 ? ph & st_mask_ : ph % st_.size()];
+    StEntry &e = st_[mix64(page) & st_mask_];
     std::uint16_t sig = 0;
     if (e.valid && e.page_tag == page) {
         const std::int32_t delta = offset - e.last_offset;
         if (delta != 0) {
             // Train the pattern table for the *previous* signature.
-            // LINT_HOT_OK: non-pow2 fallback; see the st_ lookup
-            PtEntry &p = pt_[pt_mask_ != 0 ? e.signature & pt_mask_
-                                           : e.signature % pt_.size()];
+            PtEntry &p = pt_[e.signature & pt_mask_];
             DeltaSlot *slot = nullptr;
             for (DeltaSlot &s : p.slots) {
                 if (s.delta == delta && s.count > 0) {
@@ -86,9 +87,7 @@ Spp::on_access(const PrefetchContext &ctx,
     std::int32_t cur = offset;
     std::uint16_t s = sig;
     for (unsigned depth = 0; depth < cfg_.max_depth; ++depth) {
-        // LINT_HOT_OK: non-pow2 fallback; see the st_ lookup
-        const PtEntry &p =
-            pt_[pt_mask_ != 0 ? s & pt_mask_ : s % pt_.size()];
+        const PtEntry &p = pt_[s & pt_mask_];
         const DeltaSlot *best = nullptr;
         for (const DeltaSlot &slot : p.slots) {
             if (slot.count > 0 &&

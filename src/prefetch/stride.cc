@@ -2,14 +2,17 @@
 #include "snapshot/snapshot.h"
 
 #include "common/bitops.h"
+#include "common/check.h"
 #include "common/hashing.h"
 
 namespace moka {
 
 StridePrefetcher::StridePrefetcher(const StridePrefetcherConfig &config)
-    : cfg_(config), table_mask_(pow2_mask(config.entries)),
+    : cfg_(config), table_mask_(config.entries - 1),
       table_(config.entries)
 {
+    SIM_REQUIRE(is_pow2(config.entries),
+                "stride-prefetcher entries must be a power of two");
 }
 
 void
@@ -18,9 +21,7 @@ StridePrefetcher::on_access(const PrefetchContext &ctx,
 {
     const Addr line = block_number(ctx.vaddr);
     const std::uint64_t h = mix64(ctx.pc);
-    // LINT_HOT_OK: non-pow2 fallback; shipped configs take the mask
-    Entry &e =
-        table_[table_mask_ != 0 ? h & table_mask_ : h % table_.size()];
+    Entry &e = table_[h & table_mask_];
     const std::uint16_t tag = static_cast<std::uint16_t>(h >> 40);
 
     if (!e.valid || e.tag != tag) {

@@ -251,32 +251,23 @@ Watchdog::next_tick(std::uint64_t steps)
 }
 
 std::uint64_t
-backoff_delay_ms(const EngineConfig &cfg, std::size_t id, int attempt)
+backoff_delay_ms(std::uint64_t salt, std::size_t id, int attempt)
 {
-    // Capped exponential: base * 2^(attempt-1), clamped.
+    // Capped exponential: base * 2^(attempt-1), clamped. Past the
+    // cap's exponent the shift only has to stay defined.
     const std::uint64_t shift =
-        attempt <= 63 ? static_cast<std::uint64_t>(attempt - 1) : 63;
+        attempt <= 32 ? static_cast<std::uint64_t>(attempt - 1) : 32;
     const std::uint64_t delay_ms =
-        std::min(cfg.backoff_cap_ms,
-                 cfg.backoff_base_ms == 0 ? 0
-                                          : cfg.backoff_base_ms << shift);
-    if (!cfg.backoff_jitter || delay_ms == 0) {
-        return delay_ms;
-    }
+        std::min(kBackoffCapMs, kBackoffBaseMs << shift);
     // Decorrelate across processes: a seeded-uniform draw in
     // [delay/2, delay] keyed on (salt, job, attempt) — pure timing,
     // no effect on any result value.
-    Rng rng(hash_combine(hash_combine(cfg.jitter_salt,
-                                      static_cast<std::uint64_t>(id)),
+    Rng rng(hash_combine(hash_combine(salt, static_cast<std::uint64_t>(id)),
                          static_cast<std::uint64_t>(attempt)));
     return delay_ms / 2 + rng.below(delay_ms - delay_ms / 2 + 1);
 }
 
-JobEngine::JobEngine(EngineConfig cfg) : cfg_(std::move(cfg))
-{
-    SIM_REQUIRE(cfg_.max_attempts >= 1,
-                "engine needs at least one attempt per job");
-}
+JobEngine::JobEngine(EngineConfig cfg) : cfg_(std::move(cfg)) {}
 
 JobResult
 JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
@@ -287,7 +278,7 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
     JobResult res;
     res.id = spec.id;
     res.label = job_label(spec);
-    for (int attempt = 1; attempt <= cfg_.max_attempts; ++attempt) {
+    for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
         res.attempts = attempt;
         if (tracer != nullptr && attempt > 1) {
             std::ostringstream os;
@@ -337,17 +328,13 @@ JobEngine::execute_one(const JobSpec &spec, const JobFn &fn,
         if (res.error == JobErrorCode::kLeaseLost) {
             break;  // a peer owns this job now; never retry
         }
-        if (!is_transient(res.error) || attempt == cfg_.max_attempts) {
+        if (!is_transient(res.error) || attempt == kMaxAttempts) {
             break;
         }
         // Jittered capped-exponential backoff before retrying a
         // transient failure (see backoff_delay_ms).
-        const std::uint64_t delay_ms =
-            backoff_delay_ms(cfg_, spec.id, attempt);
-        if (delay_ms > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay_ms));
-        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            backoff_delay_ms(cfg_.jitter_salt, spec.id, attempt)));
     }
     return res;
 }

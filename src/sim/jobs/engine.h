@@ -39,24 +39,24 @@ class TelemetrySession;
 class SnapshotCache;
 class ResultStore;
 
+//! attempts for a transiently failing job
+inline constexpr int kMaxAttempts = 3;
+//! retry backoff: doubles per retry from this ...
+inline constexpr std::uint64_t kBackoffBaseMs = 10;
+//! ... up to this cap
+inline constexpr std::uint64_t kBackoffCapMs = 500;
+
 /** Engine-wide policy knobs. */
 struct EngineConfig
 {
     std::size_t workers = 1;         //!< worker threads (--jobs N)
-    int max_attempts = 3;            //!< attempts for transient failures
-    std::uint64_t backoff_base_ms = 10;  //!< doubles per retry ...
-    std::uint64_t backoff_cap_ms = 500;  //!< ... up to this cap
     /**
-     * Decorrelate retry backoff: sleep a seeded-uniform duration in
-     * [delay/2, delay] instead of exactly the exponential delay, so N
-     * processes retrying the same transiently-failing trace
-     * spread their filesystem hits instead of thundering in lockstep.
-     * The draw is a pure function of (jitter_salt, job id, attempt) —
-     * timing only, never results — and jitter_salt should differ per
-     * process sharing a result store (engine_config salts it with the
-     * process id).
+     * Salt of the retry backoff's jitter (see backoff_delay_ms), which
+     * spreads the retries of N processes sharing a result store
+     * instead of letting them thunder in lockstep. It should differ
+     * per process (engine_config salts it with the process id); it
+     * changes timing only, never results.
      */
-    bool backoff_jitter = true;
     std::uint64_t jitter_salt = 0;
     bool fail_fast = false;          //!< first failure skips the rest
     //! wall-clock watchdog deadline per attempt; 0 disables it (the
@@ -176,11 +176,11 @@ struct EngineReport
 
 /**
  * Backoff before retry @p attempt (1-based) of job @p id: capped
- * exponential (base * 2^(attempt-1), clamped to the cap), then — when
- * cfg.backoff_jitter — decorrelated into [delay/2, delay] by a draw
- * seeded with (cfg.jitter_salt, id, attempt). Exposed for tests.
+ * exponential (kBackoffBaseMs * 2^(attempt-1), clamped to
+ * kBackoffCapMs), decorrelated into [delay/2, delay] by a draw seeded
+ * with (@p salt, id, attempt). Exposed for tests.
  */
-std::uint64_t backoff_delay_ms(const EngineConfig &cfg, std::size_t id,
+std::uint64_t backoff_delay_ms(std::uint64_t salt, std::size_t id,
                                int attempt);
 
 /** The engine. Construct once per sweep; run() drains the whole matrix. */

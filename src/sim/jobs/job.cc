@@ -13,7 +13,6 @@ to_string(JobErrorCode code)
       case JobErrorCode::kStepBudget: return "step_budget";
       case JobErrorCode::kOom: return "oom";
       case JobErrorCode::kLeaseLost: return "lease_lost";
-      case JobErrorCode::kSnapshotInvalid: return "snapshot_invalid";
       case JobErrorCode::kUnknown: break;
     }
     return "unknown";
@@ -29,8 +28,6 @@ is_transient(JobErrorCode code)
     // would exhaust the same step budget at the same step.
     // A lost lease is permanent *for this process*: the peer that stole
     // the job owns it now, so retrying locally would double-execute.
-    // A rejected snapshot is handled inline (cold-warmup fallback), so
-    // a job that still fails with it would fail again on retry.
     return code == JobErrorCode::kTimeout || code == JobErrorCode::kOom;
 }
 

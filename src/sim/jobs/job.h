@@ -32,7 +32,6 @@ enum class JobErrorCode : std::uint8_t {
     kStepBudget,     //!< watchdog cancelled a run past its step budget
     kOom,            //!< allocation failure while building/running
     kLeaseLost,      //!< lost the job's lease to a peer process
-    kSnapshotInvalid,  //!< warmup snapshot rejected (corrupt/mismatched)
     kUnknown,        //!< unclassified exception escaping the job body
 };
 

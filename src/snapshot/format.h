@@ -79,8 +79,7 @@ const char *to_string(SnapshotErrorKind kind);
 
 /**
  * Classified snapshot rejection. Every failure mode is recoverable by
- * design: the caller falls back to a cold warmup (the job layer maps
- * this onto JobErrorCode::kSnapshotInvalid when it must surface).
+ * design: the caller falls back to a cold warmup.
  */
 class SnapshotError : public std::runtime_error
 {

@@ -98,5 +98,13 @@ TEST(Bop, CandidatesCrossPagesFreely)
                              out[0].vaddr));
 }
 
+TEST(BopDeath, NonPow2RecentRequestTableAborts)
+{
+    BopConfig cfg;
+    cfg.rr_entries = 96;
+    EXPECT_DEATH({ Bop bop(cfg); },
+                 "BOP recent-request entries must be a power of two");
+}
+
 }  // namespace
 }  // namespace moka

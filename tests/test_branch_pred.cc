@@ -88,5 +88,13 @@ TEST(BranchPredictor, DistinctPcsIndependent)
     EXPECT_GT(correct, 190u);
 }
 
+TEST(BranchPredictorDeath, NonPow2EntriesAbort)
+{
+    BranchPredConfig cfg;
+    cfg.entries = 96;
+    EXPECT_DEATH({ BranchPredictor bp(cfg); },
+                 "branch-predictor entries must be a power of two");
+}
+
 }  // namespace
 }  // namespace moka

@@ -78,5 +78,19 @@ TEST(Dram, TypeCountersSplit)
     EXPECT_EQ(dram.walk_accesses(), 1u);
 }
 
+TEST(DramDeath, NonPow2ChannelsAbort)
+{
+    DramConfig cfg = small_config();
+    cfg.channels = 3;
+    EXPECT_DEATH({ Dram dram(cfg); }, "DRAM channels must be a power of two");
+}
+
+TEST(DramDeath, NonPow2BanksAbort)
+{
+    DramConfig cfg = small_config();
+    cfg.banks = 3;
+    EXPECT_DEATH({ Dram dram(cfg); }, "DRAM banks must be a power of two");
+}
+
 }  // namespace
 }  // namespace moka

@@ -30,20 +30,27 @@ TEST(Ipcp, NextLineOnFreshIpMiss)
 
 TEST(Ipcp, ConstantStrideClassified)
 {
-    Ipcp ipcp(IpcpConfig{});
-    const std::int64_t stride = 3;
-    std::vector<PrefetchRequest> out;
-    // Spread the accesses across sparse regions so the GS detector
-    // stays quiet and the CS class fires.
-    for (int i = 0; i < 10; ++i) {
-        out = access(ipcp, 0x400200,
-                     0x100000 + Addr(i) * stride * kBlockSize);
-    }
-    ASSERT_FALSE(out.empty());
-    EXPECT_EQ(out[0].delta, stride);
-    // Degree: multiples of the stride.
-    for (std::size_t d = 0; d < out.size(); ++d) {
-        EXPECT_EQ(out[d].delta, stride * std::int64_t(d + 1));
+    // The default IP table indexes by mask; ISO Storage's 96 entries
+    // take the modulo lookup.
+    for (const unsigned ip_entries : {64u, 96u}) {
+        IpcpConfig cfg;
+        cfg.ip_entries = ip_entries;
+        Ipcp ipcp(cfg);
+        const std::int64_t stride = 3;
+        std::vector<PrefetchRequest> out;
+        // Spread the accesses across sparse regions so the GS detector
+        // stays quiet and the CS class fires.
+        for (int i = 0; i < 10; ++i) {
+            out = access(ipcp, 0x400200,
+                         0x100000 + Addr(i) * stride * kBlockSize);
+        }
+        ASSERT_FALSE(out.empty()) << ip_entries;
+        EXPECT_EQ(out[0].delta, stride) << ip_entries;
+        // Degree: multiples of the stride.
+        for (std::size_t d = 0; d < out.size(); ++d) {
+            EXPECT_EQ(out[d].delta, stride * std::int64_t(d + 1))
+                << ip_entries;
+        }
     }
 }
 
@@ -96,6 +103,22 @@ TEST(Ipcp, StrideChangeRetrains)
     }
     ASSERT_FALSE(out.empty());
     EXPECT_EQ(out[0].delta, 5);
+}
+
+TEST(IpcpDeath, NonPow2RegionAborts)
+{
+    IpcpConfig cfg;
+    cfg.region_lines = 96;
+    EXPECT_DEATH({ Ipcp ipcp(cfg); },
+                 "IPCP region lines must be a power of two, at most 64");
+}
+
+TEST(IpcpDeath, NonPow2CsptAborts)
+{
+    IpcpConfig cfg;
+    cfg.cspt_entries = 96;
+    EXPECT_DEATH({ Ipcp ipcp(cfg); },
+                 "IPCP CSPT entries must be a power of two");
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ TEST(JobEngine, ForeignExceptionsAreClassified)
     EXPECT_EQ(report.results[1].status, JobStatus::kFailed);
     // bad_alloc is transient (kOom), so it was retried to exhaustion.
     EXPECT_EQ(report.results[1].error, JobErrorCode::kOom);
-    EXPECT_EQ(report.results[1].attempts, cfg.max_attempts);
+    EXPECT_EQ(report.results[1].attempts, kMaxAttempts);
     EXPECT_EQ(report.results[2].status, JobStatus::kCompleted);
 }
 
@@ -131,27 +131,21 @@ TEST(JobEngine, ForeignExceptionsAreClassified)
 
 TEST(JobEngine, TransientFailureRetriesThenSucceeds)
 {
-    EngineConfig cfg;
-    cfg.max_attempts = 3;
-    cfg.backoff_base_ms = 1;
-    cfg.backoff_cap_ms = 2;
-    JobEngine engine(cfg);
+    JobEngine engine((EngineConfig()));
     const auto report = engine.run(
         trivial_jobs(1), [](const JobSpec &spec, JobContext &ctx) {
-            if (ctx.attempt < 3) {
+            if (ctx.attempt < kMaxAttempts) {
                 throw JobError(JobErrorCode::kTimeout, "straggler");
             }
             return echo_body(spec, ctx);
         });
     EXPECT_EQ(report.results[0].status, JobStatus::kCompleted);
-    EXPECT_EQ(report.results[0].attempts, 3);
+    EXPECT_EQ(report.results[0].attempts, kMaxAttempts);
 }
 
 TEST(JobEngine, PermanentFailureIsNotRetried)
 {
-    EngineConfig cfg;
-    cfg.max_attempts = 5;
-    JobEngine engine(cfg);
+    JobEngine engine((EngineConfig()));
     const auto report = engine.run(
         trivial_jobs(1), [](const JobSpec &, JobContext &) -> JobOutput {
             throw JobError(JobErrorCode::kConfigInvalid, "bad scheme");
@@ -182,34 +176,19 @@ TEST(JobErrors, TransiencyTaxonomy)
 
 TEST(Backoff, JitterStaysInUpperHalfAndIsDeterministic)
 {
-    EngineConfig cfg;
-    cfg.backoff_base_ms = 100;
-    cfg.backoff_cap_ms = 1000;
+    // 10, 20, 40, ... ms, capped at 500 from attempt 7 on.
     for (std::size_t id = 0; id < 8; ++id) {
-        for (int attempt = 1; attempt <= 6; ++attempt) {
+        for (int attempt = 1; attempt <= 8; ++attempt) {
             const std::uint64_t shift =
                 static_cast<std::uint64_t>(attempt - 1);
             const std::uint64_t full =
-                std::min<std::uint64_t>(1000, 100u << shift);
-            const std::uint64_t d = backoff_delay_ms(cfg, id, attempt);
+                std::min(kBackoffCapMs, kBackoffBaseMs << shift);
+            const std::uint64_t d = backoff_delay_ms(0, id, attempt);
             EXPECT_GE(d, full / 2) << id << "/" << attempt;
             EXPECT_LE(d, full) << id << "/" << attempt;
             // Same (salt, id, attempt) always draws the same delay.
-            EXPECT_EQ(d, backoff_delay_ms(cfg, id, attempt));
+            EXPECT_EQ(d, backoff_delay_ms(0, id, attempt));
         }
-    }
-}
-
-TEST(Backoff, DisabledJitterKeepsCappedExponential)
-{
-    EngineConfig cfg;
-    cfg.backoff_base_ms = 100;
-    cfg.backoff_cap_ms = 1000;
-    cfg.backoff_jitter = false;
-    const std::uint64_t expected[] = {100, 200, 400, 800, 1000, 1000};
-    for (int attempt = 1; attempt <= 6; ++attempt) {
-        EXPECT_EQ(backoff_delay_ms(cfg, 7, attempt),
-                  expected[attempt - 1]);
     }
 }
 
@@ -218,16 +197,12 @@ TEST(Backoff, SaltDecorrelatesShards)
     // Two shards retrying the same job on the same attempt must not
     // sleep in lockstep: different salts draw different delays for at
     // least some (id, attempt) pairs.
-    EngineConfig a;
-    a.backoff_base_ms = 64;
-    a.backoff_cap_ms = 4096;
-    EngineConfig b = a;
-    b.jitter_salt = 0x9e3779b97f4a7c15ull;
+    constexpr std::uint64_t kOtherSalt = 0x9e3779b97f4a7c15ull;
     bool differs = false;
     for (std::size_t id = 0; id < 8 && !differs; ++id) {
         for (int attempt = 1; attempt <= 6 && !differs; ++attempt) {
-            differs = backoff_delay_ms(a, id, attempt) !=
-                      backoff_delay_ms(b, id, attempt);
+            differs = backoff_delay_ms(0, id, attempt) !=
+                      backoff_delay_ms(kOtherSalt, id, attempt);
         }
     }
     EXPECT_TRUE(differs);
@@ -239,10 +214,7 @@ TEST(Backoff, SaltDecorrelatesShards)
 
 TEST(JobEngine, WatchdogCancelsOverBudgetJob)
 {
-    EngineConfig cfg;
-    cfg.max_attempts = 2;
-    cfg.backoff_base_ms = 0;
-    JobEngine engine(cfg);
+    JobEngine engine((EngineConfig()));
     auto jobs = trivial_jobs(1);
     jobs[0].watchdog_steps = 100;
     const auto report =
@@ -257,7 +229,7 @@ TEST(JobEngine, WatchdogCancelsOverBudgetJob)
     EXPECT_EQ(report.results[0].status, JobStatus::kFailed);
     EXPECT_EQ(report.results[0].error, JobErrorCode::kStepBudget);
     // A run's step count is a function of its spec, so an exhausted
-    // budget is permanent: no retry, although two attempts were allowed.
+    // budget is permanent: no retry, although three attempts are allowed.
     EXPECT_EQ(report.results[0].attempts, 1);
 }
 
@@ -297,7 +269,6 @@ TEST(Watchdog, FiresPastItsBudgetThroughMachineRun)
 TEST(JobEngine, StalledWorkerTripsWallDeadline)
 {
     EngineConfig cfg;
-    cfg.max_attempts = 1;
     cfg.watchdog_wall_ms = 5;
     cfg.faults.enabled = true;
     cfg.faults.seed = 3;
@@ -313,6 +284,8 @@ TEST(JobEngine, StalledWorkerTripsWallDeadline)
         });
     EXPECT_EQ(report.results[0].status, JobStatus::kFailed);
     EXPECT_EQ(report.results[0].error, JobErrorCode::kTimeout);
+    // A timeout is transient: every attempt stalled and timed out.
+    EXPECT_EQ(report.results[0].attempts, kMaxAttempts);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,8 +319,6 @@ TEST(JobEngine, WorkerCountDoesNotChangeOutput)
 TEST(JobEngine, InjectedFaultsAreScheduleIndependent)
 {
     EngineConfig cfg;
-    cfg.max_attempts = 2;
-    cfg.backoff_base_ms = 0;
     cfg.faults.enabled = true;
     cfg.faults.seed = 11;
     cfg.faults.throw_rate = 0.5;

@@ -32,7 +32,6 @@
 #include "filter/adaptive_threshold.h"
 #include "filter/features.h"
 #include "filter/moka.h"
-#include "filter/perceptron.h"
 #include "filter/policies.h"
 #include "filter/system_features.h"
 #include "filter/update_buffer.h"
@@ -41,7 +40,6 @@
 #include "prefetch/ipcp.h"
 #include "prefetch/spp.h"
 #include "prefetch/stride.h"
-#include "prefetch/throttle.h"
 #include "sim/jobs/job.h"
 #include "sim/multicore.h"
 #include "sim/runner.h"
@@ -874,24 +872,6 @@ TEST(SnapshotComponents, Spp)
     expect_prefetcher_round_trip<Spp, SppConfig>();
 }
 
-TEST(SnapshotComponents, Throttle)
-{
-    ThrottleConfig cfg;
-    ThrottledPrefetcher driven(std::make_unique<Bop>(BopConfig{}), cfg);
-    drive_prefetcher(driven);
-    ThrottledPrefetcher fresh(std::make_unique<Bop>(BopConfig{}), cfg);
-    SnapshotWriter w(0);
-    driven.save_state(w);
-    const std::string bytes = w.finish();
-    const SnapshotImage image(bytes);
-    SnapshotReader r(image);
-    fresh.restore_state(r);
-    r.finish();
-    SnapshotWriter w2(0);
-    fresh.save_state(w2);
-    EXPECT_EQ(w2.finish(), bytes);
-}
-
 TEST(SnapshotComponents, UpdateBuffer)
 {
     VirtUpdateBuffer driven(32);
@@ -912,23 +892,6 @@ TEST(SnapshotComponents, UpdateBuffer)
     VirtDecisionRecord a, b;
     EXPECT_EQ(driven.take(VirtAddr{99 * kBlockSize}, a),
               fresh.take(VirtAddr{99 * kBlockSize}, b));
-}
-
-TEST(SnapshotComponents, WeightTable)
-{
-    WeightTable driven(256, 5);
-    for (std::uint64_t v = 0; v < 600; ++v) {
-        const std::uint32_t idx = driven.index_of(v * 2654435761u);
-        if (v % 3 == 0) {
-            driven.decrement(idx);
-        } else {
-            driven.increment(idx);
-        }
-    }
-    WeightTable fresh(256, 5);
-    expect_round_trip(driven, fresh);
-    EXPECT_EQ(fresh.weight_at(driven.index_of(12345)),
-              driven.weight_at(driven.index_of(12345)));
 }
 
 TEST(SnapshotComponents, AdaptiveThreshold)
@@ -1647,11 +1610,12 @@ TEST(SnapshotComponents, UpdateBufferOccupancyOutOfRangeIsMalformed)
 
 TEST(SnapshotComponents, SignedCounterOutsideRailsIsMalformed)
 {
-    // One u16 per counter; 5-bit counters top out at 15.
-    WeightTable driven(256, 5);
+    // The weight is one u16; a 5-bit counter tops out at 15.
+    const SystemFeatureConfig cfg;
+    SystemFeature driven(cfg);
     std::string payload = payload_of(section_of(driven));
     poke(payload, 0, 16, 2);
-    WeightTable fresh(256, 5);
+    SystemFeature fresh(cfg);
     EXPECT_EQ(section_error(fresh, reseal(payload)),
               SnapshotErrorKind::kMalformed);
 }
@@ -2236,13 +2200,6 @@ TEST(SnapshotRunner, DifferentSchemesGetDifferentWarmupKeys)
     (void)simulate(other, make, run, nullptr, &cache, 77);
     EXPECT_EQ(cache.stats().misses, 2u);
     EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(SnapshotJobError, NameRoundTrip)
-{
-    EXPECT_STREQ(to_string(JobErrorCode::kSnapshotInvalid),
-                 "snapshot_invalid");
-    EXPECT_FALSE(is_transient(JobErrorCode::kSnapshotInvalid));
 }
 
 TEST(SnapshotDefaults, WarmupBudgetUnified)

@@ -85,5 +85,21 @@ TEST(Spp, RandomOffsetsStayQuiet)
     EXPECT_LT(emitted, 100u);
 }
 
+TEST(SppDeath, NonPow2SignatureTableAborts)
+{
+    SppConfig cfg;
+    cfg.st_entries = 96;
+    EXPECT_DEATH({ Spp spp(cfg); },
+                 "SPP signature-table entries must be a power of two");
+}
+
+TEST(SppDeath, NonPow2PatternTableAborts)
+{
+    SppConfig cfg;
+    cfg.pt_entries = 96;
+    EXPECT_DEATH({ Spp spp(cfg); },
+                 "SPP pattern-table entries must be a power of two");
+}
+
 }  // namespace
 }  // namespace moka

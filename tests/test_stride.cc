@@ -69,5 +69,33 @@ TEST(Stride, FactoryIntegration)
     EXPECT_EQ(parse_l1d_kind("stride"), L1dPrefetcherKind::kStride);
 }
 
+TEST(StrideDeath, NonPow2TableAborts)
+{
+    StridePrefetcherConfig cfg;
+    cfg.entries = 96;
+    EXPECT_DEATH({ StridePrefetcher pf(cfg); },
+                 "stride-prefetcher entries must be a power of two");
+}
+
+TEST(PrefetcherFactory, BuildsEveryShippedConfiguration)
+{
+    // Every hashed table a factory builds is a power of two, which
+    // the constructors require, except IPCP's ISO Storage IP table
+    // (96 entries), which may take any size.
+    for (const L1dPrefetcherKind kind :
+         {L1dPrefetcherKind::kBerti, L1dPrefetcherKind::kIpcp,
+          L1dPrefetcherKind::kBop, L1dPrefetcherKind::kStride,
+          L1dPrefetcherKind::kNextLine}) {
+        for (const bool iso : {false, true}) {
+            EXPECT_NE(make_l1d_prefetcher(kind, iso), nullptr);
+        }
+    }
+    for (const L2PrefetcherKind kind :
+         {L2PrefetcherKind::kSpp, L2PrefetcherKind::kIpcp,
+          L2PrefetcherKind::kBop}) {
+        EXPECT_NE(make_l2_prefetcher(kind), nullptr);
+    }
+}
+
 }  // namespace
 }  // namespace moka

@@ -20,8 +20,12 @@
  * Prefetchers: berti | ipcp | bop | stride | nl
  * L2 prefetchers: none | spp | ipcp | bop
  *
- * An unknown flag or name, a missing value or a malformed number is a
- * usage error: one line on stderr, exit status 2.
+ * A --mix runs one workload per core, so it names a power-of-two
+ * number of workloads (1, 2, 4, 8, ...).
+ *
+ * An unknown flag or name, a missing value, a malformed number or a
+ * --mix of another size is a usage error: one line on stderr, exit
+ * status 2.
  */
 #include <cstdio>
 #include <cstring>
@@ -30,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/runner.h"
@@ -142,6 +147,15 @@ main(int argc, char **argv)
         mix_arg.empty()
             ? 1
             : static_cast<unsigned>(split_list(mix_arg, ',').size());
+    // The LLC has 2048 sets per core, and cache sets must be a power
+    // of two.
+    if (!is_pow2(cores)) {
+        std::fprintf(stderr,
+                     "usage: --mix needs a power-of-two number of "
+                     "workloads, got %u\n",
+                     cores);
+        return 2;
+    }
 
     MachineConfig cfg = default_config(cores);
     cfg.l1d_prefetcher = kind;
