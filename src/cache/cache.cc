@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <experimental/simd>
 #include <limits>
 #include <numeric>
 
@@ -54,17 +55,36 @@ Cache::tag_of(PhysAddr paddr) const
     return static_cast<std::uint32_t>(block);
 }
 
-std::uint32_t
-Cache::find(std::size_t base, std::uint32_t tag) const
+SIM_INLINE std::uint32_t
+Cache::first_way(const std::uint32_t *row, std::uint32_t ways,
+                 std::uint32_t mask, std::uint32_t key)
 {
-    const std::uint32_t key = tag | kValidTagBit;
-    const std::uint32_t *row = &tags_[base];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (row[w] == key) {
+    namespace stdx = std::experimental;
+    // Four 32-bit lanes: SSE2's pcmpeqd and movmskps on x86-64.
+    using Lanes = stdx::fixed_size_simd<std::uint32_t, 4>;
+    const Lanes lane_mask(mask);
+    const Lanes lane_key(key);
+    std::uint32_t w = 0;
+    for (; w + 4 <= ways; w += 4) {
+        const auto match =
+            (Lanes(row + w, stdx::element_aligned) & lane_mask) == lane_key;
+        if (stdx::any_of(match)) {
+            return w + static_cast<std::uint32_t>(stdx::find_first_set(match));
+        }
+    }
+    for (; w < ways; ++w) {
+        if ((row[w] & mask) == key) {
             return w;
         }
     }
     return kNoWay;
+}
+
+SIM_INLINE std::uint32_t
+Cache::find(std::size_t base, std::uint32_t tag) const
+{
+    return first_way(&tags_[base], cfg_.ways, ~std::uint32_t{0},
+                     tag | kValidTagBit);
 }
 
 bool
@@ -209,11 +229,10 @@ Cache::rebase_fills(Cycle start)
 std::uint32_t
 Cache::pick_victim(std::size_t base, Cycle now)
 {
-    const std::uint32_t *row = &tags_[base];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if ((row[w] & kValidTagBit) == 0) {
-            return w;
-        }
+    const std::uint32_t invalid = first_way(&tags_[base], cfg_.ways,
+                                            kValidTagBit, 0);
+    if (invalid != kNoWay) {
+        return invalid;
     }
     const std::uint32_t way = victim(base);
     SIM_AUDIT(way < cfg_.ways,

@@ -192,10 +192,18 @@ class Cache final : public MemoryLevel
     // its first way in the per-way arrays, computed once per access.
     std::size_t row_base(PhysAddr paddr) const;
     std::uint32_t tag_of(PhysAddr paddr) const;
-    std::uint32_t find(std::size_t base, std::uint32_t tag) const;
+    /**
+     * First of the @p ways tag words at @p row whose bits under
+     * @p mask equal @p key, or kNoWay: four ways per compare.
+     */
+    static SIM_INLINE std::uint32_t first_way(const std::uint32_t *row,
+                                              std::uint32_t ways,
+                                              std::uint32_t mask,
+                                              std::uint32_t key);
     std::uint32_t pick_victim(std::size_t base, Cycle now);
     // access() is the hottest function in the simulator; GCC's LTO
-    // build leaves these two out of line unless forced.
+    // build leaves these three out of line unless forced.
+    SIM_INLINE std::uint32_t find(std::size_t base, std::uint32_t tag) const;
     SIM_INLINE void mark_used(std::size_t idx);
     /** A hit (@p fill false) or fill touched @p way of the set. */
     SIM_INLINE void touch(std::size_t base, std::uint32_t way, bool fill);

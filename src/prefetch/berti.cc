@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/check.h"
 #include "common/hashing.h"
 #include "snapshot/snapshot.h"
 
@@ -15,9 +16,14 @@ Berti::Berti(const BertiConfig &config)
       history_(std::size_t{config.ip_entries} * config.history_per_ip),
       delta_vals_(std::size_t{config.ip_entries} * config.deltas_per_ip),
       delta_occ_(delta_vals_.size()), delta_timely_(delta_vals_.size()),
+      slot_width_(2 * static_cast<std::size_t>(config.max_delta) + 1),
+      delta_slot_(std::size_t{config.ip_entries} * slot_width_, kNoSlot),
       selected_(std::size_t{config.ip_entries} * config.max_degree),
       selected_timely_(selected_.size()), sort_scratch_(config.deltas_per_ip)
 {
+    // delta_slot_ holds each slot as an int8.
+    SIM_REQUIRE(config.deltas_per_ip <= 127,
+                "berti tracks at most 127 candidate deltas per IP");
 }
 
 std::size_t
@@ -47,6 +53,8 @@ Berti::lookup_ip(Addr pc)
     ip_lru_[victim] = ++lru_stamp_;
     HistoryItem *history = history_.data() + victim * cfg_.history_per_ip;
     std::fill(history, history + cfg_.history_per_ip, HistoryItem{});
+    std::fill_n(delta_slot_.data() + victim * slot_width_, slot_width_,
+                kNoSlot);
     ips_[victim] = IpEntry{};
     return victim;
 }
@@ -54,13 +62,13 @@ Berti::lookup_ip(Addr pc)
 void
 Berti::train(std::size_t ip, Addr line, Cycle now)
 {
-    constexpr std::size_t kNoSlot = ~std::size_t{0};
     IpEntry &e = ips_[ip];
     HistoryItem *history = history_.data() + ip * cfg_.history_per_ip;
     const std::size_t base = ip * cfg_.deltas_per_ip;
     std::int64_t *vals = delta_vals_.data() + base;
     std::uint16_t *occ = delta_occ_.data() + base;
     std::uint16_t *timely_count = delta_timely_.data() + base;
+    std::int8_t *slots = slot_row(ip);
     // Compare against the shadow history: a delta is timely when a
     // prefetch launched at the historical access would have completed
     // by now.
@@ -76,20 +84,15 @@ Berti::train(std::size_t ip, Addr line, Cycle now)
         }
         const bool timely = h.cycle + cfg_.timely_latency <= now;
         const std::size_t n = e.delta_count;
-        std::size_t slot = kNoSlot;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (vals[i] == delta) {
-                slot = i;
-                break;
-            }
-        }
+        int slot = slots[delta];
         if (slot == kNoSlot) {
             if (n < cfg_.deltas_per_ip) {
-                slot = n;
+                slot = static_cast<int>(n);
                 ++e.delta_count;
                 vals[slot] = delta;
                 occ[slot] = 0;
                 timely_count[slot] = 0;
+                slots[delta] = static_cast<std::int8_t>(slot);
             } else {
                 // Replace the weakest candidate (first strict minimum
                 // of the timely counts, matching min_element).
@@ -100,10 +103,12 @@ Berti::train(std::size_t ip, Addr line, Cycle now)
                     }
                 }
                 if (timely_count[weakest] <= 2) {
-                    slot = weakest;
+                    slot = static_cast<int>(weakest);
+                    slots[vals[slot]] = kNoSlot;
                     vals[slot] = delta;
                     occ[slot] = 0;
                     timely_count[slot] = 0;
+                    slots[delta] = static_cast<std::int8_t>(slot);
                 }  // else keep established deltas
             }
         }
@@ -213,11 +218,28 @@ Berti::serialize(Self &self, IO &io)
         field(io, e.delta_count);
         require(io, e.delta_count <= cfg.deltas_per_ip,
                 "berti delta count above capacity");
-        for (std::size_t d = i * cfg.deltas_per_ip;
-             d < i * cfg.deltas_per_ip + e.delta_count; ++d) {
-            field(io, self.delta_vals_[d]);
-            field(io, self.delta_occ_[d]);
-            field(io, self.delta_timely_[d]);
+        if constexpr (kRestoring<IO>) {
+            std::fill_n(self.delta_slot_.data() + i * self.slot_width_,
+                        self.slot_width_, kNoSlot);
+        }
+        for (std::size_t d = 0; d < e.delta_count; ++d) {
+            const std::size_t at = i * cfg.deltas_per_ip + d;
+            field(io, self.delta_vals_[at]);
+            field(io, self.delta_occ_[at]);
+            field(io, self.delta_timely_[at]);
+            if constexpr (kRestoring<IO>) {
+                // The slot index rebuilt from the candidates bounds
+                // each delta to its row and holds one slot per delta.
+                const std::int64_t delta = self.delta_vals_[at];
+                require(io,
+                        delta != 0 && delta >= -cfg.max_delta &&
+                            delta <= cfg.max_delta,
+                        "berti delta outside +-max_delta");
+                std::int8_t &slot = self.slot_row(i)[delta];
+                require(io, slot == kNoSlot,
+                        "berti delta repeated within its entry");
+                slot = static_cast<std::int8_t>(d);
+            }
         }
         field(io, e.selected_count);
         require(io, e.selected_count <= cfg.max_degree,

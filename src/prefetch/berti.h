@@ -75,9 +75,17 @@ class Berti : public Prefetcher
         unsigned window_count = 0;
     };
 
+    //! delta_slot_ value of a delta no candidate holds
+    static constexpr std::int8_t kNoSlot = -1;
+
     std::size_t lookup_ip(Addr pc);
     void train(std::size_t ip, Addr line, Cycle now);
     void select_deltas(std::size_t ip);
+    /** Entry @p ip's delta_slot_ row, indexed by delta. */
+    std::int8_t *slot_row(std::size_t ip)
+    {
+        return delta_slot_.data() + ip * slot_width_ + cfg_.max_delta;
+    }
 
     BertiConfig cfg_;  // LINT_SNAPSHOT_OK: config
     std::vector<IpEntry> ips_;
@@ -95,6 +103,13 @@ class Berti : public Prefetcher
     std::vector<std::int64_t> delta_vals_;
     std::vector<std::uint16_t> delta_occ_;
     std::vector<std::uint16_t> delta_timely_;
+    //! 2 * max_delta + 1: one delta_slot_ row
+    std::size_t slot_width_;  // LINT_SNAPSHOT_OK: config
+    //! the candidate slot of each delta in [-max_delta, max_delta] per
+    //! entry, kNoSlot when no candidate holds it, so that train()
+    //! finds a delta's slot in one load
+    // LINT_SNAPSHOT_OK: derived from delta_vals_, rebuilt on restore
+    std::vector<std::int8_t> delta_slot_;
     //! max_degree selected deltas per entry, with their timely counts
     //! (the requests' metadata export)
     std::vector<std::int64_t> selected_;

@@ -33,6 +33,7 @@ emit(std::vector<PrefetchRequest> &out, Addr line, std::int64_t delta,
 
 Ipcp::Ipcp(const IpcpConfig &config)
     : cfg_(config), region_mask_(config.region_lines - 1),
+      region_shift_(log2_exact(config.region_lines)),
       ip_mask_(is_pow2(config.ip_entries) ? config.ip_entries - 1 : 0),
       cspt_mask_(config.cspt_entries - 1),
       ips_(config.ip_entries), cspt_(config.cspt_entries),
@@ -48,7 +49,7 @@ Ipcp::Ipcp(const IpcpConfig &config)
 Ipcp::Region *
 Ipcp::find_region(Addr line, bool allocate)
 {
-    const Addr tag = line / cfg_.region_lines;
+    const Addr tag = line >> region_shift_;
     for (Region &r : regions_) {
         if (r.valid && r.tag == tag) {
             r.lru = ++lru_stamp_;

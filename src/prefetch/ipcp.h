@@ -78,9 +78,11 @@ class Ipcp : public Prefetcher
     Region *find_region(Addr line, bool allocate);
 
     IpcpConfig cfg_;  // LINT_SNAPSHOT_OK: config
-    // Index masks (rule L19). ip_mask_ is 0 when ip_entries is not a
-    // power of two (ISO Storage's 96) and the lookup falls back to %.
+    // Index masks and the region shift (rule L19). ip_mask_ is 0 when
+    // ip_entries is not a power of two (ISO Storage's 96) and the
+    // lookup falls back to %.
     std::uint64_t region_mask_ = 0;  // LINT_SNAPSHOT_OK: config
+    unsigned region_shift_ = 0;      // LINT_SNAPSHOT_OK: config
     std::uint64_t ip_mask_ = 0;      // LINT_SNAPSHOT_OK: config
     std::uint64_t cspt_mask_ = 0;    // LINT_SNAPSHOT_OK: config
     std::vector<IpEntry> ips_;

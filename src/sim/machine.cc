@@ -509,35 +509,51 @@ Machine::run(InstCount insts_per_core, RunTickHook *hook)
     // LINT_HOT_OK: once per run; then once per step the hook asked for.
     std::uint64_t due = hook != nullptr ? hook->next_tick(steps_)
                                         : RunTickHook::kNever;
+    const std::size_t n = cores_.size();
     while (remaining > 0) {
-        // Step the core whose clock is furthest behind so shared-level
-        // contention interleaves in rough time order. Finished cores
-        // keep replaying (paper §IV-A2) until all cores cross.
+        // Step the core whose clock is furthest behind, the lower
+        // index on a tie, so shared-level contention interleaves in
+        // rough time order. Finished cores keep replaying (paper
+        // §IV-A2) until all cores cross. A step moves only its own
+        // core's clock, so the pick stays the same until its clock
+        // passes the runner-up's: step it until then, and rescan.
         std::size_t pick = 0;
-        Cycle best = ~Cycle{0};
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            if (cores_[i]->now() < best) {
-                best = cores_[i]->now();
+        Cycle best = cores_[0]->now();
+        std::size_t next = n;  // the runner-up; n with one core
+        Cycle second = ~Cycle{0};
+        for (std::size_t i = 1; i < n; ++i) {
+            const Cycle c = cores_[i]->now();
+            if (c < best) {
+                second = best;
+                next = pick;
+                best = c;
                 pick = i;
+            } else if (c < second || next == n) {
+                second = c;
+                next = i;
             }
         }
-        cores_[pick]->step();
-        ++steps_;
-        if (steps_ >= due) {
-            // The tick hook is the engine's fault/watchdog/telemetry
-            // seam. Every engine job installs one, so it runs only at
-            // the steps it asked for (a watchdog heartbeat every few
-            // thousand steps), not once per step.
-            // LINT_HOT_OK: dispatched at those steps only (rule L12).
-            hook->on_tick(steps_);
-            due = hook->next_tick(steps_);
-        }
-        if (crossed[pick] == 0 &&
-            cores_[pick]->retired() >= target[pick]) {
-            crossed[pick] = 1;
-            at_budget_[pick] = cores_[pick]->metrics();
-            --remaining;
-        }
+        CoreComplex &core = *cores_[pick];
+        do {
+            core.step();
+            ++steps_;
+            if (steps_ >= due) {
+                // The tick hook is the engine's fault/watchdog/
+                // telemetry seam. Every engine job installs one, so it
+                // runs only at the steps it asked for (a watchdog
+                // heartbeat every few thousand steps), not once per
+                // step.
+                // LINT_HOT_OK: dispatched at those steps only (rule L12).
+                hook->on_tick(steps_);
+                due = hook->next_tick(steps_);
+            }
+            if (crossed[pick] == 0 && core.retired() >= target[pick]) {
+                crossed[pick] = 1;
+                at_budget_[pick] = core.metrics();
+                --remaining;
+            }
+        } while (remaining > 0 && (core.now() < second ||
+                                   (core.now() == second && pick < next)));
     }
     // Fill shared-structure stats machine-wide into each core's
     // budget snapshot.

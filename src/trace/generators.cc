@@ -72,11 +72,11 @@ adopt(S &st, const std::remove_const_t<S> &from)
 class StreamKernel : public AccessKernel
 {
   public:
-    explicit StreamKernel(const StreamParams &p) : p_(p)
+    explicit StreamKernel(const StreamParams &p)
+        : p_(p), per_stream_(p.footprint / p.streams)
     {
-        const Addr per_stream = p_.footprint / p_.streams;
         for (unsigned s = 0; s < p_.streams; ++s) {
-            cursors_.push_back(p_.base + s * per_stream);
+            cursors_.push_back(p_.base + s * per_stream_);
         }
     }
 
@@ -89,11 +89,10 @@ class StreamKernel : public AccessKernel
         if (++st_.next_stream == p_.streams) {
             st_.next_stream = 0;
         }
-        const Addr per_stream = p_.footprint / p_.streams;
-        const Addr lo = p_.base + s * per_stream;
+        const Addr lo = p_.base + s * per_stream_;
         Addr a = cursors_[s];
         cursors_[s] += p_.stride;
-        if (cursors_[s] >= lo + per_stream) {
+        if (cursors_[s] >= lo + per_stream_) {
             cursors_[s] = lo;
         }
         return {a, 0x4000 + s * 16, rng.chance(p_.store_frac)};
@@ -134,6 +133,7 @@ class StreamKernel : public AccessKernel
 
     // LINT_SNAPSHOT_OK: config, rebuilt by the constructor
     StreamParams p_;
+    Addr per_stream_;  // LINT_SNAPSHOT_OK: config, each stream's bytes
     std::vector<Addr> cursors_;
     State st_;
 };

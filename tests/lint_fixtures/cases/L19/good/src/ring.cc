@@ -1,8 +1,9 @@
 #include <cstdint>
 #include <vector>
 
-// Fixed: the pow2 table precomputes a mask at construction, the ring
-// advance compare-wraps, flags live in one byte each, and the
+// Fixed: the pow2 table precomputes a mask at construction, the pow2
+// region tag a shift, the ring advance compare-wraps, flags live in
+// one byte each, a floating-point ratio divides in the FPU, and the
 // genuinely non-pow2 hash reduction keeps a justified escape.
 class RecentTable
 {
@@ -25,6 +26,16 @@ class RecentTable
         dirty_[cursor_] = 1;
     }
 
+    SIM_HOT unsigned long region(unsigned long line)
+    {
+        return line >> region_shift_;
+    }
+
+    SIM_HOT double share(unsigned long hits, unsigned long total)
+    {
+        return static_cast<double>(hits) / static_cast<double>(total);
+    }
+
     SIM_HOT unsigned long scramble(unsigned long v)
     {
         // LINT_HOT_OK: semantic range reduction of a hash onto a
@@ -38,6 +49,7 @@ class RecentTable
     std::vector<std::uint8_t> dirty_;
     std::size_t cursor_ = 0;
     std::size_t count_ = 8;
+    unsigned region_shift_ = 5;
     unsigned long footprint = 1000;
 };
 

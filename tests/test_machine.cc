@@ -1,8 +1,10 @@
 /** @file Integration tests: whole-machine simulation. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -160,6 +162,118 @@ TEST(Machine, HookSeesExactlyTheStepsItAskedFor)
         expected.push_back(s);
     }
     EXPECT_EQ(hook.seen, expected);
+}
+
+/** ALU instructions round a 64-instruction loop: no memory traffic. */
+class AluLoop final : public Workload
+{
+  public:
+    TraceInst next() override
+    {
+        TraceInst inst;
+        inst.pc = 0x1000 + (pos_++ % 64) * 4;
+        return inst;
+    }
+
+    const std::string &name() const override { return name_; }
+
+  private:
+    std::uint64_t pos_ = 0;
+    std::string name_ = "alu.loop";
+};
+
+/** Appends its core's index to a log on every next() it forwards. */
+class LoggedWorkload final : public Workload
+{
+  public:
+    LoggedWorkload(WorkloadPtr inner, std::uint8_t core,
+                   std::vector<std::uint8_t> &log)
+        : inner_(std::move(inner)), core_(core), log_(log)
+    {
+    }
+
+    TraceInst next() override
+    {
+        log_.push_back(core_);
+        return inner_->next();
+    }
+
+    const std::string &name() const override { return inner_->name(); }
+
+  private:
+    WorkloadPtr inner_;
+    std::uint8_t core_;
+    std::vector<std::uint8_t> &log_;
+};
+
+/** Two ALU loops, whose clocks tie, and a stream, logging into @p log. */
+std::unique_ptr<Machine>
+logged_machine(std::vector<std::uint8_t> &log)
+{
+    std::vector<WorkloadPtr> w;
+    w.push_back(std::make_unique<LoggedWorkload>(
+        std::make_unique<AluLoop>(), 0, log));
+    w.push_back(std::make_unique<LoggedWorkload>(
+        make_workload(pick(Family::kStream)), 1, log));
+    w.push_back(std::make_unique<LoggedWorkload>(
+        std::make_unique<AluLoop>(), 2, log));
+    return std::make_unique<Machine>(
+        make_config(L1dPrefetcherKind::kBerti, scheme_discard()),
+        std::move(w));
+}
+
+/**
+ * Machine::run's core order by a full scan before every step: the
+ * core with the lowest clock, the lower index on a tie, until every
+ * core has retired @p insts more. Returns the picks that broke a tie.
+ */
+std::uint64_t
+run_by_full_scan(Machine &m, InstCount insts)
+{
+    const std::size_t n = m.num_cores();
+    std::vector<InstCount> target(n);
+    std::vector<std::uint8_t> crossed(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        target[i] = m.core(i).retired() + insts;
+    }
+    std::size_t remaining = n;
+    std::uint64_t ties = 0;
+    while (remaining > 0) {
+        std::size_t pick = 0;
+        for (std::size_t i = 1; i < n; ++i) {
+            if (m.core(i).now() < m.core(pick).now()) {
+                pick = i;
+            }
+        }
+        for (std::size_t i = pick + 1; i < n; ++i) {
+            ties += m.core(i).now() == m.core(pick).now();
+        }
+        m.core(pick).step();
+        if (crossed[pick] == 0 && m.core(pick).retired() >= target[pick]) {
+            crossed[pick] = 1;
+            --remaining;
+        }
+    }
+    return ties;
+}
+
+TEST(Machine, RunStepsCoresInFullScanOrder)
+{
+    std::vector<std::uint8_t> ran;
+    std::vector<std::uint8_t> scanned;
+    const std::unique_ptr<Machine> machine = logged_machine(ran);
+    const std::unique_ptr<Machine> reference = logged_machine(scanned);
+    std::uint64_t ties = 0;
+    for (const InstCount insts : {InstCount{3'000}, InstCount{2'000}}) {
+        machine->run(insts);
+        ties += run_by_full_scan(*reference, insts);
+        ASSERT_EQ(ran, scanned);
+    }
+    EXPECT_EQ(ran.size(), machine->steps());
+    EXPECT_GT(ties, 1'000u);
+    for (std::uint8_t core = 0; core < 3; ++core) {
+        EXPECT_GE(std::count(ran.begin(), ran.end(), core), 5'000);
+    }
 }
 
 TEST(Machine, LargePagesReduceWalkLevels)

@@ -806,12 +806,17 @@ TEST(SnapshotComponents, BranchPredictor)
     }
 }
 
-/** Drive @p pf across page-crossing strides so tables populate. */
-void
-drive_prefetcher(Prefetcher &pf)
+/**
+ * Drive @p pf across page-crossing strides so tables populate: 2000
+ * accesses from the @p first th on. Returns the requests it made, as
+ * (access, target, delta, meta) rows.
+ */
+std::vector<std::array<std::uint64_t, 4>>
+drive_prefetcher(Prefetcher &pf, std::uint64_t first = 0)
 {
+    std::vector<std::array<std::uint64_t, 4>> made;
     std::vector<PrefetchRequest> out;
-    for (std::uint64_t i = 0; i < 2000; ++i) {
+    for (std::uint64_t i = first; i < first + 2000; ++i) {
         PrefetchContext ctx;
         ctx.pc = 0x400000 + (i % 7) * 4;
         ctx.vaddr = VirtAddr{(i * 3) * kBlockSize};
@@ -822,8 +827,13 @@ drive_prefetcher(Prefetcher &pf)
             pf.on_fill(ctx.vaddr + kBlockSize, ctx.now + 50,
                        /*was_prefetch=*/i % 10 == 0);
         }
+        for (const PrefetchRequest &req : out) {
+            made.push_back({i, req.vaddr.raw(),
+                            static_cast<std::uint64_t>(req.delta), req.meta});
+        }
         out.clear();
     }
+    return made;
 }
 
 template <typename P, typename Cfg>
@@ -844,6 +854,11 @@ expect_prefetcher_round_trip()
     SnapshotWriter w2(0);
     fresh.save_state(w2);
     EXPECT_EQ(w2.finish(), bytes);
+    // State derived on restore, not saved, must also match: the two
+    // go on to make the same requests.
+    const auto made = drive_prefetcher(driven, 2000);
+    EXPECT_FALSE(made.empty());
+    EXPECT_EQ(drive_prefetcher(fresh, 2000), made);
 }
 
 TEST(SnapshotComponents, Berti)
@@ -1499,6 +1514,32 @@ TEST(SnapshotComponents, BertiDeltaCountAboveCapacityIsMalformed)
     std::string payload = section_payload(bytes, "pf.berti");
     grow_list(payload, kBertiDeltasAt, 4, BertiConfig{}.deltas_per_ip + 1,
               12);
+    Berti fresh{BertiConfig{}};
+    EXPECT_EQ(own_sections_error(fresh,
+                                 with_section(bytes, "pf.berti", payload)),
+              SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotComponents, BertiDeltaPastMaxDeltaIsMalformed)
+{
+    const std::string bytes = driven_berti();
+    std::string payload = section_payload(bytes, "pf.berti");
+    ASSERT_GE(peek(payload, kBertiDeltasAt, 4), 1u);
+    poke(payload, kBertiDeltasAt + 4,
+         static_cast<std::uint64_t>(BertiConfig{}.max_delta + 1), 8);
+    Berti fresh{BertiConfig{}};
+    EXPECT_EQ(own_sections_error(fresh,
+                                 with_section(bytes, "pf.berti", payload)),
+              SnapshotErrorKind::kMalformed);
+}
+
+TEST(SnapshotComponents, BertiRepeatedDeltaIsMalformed)
+{
+    const std::string bytes = driven_berti();
+    std::string payload = section_payload(bytes, "pf.berti");
+    ASSERT_GE(peek(payload, kBertiDeltasAt, 4), 2u);
+    poke(payload, kBertiDeltasAt + 4 + 12,
+         peek(payload, kBertiDeltasAt + 4, 8), 8);
     Berti fresh{BertiConfig{}};
     EXPECT_EQ(own_sections_error(fresh,
                                  with_section(bytes, "pf.berti", payload)),

@@ -16,7 +16,8 @@ them as a rule-plugin package:
       something (see common/thread_annotations.h)
   L10-L14, L19  hot-path cost: no per-access heap allocation, hash
       or tree maps, undevirtualizable dispatch, large by-value
-      structs, formatting/I/O, vector<bool> or runtime-divisor modulo
+      structs, formatting/I/O, vector<bool> or a runtime-divisor
+      `%` or `/`
   L15 store I/O: fwrite/fflush/fclose/rename results are checked
   L16 snapshot completeness: the serialize body names every member
   L17 page geometry only through the typed helpers

@@ -1,4 +1,4 @@
-"""L19: hot path — no vector<bool> and no runtime-divisor modulo."""
+"""L19: hot path — no vector<bool> and no runtime-divisor `%` or `/`."""
 
 from __future__ import annotations
 
@@ -12,13 +12,14 @@ from tools.simlint.registry import rule
 # std::vector<bool> declarations anywhere in a file with hot code.
 VECBOOL_RE = re.compile(r"\b(?:std\s*::\s*)?vector\s*<\s*bool\s*>")
 
-# `% divisor` where the divisor is a runtime value: a member (trailing
-# underscore, possibly with a field access like `cfg_.entries`), a
-# `.size()` call, or a plain lower-case local/parameter.  Divisors the
-# compiler can strength-reduce itself -- integer literals and
-# constant-style names (kFoo, FOO, Foo) -- are deliberately excluded.
+# `% divisor` or `/ divisor` where the divisor is a runtime value: a
+# member (trailing underscore, possibly with a field access like
+# `cfg_.entries`), a `.size()` call, or a plain lower-case
+# local/parameter.  Divisors the compiler can strength-reduce itself --
+# integer literals and constant-style names (kFoo, FOO, Foo) -- are
+# deliberately excluded.  Group 1 is the operator, group 2 the divisor.
 RUNTIME_MOD_RE = re.compile(
-    r"%\s*(?:\(\s*)?("
+    r"([%/])\s*(?:\(\s*)?("
     r"[A-Za-z_]\w*(?:\s*\.\s*\w+|\s*->\s*\w+)*\s*\.\s*size\s*\(\s*\)"  # x.size()
     r"|\w+_\s*(?:\.\s*\w+|->\s*\w+)+"  # cfg_.entries, p_->rows
     r"|[a-z]\w*_\b"  # bare member: count_
@@ -31,8 +32,14 @@ RUNTIME_MOD_RE = re.compile(
 # obvious constant spellings after the match instead.
 CONST_NAME_RE = re.compile(r"^(?:k[A-Z]\w*|[A-Z][A-Z0-9_]*)$")
 
+# A `/` whose divisor is cast to a floating-point type divides in the
+# FPU, pipelined, and is not an integer division.
+FLOAT_CAST_RE = re.compile(
+    r"static_cast\s*<\s*(?:const\s+)?(?:long\s+)?(?:double|float)\s*>"
+)
 
-@rule("L19", "hot path: no vector<bool>, no runtime-divisor modulo")
+
+@rule("L19", "hot path: no vector<bool>, no runtime-divisor % or /")
 def check(project: Project):
     """Two per-access-loop cost patterns that hide in plain sight.
 
@@ -43,15 +50,18 @@ def check(project: Project):
     ``std::vector<std::uint8_t>`` (one byte per flag, directly
     addressable) or an explicit packed word with named bits.
 
-    ``x % divisor`` with a *runtime* divisor compiles to an integer
-    division (20-90 cycles, unpipelined) on every access.  Set and
-    ring indexing on per-access paths should precompute geometry at
-    construction: a mask when the count is a power of two
-    (``x & (n - 1)``), a compare-wrap for ring advances
-    (``if (++i == n) i = 0;``), or a shift plan like the DRAM
-    channel/bank slicing.  Divisors the compiler already
-    strength-reduces -- literals and ``kConstant`` spellings -- are
-    not flagged.
+    ``x % divisor`` and ``x / divisor`` with a *runtime* divisor
+    compile to an integer division (20-90 cycles, unpipelined) on
+    every access.  Set and ring indexing on per-access paths should
+    precompute geometry at construction: a mask when the count is a
+    power of two (``x & (n - 1)``), a shift for a power-of-two
+    quotient (``x >> log2(n)``), a compare-wrap for ring advances
+    (``if (++i == n) i = 0;``), a quotient computed once when both
+    operands are fixed, or a shift plan like the DRAM channel/bank
+    slicing.  Divisors the compiler already strength-reduces --
+    literals and ``kConstant`` spellings -- are not flagged, nor is a
+    ``/`` whose divisor is cast to ``double`` or ``float``, which is
+    a floating-point division.
 
     Flags both patterns inside hot-reachable functions (and
     ``vector<bool>`` declarations anywhere in a file pair that has
@@ -90,8 +100,10 @@ def check(project: Project):
         if sf.rel not in model.spans:
             continue
         for m in RUNTIME_MOD_RE.finditer(code):
-            divisor = m.group(1)
+            op, divisor = m.group(1), m.group(2)
             if CONST_NAME_RE.match(divisor):
+                continue
+            if op == "/" and FLOAT_CAST_RE.match(code, m.start(2)):
                 continue
             no = line_of(code, m.start())
             d = hot_function_at(model, sf, no)
@@ -102,9 +114,10 @@ def check(project: Project):
                     "L19",
                     sf.path,
                     no,
-                    f"runtime-divisor `% {divisor}` in hot-reachable "
+                    f"runtime-divisor `{op} {divisor}` in hot-reachable "
                     f"`{d.qual}` is an integer division per access; "
-                    "precompute a mask/compare-wrap at construction — "
+                    "precompute a mask, shift or compare-wrap at "
+                    "construction — "
                     "or annotate `LINT_HOT_OK: <why not>`",
                 )
             )
